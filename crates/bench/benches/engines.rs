@@ -3,9 +3,7 @@
 
 use amc_bench::{make_workload, MatrixFamily};
 use amc_engine_simd::SimdEngine;
-use blockamc::engine::{
-    AmcEngine, BlockedNumericEngine, CircuitEngine, CircuitEngineConfig, NumericEngine,
-};
+use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,20 +20,8 @@ fn bench_primitives(c: &mut Criterion) {
             let mut op = e.program(&a).expect("program");
             bencher.iter(|| std::hint::black_box(e.inv(&mut op, &b).expect("inv")));
         });
-        // The cache-blocked backend vs the plain reference: programming
-        // + first INV (runs the blocked LU), then the amortized per-RHS
-        // path through the buffer-reusing `inv_into`.
-        group.bench_with_input(
-            BenchmarkId::new("blocked_factorize", n),
-            &n,
-            |bencher, _| {
-                let mut e = BlockedNumericEngine::default();
-                bencher.iter(|| {
-                    let mut op = e.program(&a).expect("program");
-                    std::hint::black_box(e.inv(&mut op, &b).expect("inv"))
-                });
-            },
-        );
+        // Programming + first INV (runs the LU), then the amortized
+        // per-RHS path through the buffer-reusing `inv_into`.
         group.bench_with_input(
             BenchmarkId::new("numeric_factorize", n),
             &n,
@@ -47,8 +33,8 @@ fn bench_primitives(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("blocked_inv_into", n), &n, |bencher, _| {
-            let mut e = BlockedNumericEngine::default();
+        group.bench_with_input(BenchmarkId::new("numeric_inv_into", n), &n, |bencher, _| {
+            let mut e = NumericEngine::new();
             let mut op = e.program(&a).expect("program");
             let mut out = Vec::new();
             e.inv_into(&mut op, &b, &mut out).expect("warm-up inv");
@@ -77,7 +63,7 @@ fn bench_primitives(c: &mut Criterion) {
 
 /// The large-`n` ladder where the micro-tiled backend earns its keep:
 /// full factorize+solve and the amortized per-RHS `inv_into` path for
-/// simd vs numeric vs blocked at n = 256 / 512 / 1024.
+/// simd vs numeric at n = 256 / 512 / 1024.
 fn bench_large_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_large_n");
     group.sample_size(10);
@@ -119,7 +105,6 @@ fn bench_large_n(c: &mut Criterion) {
 
         factorize_and_amortized!("simd", SimdEngine::new());
         factorize_and_amortized!("numeric", NumericEngine::new());
-        factorize_and_amortized!("blocked", BlockedNumericEngine::default());
     }
     group.finish();
 }

@@ -716,10 +716,9 @@ fn trace(opts: &RunOpts) {
 
 /// The simd-backend performance study, written to `BENCH_simd.json`:
 /// factorize+solve and amortized-solve timings of the registered
-/// micro-tiled backend against the exact and cache-blocked digital
-/// engines, sparse-aware vs dense Schur complements on PDN matrices,
-/// the parallel-prepare worker sweep, and the large-`n` scaling
-/// campaign.
+/// micro-tiled backend against the exact digital engine, sparse-aware
+/// vs dense Schur complements on PDN matrices, the parallel-prepare
+/// worker sweep, and the large-`n` scaling campaign.
 fn simd(opts: &RunOpts) {
     use amc_scenario::campaigns;
     use amc_scenario::workload::{WorkloadFamily, WorkloadSpec};
@@ -734,7 +733,7 @@ fn simd(opts: &RunOpts) {
         registry.names().collect::<Vec<_>>().join(", ")
     );
     let reps = opts.pick(2, 3);
-    let backends = ["numeric", "blocked", "simd"];
+    let backends = ["numeric", "simd"];
 
     // --- Factorize + solve: one programming, one INV (which runs the
     // lazy factorization), per backend and size.

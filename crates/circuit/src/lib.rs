@@ -70,7 +70,6 @@ pub mod interconnect;
 pub mod inv;
 pub mod mna;
 pub mod mvm;
-pub mod noise;
 pub mod opamp;
 pub mod pdn;
 pub mod power;

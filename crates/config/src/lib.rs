@@ -353,10 +353,10 @@ mod tests {
         assert!(decode::variant(&Json::Int(1), "E").is_err());
         assert!(decode::expect_unit(payload, "EngineSpec", "Numeric").is_err());
         assert!(decode::expect_payload(None, "EngineSpec", "FixedPoint").is_err());
-        let unknown = decode::unknown_variant("EngineSpec", "Gpu", &["Numeric", "Blocked"]);
+        let unknown = decode::unknown_variant("EngineSpec", "Gpu", &["Numeric", "FixedPoint"]);
         let msg = unknown.to_string();
         assert!(
-            msg.contains("Gpu") && msg.contains("Numeric, Blocked"),
+            msg.contains("Gpu") && msg.contains("Numeric, FixedPoint"),
             "{msg}"
         );
     }

@@ -10,8 +10,9 @@
 //!
 //! Batches run through [`crate::solver::PreparedSolver::solve_batch`],
 //! so any architecture and per-level signal plan the facade supports can
-//! be batched; sharding a batch across *multiple* independently-prepared
-//! solvers is a ROADMAP item the prepared facade now enables.
+//! be batched. [`solve_batch_parallel`] shards a batch over bitwise
+//! replicas with the routine behind
+//! [`crate::solver::SolverReplica::solve_batch_parallel`].
 
 use amc_circuit::opamp::OpAmpSpec;
 use amc_circuit::timing;
@@ -157,31 +158,20 @@ fn assemble_solution(
     })
 }
 
-/// Number of shards dealt per worker: a few more shards than workers
-/// keeps the stealing pool balanced when solve times vary (deeper
-/// recursion on some shards, OS jitter) without shrinking shards into
-/// scheduling noise.
-const SHARDS_PER_WORKER: usize = 4;
-
-/// Parallel [`solve_batch`]: prepares `a` once, replicates the prepared
-/// solver across `workers` independently-owned macro instances
-/// ([`crate::solver::PreparedSolver::replicate`]), and shards the
-/// right-hand sides over a work-stealing pool (`amc_par`).
+/// Parallel [`solve_batch`]: prepares `a` once, then shards the
+/// right-hand sides over `workers` bitwise replicas of the prepared
+/// solver on a work-stealing pool (`amc_par`) — the same routine
+/// [`crate::solver::SolverReplica::solve_batch_parallel`] runs.
 ///
 /// **Bit-identical to the serial path at every worker count.** Each
 /// replica carries a bitwise copy of the arrays programmed by the one
 /// `prepare` call — the same effective conductances, hence the same
 /// variation draw — so a right-hand side produces the same solution no
 /// matter which worker solves it, and the merged output (always in
-/// input order) equals `solve_batch`'s exactly. `workers == 1` runs
-/// the serial path itself.
+/// input order) equals `solve_batch`'s exactly.
 ///
-/// Worker 0 drives the original prepared arrays directly, so only
-/// `workers − 1` replicas are cloned. As a consequence `solver`'s
-/// engine counters reflect the preparation plus whatever shards worker
-/// 0 happened to execute — a scheduling-dependent *count*; the
-/// solutions themselves are scheduling-independent. The replicas'
-/// counters are not lost: every worker's delta is summed into
+/// The solves run on replicas, so `solver`'s own engine counters show
+/// the preparation only. Every worker's solves are summed into
 /// [`BatchSolution::stats`], which therefore reports the full batch
 /// cost (one preparation + all solves) at every worker count.
 ///
@@ -198,6 +188,7 @@ pub fn solve_batch_parallel<E: AmcEngine + Clone + Send>(
     conversion_s: f64,
     workers: usize,
 ) -> Result<BatchSolution> {
+    // Reject before programming, as the serial path does.
     if batch.is_empty() {
         return Err(crate::BlockAmcError::config(
             "batch must contain at least one RHS",
@@ -209,70 +200,11 @@ pub fn solve_batch_parallel<E: AmcEngine + Clone + Send>(
         ));
     }
     let before = solver.engine().stats();
-    let mut prepared = solver.prepare(a)?;
-    if workers == 1 {
-        let solutions = prepared.solve_batch(batch)?;
-        let stats = prepared.engine().stats() - before;
-        return assemble_solution(solutions, stats, a, batch.len(), opamp, conversion_s);
-    }
-    // Replicas clone the engine *after* preparation, so their counters
-    // start at this baseline; only what they solve on top is theirs.
-    let replica_base = prepared.engine().stats();
-    // Worker 0 owns the original programmed arrays; workers 1.. own
-    // bitwise replicas — `workers` solving instances, `workers − 1`
-    // copies.
-    let replicas = prepared.replicate(workers - 1);
-    let mut states: Vec<ShardWorker<'_, '_, E>> = Vec::with_capacity(workers);
-    states.push(ShardWorker::Original(&mut prepared));
-    states.extend(
-        replicas
-            .into_iter()
-            .map(|r| ShardWorker::Replica(Box::new(r))),
-    );
-    // Contiguous shards, several per worker; input order is restored by
-    // the index-preserving pool merge.
-    let shard_len = batch.len().div_ceil(workers * SHARDS_PER_WORKER).max(1);
-    let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len).collect();
-    let sharded = amc_par::map_with_states(&mut states, shards, |worker, _, shard| {
-        shard
-            .iter()
-            .map(|b| worker.solve_x(b))
-            .collect::<Result<Vec<_>>>()
-    });
-    let mut solutions = Vec::with_capacity(batch.len());
-    for shard in sharded {
-        solutions.extend(shard?);
-    }
-    // Aggregate the per-worker counters: worker 0's delta (preparation
-    // plus its shards) plus each replica's solves-only delta.
-    let mut stats = EngineStats::default();
-    for state in &states {
-        stats += match state {
-            ShardWorker::Original(prepared) => prepared.engine().stats() - before,
-            ShardWorker::Replica(replica) => replica.engine().stats() - replica_base,
-        };
-    }
+    let mut replica = solver.prepare(a)?.replicate(1).remove(0);
+    let prepare_stats = solver.engine().stats() - before;
+    let (solutions, solve_stats) = replica.shard_batch(batch, workers)?;
+    let stats = prepare_stats + solve_stats;
     assemble_solution(solutions, stats, a, batch.len(), opamp, conversion_s)
-}
-
-/// A shard worker's solving instance: the caller's prepared solver
-/// (worker 0) or an owned replica (the rest). Either way the programmed
-/// array values are identical, which is what keeps sharding invisible
-/// in the output.
-enum ShardWorker<'p, 'e, E: AmcEngine> {
-    Original(&'p mut crate::solver::PreparedSolver<'e, E>),
-    /// Boxed: a replica owns engine + config + tree, far larger than
-    /// the borrow in [`ShardWorker::Original`].
-    Replica(Box<crate::solver::SolverReplica<E>>),
-}
-
-impl<E: AmcEngine> ShardWorker<'_, '_, E> {
-    fn solve_x(&mut self, b: &[f64]) -> Result<Vec<f64>> {
-        match self {
-            ShardWorker::Original(prepared) => prepared.solve(b).map(|r| r.x),
-            ShardWorker::Replica(replica) => replica.solve(b).map(|r| r.x),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -53,13 +53,11 @@ use amc_linalg::Matrix;
 
 use crate::{BlockAmcError, Result};
 
-mod blocked;
 mod circuit;
 mod fixed_point;
 mod numeric;
 mod registry;
 
-pub use blocked::{BlockedNumericEngine, DEFAULT_BLOCK};
 pub use circuit::{CircuitEngine, CircuitEngineConfig};
 pub use fixed_point::FixedPointEngine;
 pub use numeric::NumericEngine;

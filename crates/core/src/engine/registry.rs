@@ -1,10 +1,7 @@
 //! Engine selection as data: [`EngineSpec`] and the name→constructor
 //! [`EngineRegistry`].
 
-use super::{
-    AmcEngine, BlockedNumericEngine, CircuitEngine, CircuitEngineConfig, FixedPointEngine,
-    NumericEngine, DEFAULT_BLOCK,
-};
+use super::{AmcEngine, CircuitEngine, CircuitEngineConfig, FixedPointEngine, NumericEngine};
 use crate::{BlockAmcError, Result};
 
 /// A serializable description of an engine backend — the value a
@@ -20,12 +17,6 @@ use crate::{BlockAmcError, Result};
 pub enum EngineSpec {
     /// The exact digital reference ([`NumericEngine`]).
     Numeric,
-    /// Cache-blocked digital solves with buffer-reusing hot paths
-    /// ([`BlockedNumericEngine`]); bit-identical to `Numeric`.
-    Blocked {
-        /// LU panel width in columns.
-        block: usize,
-    },
     /// `bits`-bit quantized digital solves ([`FixedPointEngine`]) — the
     /// nonideality rung between exact and full analog.
     FixedPoint {
@@ -42,7 +33,6 @@ impl EngineSpec {
     pub fn name(&self) -> &'static str {
         match self {
             EngineSpec::Numeric => "numeric",
-            EngineSpec::Blocked { .. } => "blocked",
             EngineSpec::FixedPoint { .. } => "fixed-point",
             EngineSpec::Circuit(_) => "circuit",
         }
@@ -62,11 +52,10 @@ impl EngineSpec {
     /// # Errors
     ///
     /// [`BlockAmcError::InvalidConfig`] for invalid spec parameters
-    /// (zero panel width, out-of-range word length).
+    /// (out-of-range word length).
     pub fn build(&self, seed: u64) -> Result<Box<dyn AmcEngine>> {
         Ok(match self {
             EngineSpec::Numeric => Box::new(NumericEngine::new()),
-            EngineSpec::Blocked { block } => Box::new(BlockedNumericEngine::new(*block)?),
             EngineSpec::FixedPoint { bits } => Box::new(FixedPointEngine::new(*bits)?),
             EngineSpec::Circuit(config) => Box::new(CircuitEngine::new(*config, seed)),
         })
@@ -127,18 +116,11 @@ impl EngineRegistry {
 
     /// The registry of shipped backends, each under its
     /// [`EngineSpec::name`] with default parameters: `numeric`,
-    /// `blocked` ([`DEFAULT_BLOCK`]-column panels), `fixed-point`
-    /// (8 bits), and `circuit`
+    /// `fixed-point` (8 bits), and `circuit`
     /// ([`CircuitEngineConfig::paper_variation`]).
     pub fn builtin() -> Self {
         let mut registry = Self::empty();
         registry.register_spec("numeric", EngineSpec::Numeric);
-        registry.register_spec(
-            "blocked",
-            EngineSpec::Blocked {
-                block: DEFAULT_BLOCK,
-            },
-        );
         registry.register_spec("fixed-point", EngineSpec::FixedPoint { bits: 8 });
         registry.register_spec(
             "circuit",
@@ -196,10 +178,10 @@ mod tests {
     use amc_linalg::Matrix;
 
     #[test]
-    fn builtin_registry_builds_all_four_backends() {
+    fn builtin_registry_builds_every_backend() {
         let registry = EngineRegistry::builtin();
         let names: Vec<&str> = registry.names().collect();
-        assert_eq!(names, ["numeric", "blocked", "fixed-point", "circuit"]);
+        assert_eq!(names, ["numeric", "fixed-point", "circuit"]);
         let a = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.5]]).unwrap();
         for name in names {
             let mut engine = registry.build(name, 1).unwrap();
@@ -233,7 +215,6 @@ mod tests {
     #[test]
     fn spec_names_and_circuit_accessor() {
         assert_eq!(EngineSpec::Numeric.name(), "numeric");
-        assert_eq!(EngineSpec::Blocked { block: 8 }.name(), "blocked");
         assert_eq!(EngineSpec::FixedPoint { bits: 8 }.name(), "fixed-point");
         let circuit = EngineSpec::Circuit(CircuitEngineConfig::ideal());
         assert_eq!(circuit.name(), "circuit");
@@ -243,7 +224,6 @@ mod tests {
 
     #[test]
     fn invalid_spec_parameters_surface_at_build() {
-        assert!(EngineSpec::Blocked { block: 0 }.build(0).is_err());
         assert!(EngineSpec::FixedPoint { bits: 1 }.build(0).is_err());
     }
 }

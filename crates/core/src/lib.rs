@@ -30,7 +30,7 @@
 //! or a name in the [`engine::EngineRegistry`], and drives the whole
 //! stack through `Box<dyn AmcEngine>` bit-identically to the concrete
 //! type. The shipped backends range from the exact digital reference
-//! through cache-blocked and `b`-bit fixed-point digital solvers to the
+//! through `b`-bit fixed-point digital solvers to the
 //! full analog device + circuit stack — see
 //! [`engine::EngineRegistry::builtin`] for the authoritative list.
 //!
@@ -46,10 +46,12 @@
 //! timing.
 //!
 //! Multi-RHS and Monte-Carlo workloads parallelize across worker
-//! threads: [`batch::solve_batch_parallel`] shards a batch over
-//! replicated macro instances ([`solver::PreparedSolver::replicate`])
-//! and [`montecarlo::yield_analysis_parallel`] farms out variation
-//! trials, both over the `amc_par` work-stealing pool and both
+//! threads: [`solver::SolverReplica::solve_batch_parallel`] (and
+//! [`batch::solve_batch_parallel`], which prepares first and then runs
+//! it) shards a batch over replicated macro instances
+//! ([`solver::PreparedSolver::replicate`]), and
+//! [`montecarlo::yield_analysis_parallel`] farms out variation trials,
+//! both over the `amc_par` work-stealing pool and both
 //! **bit-identical to their serial counterparts at every worker
 //! count** (replicas inherit the prepare-time variation draw; trials
 //! own per-trial RNG streams).

@@ -142,7 +142,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_dense(&self) -> Result<Matrix> {
-        let lu = LuFactor::new_auto(&self.a1)?;
+        let lu = LuFactor::new(&self.a1)?;
         let mut a4s = self.a4.clone();
         lu.schur_update_into(&self.a2, &self.a3, &mut a4s)?;
         Ok(a4s)
@@ -157,7 +157,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_sparse(&self) -> Result<Matrix> {
-        let lu = LuFactor::new_auto(&self.a1)?;
+        let lu = LuFactor::new(&self.a1)?;
         let mut a4s = self.a4.clone();
         lu.schur_update_sparse_into(
             &CsrMatrix::from_dense(&self.a2),
@@ -278,6 +278,34 @@ mod tests {
             .schur_complement_sparse()
             .unwrap()
             .approx_eq(&p.schur_complement().unwrap(), 1e-12));
+    }
+
+    /// `Matrix::fingerprint` of `halves(a).schur_complement()`, recorded
+    /// while the Schur LU still ran a panel-tiled trailing update: two
+    /// seeded Wisharts on the dense route (A1 fits one 32-column panel
+    /// at n=40 and spans three at n=150) and a 16×16 PDN grid on the
+    /// sparse route.
+    #[test]
+    fn schur_complement_matches_recorded_fingerprints() {
+        use amc_circuit::pdn::{pdn_matrix, PdnSpec};
+        let wishart =
+            |n, seed| generate::wishart_default(n, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+        let pdn = pdn_matrix(
+            &PdnSpec::default_grid(16, 16),
+            &mut ChaCha8Rng::seed_from_u64(3),
+        )
+        .unwrap();
+        let cases = [
+            (wishart(40, 1), false, 0x82f3_5758_932e_f7fe_u64),
+            (wishart(150, 2), false, 0xcaf4_44fd_7476_bc07),
+            (pdn, true, 0x60e4_345b_67d6_b417),
+        ];
+        for (a, sparse, golden) in cases {
+            let p = BlockPartition::halves(&a).unwrap();
+            assert_eq!(p.coupling_density() <= SPARSE_SCHUR_MAX_DENSITY, sparse);
+            let got = p.schur_complement().unwrap().fingerprint();
+            assert_eq!(got, golden, "n={}", a.rows());
+        }
     }
 
     #[test]

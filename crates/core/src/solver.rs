@@ -402,9 +402,9 @@ fn stats_delta(before: &EngineStats, after: &EngineStats) -> EngineStats {
 /// let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]])?;
 /// let mut solver = SolverConfig::builder()
 ///     .stages(Stages::One)
-///     .build(EngineRegistry::builtin().build("blocked", 0)?)?;
+///     .build(EngineRegistry::builtin().build("fixed-point", 0)?)?;
 /// let report = solver.solve(&a, &[4.0, 3.0])?;
-/// assert_eq!(report.engine, "blocked");
+/// assert_eq!(report.engine, "fixed-point");
 /// # Ok(())
 /// # }
 /// ```
@@ -870,6 +870,24 @@ impl<E: AmcEngine> SolverReplica<E> {
     where
         E: Clone,
     {
+        self.shard_batch(batch, workers)
+            .map(|(solutions, _)| solutions)
+    }
+
+    /// The one parallel-batch routine behind
+    /// [`solve_batch_parallel`](Self::solve_batch_parallel) and
+    /// [`crate::batch::solve_batch_parallel`]. Runs inside a `batch`
+    /// span and also returns the engine cost of every solve, summed over
+    /// all workers: each clone starts from this replica's counters, so
+    /// only what it solves on top is added.
+    pub(crate) fn shard_batch(
+        &mut self,
+        batch: &[Vec<f64>],
+        workers: usize,
+    ) -> Result<(Vec<Vec<f64>>, EngineStats)>
+    where
+        E: Clone,
+    {
         if batch.is_empty() {
             return Err(BlockAmcError::config("batch must contain at least one RHS"));
         }
@@ -878,17 +896,22 @@ impl<E: AmcEngine> SolverReplica<E> {
                 "parallel batch needs at least one worker",
             ));
         }
-        if workers == 1 || batch.len() == 1 {
-            return self.solve_batch(batch);
-        }
-        let mut clones: Vec<SolverReplica<E>> = (1..workers).map(|_| self.clone()).collect();
-        let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(workers);
-        states.push(self);
+        let span = self.recorder.enter("batch");
+        let before = self.engine.stats();
+        let mut clones: Vec<SolverReplica<E>> = if batch.len() == 1 {
+            Vec::new()
+        } else {
+            (1..workers).map(|_| self.clone()).collect()
+        };
+        let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(clones.len() + 1);
+        states.push(&mut *self);
         states.extend(clones.iter_mut());
-        // Contiguous shards, a few per worker (see SHARDS_PER_WORKER in
-        // crate::batch); input order is restored by the index-preserving
-        // pool merge.
-        let shard_len = batch.len().div_ceil(workers * 4).max(1);
+        // Contiguous shards, a few per worker; input order is restored by
+        // the index-preserving pool merge.
+        let shard_len = batch
+            .len()
+            .div_ceil(states.len() * SHARDS_PER_WORKER)
+            .max(1);
         let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len).collect();
         let sharded = amc_par::map_with_states(&mut states, shards, |replica, _, shard| {
             shard
@@ -896,13 +919,27 @@ impl<E: AmcEngine> SolverReplica<E> {
                 .map(|b| replica.solve(b).map(|r| r.x))
                 .collect::<Result<Vec<_>>>()
         });
+        let mut stats = EngineStats::default();
+        for state in &states {
+            stats += state.engine.stats() - before;
+        }
         let mut solutions = Vec::with_capacity(batch.len());
         for shard in sharded {
             solutions.extend(shard?);
         }
-        Ok(solutions)
+        self.recorder.exit_with(
+            span,
+            &[("rhs", batch.len() as f64), ("workers", workers as f64)],
+        );
+        Ok((solutions, stats))
     }
 }
+
+/// Number of shards dealt per worker: a few more shards than workers
+/// keeps the stealing pool balanced when solve times vary (deeper
+/// recursion on some shards, OS jitter) without shrinking shards into
+/// scheduling noise.
+const SHARDS_PER_WORKER: usize = 4;
 
 // Compile-time guarantee that prepared solvers cross threads: the
 // `amc-serve` cache stores replicas behind a mutex and hands clones to

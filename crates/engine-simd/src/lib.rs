@@ -91,8 +91,8 @@ impl OperandState for SimdOperand {
 ///
 /// Same signed conventions as every backend — INV returns `−A⁻¹·b`,
 /// MVM returns `−A·x` — and the same lazy-factorize/buffer-reuse hot
-/// paths as `BlockedNumericEngine`, but with the tiled kernels of this
-/// crate underneath.
+/// paths as `NumericEngine`, but with the tiled kernels of this crate
+/// underneath.
 #[derive(Debug, Clone, Default)]
 pub struct SimdEngine {
     stats: EngineStats,

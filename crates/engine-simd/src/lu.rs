@@ -8,8 +8,7 @@
 //! width adapts to the problem size ([`auto_panel`]), as does the
 //! micro-tile width ([`kernels::select_tile`]).
 //!
-//! Unlike `amc_linalg::lu::LuFactor::new_blocked` — which is pinned
-//! bit-identical to the unblocked reference — this factorization
+//! Unlike the reference `amc_linalg::lu::LuFactor`, this factorization
 //! reorders the trailing-update accumulation for speed, so it agrees
 //! with the reference only to rounding (proven bounded by the proptests
 //! in `lib.rs`).

@@ -252,8 +252,8 @@ pub const DEFAULT_TOEPLITZ_MAX_COND: f64 = 1e8;
 /// random autocorrelation sequence.
 ///
 /// A length-`kernel_len` random vector `w` defines
-/// `a_k = Σ_j w_j·w_{j+k}`; the banded Toeplitz matrix with those
-/// diagonals is a finite section of the PSD convolution operator with
+/// `a_k = Σ_j w_j·w_{j+k}` (zero for `k ≥ kernel_len`); the Toeplitz
+/// matrix with those diagonals is a finite section of the PSD convolution operator with
 /// symbol `|W(e^{iθ})|²`, hence positive semidefinite — and positive
 /// definite for generic `w` (strictly, whenever `W` has no zeros on the
 /// unit circle). This is the natural Toeplitz family of the paper's

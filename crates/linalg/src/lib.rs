@@ -13,8 +13,8 @@
 //! * [`lu::LuFactor`] — partial-pivot LU with solves, inverse, determinant
 //!   and a condition-number estimate. This is the "numerical solver"
 //!   baseline the paper compares against.
-//! * [`cholesky::CholeskyFactor`] and [`qr::QrFactor`] — factorizations for
-//!   SPD systems (Wishart matrices are SPD) and least squares.
+//! * [`cholesky::CholeskyFactor`] — the factorization for SPD systems
+//!   (Wishart matrices are SPD).
 //! * [`sparse::CsrMatrix`] — compressed sparse row storage for the circuit
 //!   crate's modified-nodal-analysis grids.
 //! * [`iterative`] — conjugate gradient, BiCGSTAB, Jacobi/ILU(0)
@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod banded;
 pub mod cholesky;
 pub mod eigen;
 mod error;
@@ -54,7 +53,6 @@ pub mod iterative;
 pub mod lu;
 mod matrix;
 pub mod metrics;
-pub mod qr;
 pub mod sparse;
 pub mod vector;
 

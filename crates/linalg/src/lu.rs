@@ -11,21 +11,6 @@ use crate::{LinalgError, Matrix, Result};
 /// Relative pivot threshold below which a matrix is declared singular.
 const SINGULARITY_RTOL: f64 = 1e-300;
 
-/// Picks a trailing-update panel width for an `n x n` factorization.
-///
-/// Small systems fit in L1 whole, so the classic 32-column panel (256
-/// bytes of pivot row per tile) is already optimal; as the trailing
-/// block outgrows L2 the panels widen so each pivot-row reload streams
-/// more useful work. Any width produces a bit-identical factorization
-/// (see [`LuFactor::new_blocked`]) — this function only tunes speed.
-pub fn auto_panel(n: usize) -> usize {
-    match n {
-        0..=128 => 32,
-        129..=768 => 48,
-        _ => 64,
-    }
-}
-
 /// An LU factorization `P·A = L·U` with partial (row) pivoting.
 ///
 /// # Example
@@ -60,48 +45,6 @@ impl LuFactor {
     /// * [`LinalgError::NonSquare`] if `a` is not square.
     /// * [`LinalgError::Singular`] if a pivot underflows to (near) zero.
     pub fn new(a: &Matrix) -> Result<Self> {
-        Self::factorize(a, None)
-    }
-
-    /// Factorizes with the trailing update tiled into `block`-column
-    /// panels — the cache-blocked kernel behind the blocked numeric
-    /// engine. For each elimination step the pivot-row panel
-    /// `U[k, jb..jb+block]` is streamed against all remaining rows
-    /// before the next panel is touched, so it stays resident in L1
-    /// while the unblocked loop walks the full trailing row per `i`.
-    ///
-    /// Every element receives exactly the same update sequence
-    /// (`lu[i][j] -= factor·lu[k][j]`, once per `k`, in increasing `k`)
-    /// as [`LuFactor::new`], so the factorization — and every solve
-    /// through it — is **bit-identical** to the unblocked kernel at any
-    /// block size.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::InvalidArgument`] for `block == 0`; otherwise the
-    /// same conditions as [`LuFactor::new`].
-    pub fn new_blocked(a: &Matrix, block: usize) -> Result<Self> {
-        if block == 0 {
-            return Err(LinalgError::invalid("LU panel width must be at least 1"));
-        }
-        Self::factorize(a, Some(block))
-    }
-
-    /// [`LuFactor::new_blocked`] with the panel width chosen by
-    /// [`auto_panel`] for the matrix size — the recommended constructor
-    /// for hot paths that factorize matrices of varying size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LuFactor::new`].
-    pub fn new_auto(a: &Matrix) -> Result<Self> {
-        Self::factorize(a, Some(auto_panel(a.rows())))
-    }
-
-    /// The shared elimination kernel; `panel = None` runs the classic
-    /// row-at-a-time trailing update, `Some(b)` the `b`-column panel
-    /// tiling of [`LuFactor::new_blocked`].
-    fn factorize(a: &Matrix, panel: Option<usize>) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NonSquare {
                 rows: a.rows(),
@@ -141,41 +84,13 @@ impl LuFactor {
                 }
             }
             let pivot = lu[(k, k)];
-            match panel {
-                None => {
-                    for i in (k + 1)..n {
-                        let factor = lu[(i, k)] / pivot;
-                        lu[(i, k)] = factor;
-                        if factor != 0.0 {
-                            for j in (k + 1)..n {
-                                let ukj = lu[(k, j)];
-                                lu[(i, j)] -= factor * ukj;
-                            }
-                        }
-                    }
-                }
-                Some(b) => {
-                    // Multipliers first, then the trailing update panel
-                    // by panel. Per element this performs the identical
-                    // operation in the identical `k` order as the
-                    // unblocked branch — only the (i, j) visiting order
-                    // changes, which floating point cannot observe.
-                    for i in (k + 1)..n {
-                        lu[(i, k)] /= pivot;
-                    }
-                    let mut jb = k + 1;
-                    while jb < n {
-                        let jend = (jb + b).min(n);
-                        for i in (k + 1)..n {
-                            let factor = lu[(i, k)];
-                            if factor != 0.0 {
-                                for j in jb..jend {
-                                    let ukj = lu[(k, j)];
-                                    lu[(i, j)] -= factor * ukj;
-                                }
-                            }
-                        }
-                        jb = jend;
+            for i in (k + 1)..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                if factor != 0.0 {
+                    for j in (k + 1)..n {
+                        let ukj = lu[(k, j)];
+                        lu[(i, j)] -= factor * ukj;
                     }
                 }
             }
@@ -602,34 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factorization_is_bit_identical() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        for n in [1usize, 2, 5, 17, 32] {
-            let a = Matrix::from_fn(n, n, |i, j| {
-                let v: f64 = rng.gen_range(-1.0..1.0);
-                if i == j {
-                    v + 3.0
-                } else {
-                    v
-                }
-            });
-            let plain = LuFactor::new(&a).unwrap();
-            for block in [1usize, 3, 8, 64] {
-                let blocked = LuFactor::new_blocked(&a, block).unwrap();
-                assert_eq!(
-                    plain.lu.as_slice(),
-                    blocked.lu.as_slice(),
-                    "n={n} block={block}"
-                );
-                assert_eq!(plain.perm, blocked.perm);
-                assert_eq!(plain.swaps, blocked.swaps);
-            }
-        }
-        assert!(LuFactor::new_blocked(&Matrix::identity(2), 0).is_err());
-    }
-
-    #[test]
     fn sparse_schur_update_matches_dense_kernel() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
@@ -679,30 +566,6 @@ mod tests {
                 &mut a4.clone(),
             )
             .is_err());
-    }
-
-    #[test]
-    fn auto_panel_factorization_is_bit_identical_to_plain() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
-        for n in [1usize, 40, 150] {
-            let a = Matrix::from_fn(n, n, |i, j| {
-                let v: f64 = rng.gen_range(-1.0..1.0);
-                if i == j {
-                    v + 3.0
-                } else {
-                    v
-                }
-            });
-            let plain = LuFactor::new(&a).unwrap();
-            let auto = LuFactor::new_auto(&a).unwrap();
-            assert_eq!(plain.lu.as_slice(), auto.lu.as_slice(), "n={n}");
-            assert_eq!(plain.perm, auto.perm);
-        }
-        // The width schedule is monotone in n and always positive.
-        assert!(auto_panel(0) >= 1);
-        assert!(auto_panel(64) <= auto_panel(512));
-        assert!(auto_panel(512) <= auto_panel(4096));
     }
 
     #[test]

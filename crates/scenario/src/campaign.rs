@@ -97,11 +97,10 @@ impl EngineSel {
 /// selected purely as data.
 ///
 /// The rung carries an [`EngineSel`], not a concrete engine type — a
-/// cell can run the exact digital reference, the cache-blocked or
-/// fixed-point digital backends, the full analog stack, or any backend
-/// a downstream crate registered by name, and the campaign engine
-/// builds each trial's `Box<dyn AmcEngine>` from the selection plus
-/// the trial seed.
+/// cell can run the exact digital reference, the fixed-point digital
+/// backend, the full analog stack, or any backend a downstream crate
+/// registered by name, and the campaign engine builds each trial's
+/// `Box<dyn AmcEngine>` from the selection plus the trial seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Nonideality {
     /// Display label (`ideal`, `variation`, `fixed-point-8b`, …).

@@ -207,9 +207,9 @@ pub fn worker_scaling(quick: bool) -> Result<Campaign> {
 }
 
 /// Campaign 4: the engine ladder — every shipped backend (exact
-/// numeric, cache-blocked numeric, 6- and 10-bit fixed point, full
-/// analog with 5 % variation) plus the micro-tiled `amc-engine-simd`
-/// backend, on a well-conditioned, a structured, and an
+/// numeric, 6- and 10-bit fixed point, full analog with 5 % variation)
+/// plus the micro-tiled `amc-engine-simd` backend, on a
+/// well-conditioned, a structured, and an
 /// ill-conditioned registry family, one- and two-stage. The rungs are
 /// pure data — [`EngineSpec`]s or registry names: adding a backend to
 /// the comparison is one more ladder entry, never a code path. The
@@ -256,12 +256,6 @@ pub fn engine_ladder(quick: bool) -> Result<Campaign> {
     }
     builder
         .nonideality(Nonideality::spec("numeric", EngineSpec::Numeric))
-        .nonideality(Nonideality::spec(
-            "blocked",
-            EngineSpec::Blocked {
-                block: blockamc::engine::DEFAULT_BLOCK,
-            },
-        ))
         .nonideality(Nonideality::registered(
             "simd",
             amc_engine_simd::ENGINE_NAME,
@@ -352,8 +346,8 @@ mod tests {
             let w = worker_scaling(quick).unwrap();
             assert_eq!(w.cell_count(), 4);
             let e = engine_ladder(quick).unwrap();
-            assert_eq!(e.ladder().len(), 6, "five backends + 2nd fp depth");
-            assert_eq!(e.cell_count(), 3 * 2 * 6);
+            assert_eq!(e.ladder().len(), 5, "four backends + 2nd fp depth");
+            assert_eq!(e.cell_count(), 3 * 2 * 5);
             assert!(e.registry().contains("simd"));
             let sc = simd_scaling(quick).unwrap();
             assert_eq!(sc.ladder().len(), 2, "numeric vs simd");
@@ -385,14 +379,11 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing cell {engine}/{nonideality}"))
         };
         let numeric = cell("numeric", "numeric");
-        let blocked = cell("blocked", "blocked");
         let simd = cell("simd", "simd");
         let fp6 = cell("fixed-point", "fixed-point-6b");
         let fp10 = cell("fixed-point", "fixed-point-10b");
         let circuit = cell("circuit", "circuit-variation");
-        // The blocked backend is a bit-identical substitution; the simd
-        // backend is bounded, not bitwise.
-        assert_eq!(numeric.errors, blocked.errors);
+        // The simd backend is bounded against numeric, not bitwise.
         assert!(numeric.errors.max < 1e-9);
         assert!(simd.errors.max < 1e-9);
         assert_eq!(simd.completed, simd.trials);
@@ -403,7 +394,7 @@ mod tests {
         // latency.
         assert!(circuit.analog_time_per_solve_s > 0.0);
         assert!(circuit.model_latency_s.is_some());
-        for digital in [numeric, blocked, simd, fp6, fp10] {
+        for digital in [numeric, simd, fp6, fp10] {
             assert_eq!(digital.analog_time_per_solve_s, 0.0);
             assert!(digital.model_latency_s.is_none());
         }

@@ -248,7 +248,7 @@ mod tests {
                 },
                 RungSpec {
                     label: "by-name".to_string(),
-                    engine: EngineSelSpec::Registered("blocked".to_string()),
+                    engine: EngineSelSpec::Registered("fixed-point".to_string()),
                 },
             ],
             trials: 2,

@@ -138,7 +138,7 @@ fn registry_backends_solve_through_the_facade() {
     let (a, b) = spd_workload(12, 7);
     let x_ref = lu::solve(&a, &b).unwrap();
     let registry = EngineRegistry::builtin();
-    for name in ["numeric", "blocked", "fixed-point", "circuit"] {
+    for name in ["numeric", "fixed-point", "circuit"] {
         let engine = registry.build(name, 3).unwrap();
         let mut solver = SolverConfig::builder()
             .stages(Stages::One)
@@ -150,7 +150,7 @@ fn registry_backends_solve_through_the_facade() {
         assert!(err.is_finite() && err < 1.0, "{name}: err={err}");
         // Exact backends hit the floor; quantized/analog ones deviate.
         match name {
-            "numeric" | "blocked" => assert!(err < 1e-9, "{name}: err={err}"),
+            "numeric" => assert!(err < 1e-9, "{name}: err={err}"),
             _ => assert!(err > 1e-9, "{name}: err={err}"),
         }
     }
@@ -158,6 +158,12 @@ fn registry_backends_solve_through_the_facade() {
         registry.build("does-not-exist", 0),
         Err(BlockAmcError::UnknownEngine { .. })
     ));
+    // The retired `blocked` backend is an unknown name like any other.
+    let Err(BlockAmcError::UnknownEngine { name, known }) = registry.build("blocked", 0) else {
+        panic!("`blocked` must be rejected as an unknown engine");
+    };
+    assert_eq!(name, "blocked");
+    assert_eq!(known, "numeric, fixed-point, circuit");
 }
 
 #[test]
@@ -166,7 +172,6 @@ fn engine_spec_is_campaign_grade_data() {
     // the spec's name — the contract scenario ladders depend on.
     let specs = [
         EngineSpec::Numeric,
-        EngineSpec::Blocked { block: 16 },
         EngineSpec::FixedPoint { bits: 12 },
         EngineSpec::Circuit(CircuitEngineConfig::ideal()),
     ];
@@ -175,7 +180,6 @@ fn engine_spec_is_campaign_grade_data() {
         assert_eq!(engine.name(), spec.name());
     }
     // Invalid parameters fail at construction, not mid-campaign.
-    assert!(EngineSpec::Blocked { block: 0 }.build(0).is_err());
     assert!(EngineSpec::FixedPoint { bits: 60 }.build(0).is_err());
 }
 

@@ -55,9 +55,16 @@ fn tracing_is_bit_identical_on_numeric_engine_at_any_worker_count() {
         let session = TraceSession::new();
         let traced = run_stack(NumericEngine::new(), 11, 24, workers, session.recorder());
         assert_eq!(traced, reference, "numeric, {workers} worker(s)");
+        let trace = session.drain();
         assert!(
-            !session.drain().events().is_empty(),
+            !trace.events().is_empty(),
             "the traced run must actually have recorded spans"
+        );
+        // The replica's parallel batch is the path serve drives; it must
+        // show up as a `batch` span at every worker count.
+        assert!(
+            trace.events().iter().any(|e| e.name == "batch"),
+            "no batch span at {workers} worker(s)"
         );
     }
 }

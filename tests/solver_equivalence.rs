@@ -21,16 +21,12 @@
 //! one layer up: the facade must be bit-identical to the legacy module
 //! APIs it replaced.
 //!
-//! The open engine-backend API adds two more equivalences at the same
-//! strength: the cache-blocked digital backend is bit-identical to the
-//! exact numeric reference at every panel width, and the whole cascade
-//! through a type-erased `Box<dyn AmcEngine>` is bit-identical to the
-//! concrete engine it wraps.
+//! The open engine-backend API adds one more equivalence at the same
+//! strength: the whole cascade through a type-erased `Box<dyn AmcEngine>`
+//! is bit-identical to the concrete engine it wraps.
 
 use blockamc::converter::IoConfig;
-use blockamc::engine::{
-    AmcEngine, BlockedNumericEngine, CircuitEngine, CircuitEngineConfig, NumericEngine,
-};
+use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
 use blockamc::multi_stage::PartitionPlan;
 use blockamc::solver::{SolverConfig, Stages};
 use blockamc::{multi_stage, one_stage, two_stage};
@@ -170,27 +166,6 @@ proptest! {
         );
         let facade = facade_x(CircuitEngine::new(cfg, seed), &a, &b, Stages::Multi(depth));
         prop_assert_eq!(module, facade);
-    }
-
-    #[test]
-    fn blocked_engine_is_bit_identical_to_numeric(
-        (a, b, seed) in workload(),
-        block in 1usize..=40,
-    ) {
-        // The cache-blocked backend is a pure hot-path substitution:
-        // same bits out at every panel width, through every
-        // architecture the facade supports.
-        let _ = seed;
-        for stages in [Stages::One, Stages::Two] {
-            let reference = facade_x(NumericEngine::new(), &a, &b, stages);
-            let blocked = facade_x(
-                BlockedNumericEngine::new(block).unwrap(),
-                &a,
-                &b,
-                stages,
-            );
-            prop_assert_eq!(reference, blocked, "stages={:?} block={}", stages, block);
-        }
     }
 
     #[test]
