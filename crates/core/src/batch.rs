@@ -20,7 +20,7 @@ use amc_linalg::Matrix;
 
 use crate::engine::{AmcEngine, EngineStats};
 use crate::macro_model::MacroTiming;
-use crate::solver::BlockAmcSolver;
+use crate::solver::{validate_batch, BlockAmcSolver};
 use crate::Result;
 
 /// Result of a batch solve.
@@ -109,8 +109,11 @@ pub fn phase_settle_times(a: &Matrix, opamp: &OpAmpSpec) -> Result<[f64; 5]> {
 ///
 /// # Errors
 ///
-/// * [`crate::BlockAmcError::InvalidConfig`] for an empty batch.
-/// * Preparation, shape, and engine failures per solve.
+/// * [`crate::BlockAmcError::InvalidConfig`] for an empty batch, and
+///   [`crate::BlockAmcError::ShapeMismatch`] /
+///   [`crate::BlockAmcError::NonFinite`] for a right-hand side of the
+///   wrong length or with a NaN or infinity — all before programming.
+/// * Preparation and engine failures.
 pub fn solve_batch<E: AmcEngine>(
     solver: &mut BlockAmcSolver<E>,
     a: &Matrix,
@@ -120,11 +123,7 @@ pub fn solve_batch<E: AmcEngine>(
 ) -> Result<BatchSolution> {
     // Reject before programming: a failed call must not consume the
     // engine's variation stream or pollute its stats.
-    if batch.is_empty() {
-        return Err(crate::BlockAmcError::config(
-            "batch must contain at least one RHS",
-        ));
-    }
+    validate_batch(batch, a.rows())?;
     let before = solver.engine().stats();
     let span = solver.recorder_mut().enter("batch");
     let solutions = solver.prepare(a)?.solve_batch(batch)?;
@@ -177,9 +176,9 @@ fn assemble_solution(
 ///
 /// # Errors
 ///
-/// * [`crate::BlockAmcError::InvalidConfig`] for an empty batch or
-///   `workers == 0`.
-/// * Preparation, shape, and engine failures per solve.
+/// * The batch errors of [`solve_batch`], and
+///   [`crate::BlockAmcError::InvalidConfig`] for `workers == 0`.
+/// * Preparation and engine failures.
 pub fn solve_batch_parallel<E: AmcEngine + Clone + Send>(
     solver: &mut BlockAmcSolver<E>,
     a: &Matrix,
@@ -189,11 +188,7 @@ pub fn solve_batch_parallel<E: AmcEngine + Clone + Send>(
     workers: usize,
 ) -> Result<BatchSolution> {
     // Reject before programming, as the serial path does.
-    if batch.is_empty() {
-        return Err(crate::BlockAmcError::config(
-            "batch must contain at least one RHS",
-        ));
-    }
+    validate_batch(batch, a.rows())?;
     if workers == 0 {
         return Err(crate::BlockAmcError::config(
             "parallel batch needs at least one worker",

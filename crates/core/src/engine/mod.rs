@@ -187,12 +187,24 @@ impl EngineStats {
 
     /// Counts one `inv` op (saturating; see struct docs).
     pub fn count_inv(&mut self) {
-        self.inv_ops = saturating_count_add(self.inv_ops, 1, "inv_ops");
+        self.count_invs(1);
+    }
+
+    /// Counts `k` `inv` ops — one block call over `k` right-hand sides
+    /// (saturating; see struct docs).
+    pub fn count_invs(&mut self, k: usize) {
+        self.inv_ops = saturating_count_add(self.inv_ops, k, "inv_ops");
     }
 
     /// Counts one `mvm` op (saturating; see struct docs).
     pub fn count_mvm(&mut self) {
-        self.mvm_ops = saturating_count_add(self.mvm_ops, 1, "mvm_ops");
+        self.count_mvms(1);
+    }
+
+    /// Counts `k` `mvm` ops — one block call over `k` right-hand sides
+    /// (saturating; see struct docs).
+    pub fn count_mvms(&mut self, k: usize) {
+        self.mvm_ops = saturating_count_add(self.mvm_ops, k, "mvm_ops");
     }
 }
 
@@ -296,6 +308,59 @@ pub trait AmcEngine: fmt::Debug + Send {
         Ok(())
     }
 
+    /// Executes `k` INV operations on one operand at once: column `c` of
+    /// `out` is `−A⁻¹·b_c`.
+    ///
+    /// **Block layout.** `b` holds the `k` right-hand sides as a
+    /// row-major `n×k` block — entry `i` of right-hand side `c` sits at
+    /// `[i*k + c]` — and `out` is resized to the same layout.
+    ///
+    /// **Contract.** Each column must be bit-identical to
+    /// [`AmcEngine::inv_into`] on that column alone, and the call counts
+    /// `k` INV operations in [`AmcEngine::stats`]. The default honours
+    /// both by gathering each column and calling `inv_into` on it, in
+    /// column order; backends with a genuinely multi-column kernel
+    /// (the numeric engine's grouped triangular solves) override it.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockAmcError::InvalidConfig`] for `k == 0`,
+    /// [`BlockAmcError::ShapeMismatch`] for a `b` whose length is not a
+    /// multiple of `k`, plus everything [`AmcEngine::inv_into`] reports.
+    fn inv_block_into(
+        &mut self,
+        operand: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        per_column(b, k, out, "inv_block", |col, res| {
+            self.inv_into(operand, col, res)
+        })
+    }
+
+    /// Executes `k` MVM operations on one operand at once: column `c` of
+    /// `out` is `−A·x_c`. Same block layout and contract as
+    /// [`AmcEngine::inv_block_into`], against [`AmcEngine::mvm_into`]
+    /// and the MVM count.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockAmcError::InvalidConfig`] for `k == 0`,
+    /// [`BlockAmcError::ShapeMismatch`] for an `x` whose length is not a
+    /// multiple of `k`, plus everything [`AmcEngine::mvm_into`] reports.
+    fn mvm_block_into(
+        &mut self,
+        operand: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        per_column(x, k, out, "mvm_block", |col, res| {
+            self.mvm_into(operand, col, res)
+        })
+    }
+
     /// Engine name for reports (the registry key of shipped backends).
     fn name(&self) -> &'static str;
 
@@ -306,6 +371,56 @@ pub trait AmcEngine: fmt::Debug + Send {
     /// ([`crate::solver::PreparedSolver::replicate`]) works on
     /// `Box<dyn AmcEngine>` exactly as on a concrete engine.
     fn clone_boxed(&self) -> Box<dyn AmcEngine>;
+}
+
+/// Checks that `len` entries form a row-major block of width `k`.
+///
+/// # Errors
+///
+/// [`BlockAmcError::InvalidConfig`] for `k == 0`;
+/// [`BlockAmcError::ShapeMismatch`] (expecting the next multiple of `k`)
+/// for a `len` that is not a multiple of `k`.
+pub(crate) fn check_block(len: usize, k: usize, op: &'static str) -> Result<()> {
+    if k == 0 {
+        return Err(BlockAmcError::config(format!(
+            "{op}: a block needs at least one column"
+        )));
+    }
+    if len % k != 0 {
+        return Err(BlockAmcError::ShapeMismatch {
+            op,
+            expected: len.next_multiple_of(k),
+            got: len,
+        });
+    }
+    Ok(())
+}
+
+/// The per-column default of the block methods: runs `single` on each
+/// column of the `k`-wide block `input` in column order and interleaves
+/// the results into `out`. `k == 1` passes the buffers straight through.
+fn per_column(
+    input: &[f64],
+    k: usize,
+    out: &mut Vec<f64>,
+    op: &'static str,
+    mut single: impl FnMut(&[f64], &mut Vec<f64>) -> Result<()>,
+) -> Result<()> {
+    check_block(input.len(), k, op)?;
+    if k == 1 {
+        return single(input, out);
+    }
+    let (mut col, mut res) = (Vec::new(), Vec::new());
+    for c in 0..k {
+        amc_linalg::vector::gather_column(input, k, c, &mut col);
+        single(&col, &mut res)?;
+        if c == 0 {
+            out.clear();
+            out.resize(res.len() * k, 0.0);
+        }
+        amc_linalg::vector::scatter_column(&res, k, c, out);
+    }
+    Ok(())
 }
 
 impl AmcEngine for Box<dyn AmcEngine> {
@@ -327,6 +442,26 @@ impl AmcEngine for Box<dyn AmcEngine> {
 
     fn mvm_into(&mut self, operand: &mut Operand, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
         (**self).mvm_into(operand, x, out)
+    }
+
+    fn inv_block_into(
+        &mut self,
+        operand: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        (**self).inv_block_into(operand, b, k, out)
+    }
+
+    fn mvm_block_into(
+        &mut self,
+        operand: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        (**self).mvm_block_into(operand, x, k, out)
     }
 
     fn name(&self) -> &'static str {
@@ -355,20 +490,28 @@ impl<E: AmcEngine + ?Sized> crate::multi_stage::InvExec<E> for Operand {
         &mut self,
         engine: &mut E,
         b: &[f64],
+        k: usize,
         _path: crate::multi_stage::SignalPath<'_>,
         _log: &mut crate::multi_stage::TraceLog,
         rec: &mut amc_obs::Recorder,
-    ) -> Result<Vec<f64>> {
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         let span = rec.enter("engine.inv");
-        let out = engine.inv(self, b)?;
-        rec.exit_with(span, &[("n", b.len() as f64)]);
-        Ok(out)
+        engine.inv_block_into(self, b, k, out)?;
+        rec.exit_with(span, &[("n", (b.len() / k) as f64)]);
+        Ok(())
     }
 }
 
 impl<E: AmcEngine + ?Sized> crate::multi_stage::MvmExec<E> for Operand {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
-        engine.mvm(self, x)
+    fn mvm_signed(
+        &mut self,
+        engine: &mut E,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        engine.mvm_block_into(self, x, k, out)
     }
 }
 

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use amc_linalg::{lu::LuFactor, Matrix};
 
-use super::{AmcEngine, EngineStats, Operand, OperandState};
+use super::{check_block, AmcEngine, EngineStats, Operand, OperandState};
 use crate::Result;
 
 /// Operand state of [`NumericEngine`]: the exact matrix with a cached
@@ -67,6 +67,16 @@ impl NumericEngine {
     }
 }
 
+/// The operand's LU factorization, computed on its first INV and cached
+/// in the operand from then on.
+fn factorization(operand: &mut Operand) -> Result<&LuFactor> {
+    let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
+    if state.lu.is_none() {
+        state.lu = Some(LuFactor::new(&state.a)?);
+    }
+    Ok(state.lu.as_ref().expect("factorization was just installed"))
+}
+
 impl AmcEngine for NumericEngine {
     fn program(&mut self, a: &Matrix) -> Result<Operand> {
         self.stats.count_program();
@@ -83,15 +93,27 @@ impl AmcEngine for NumericEngine {
     }
 
     fn inv_into(&mut self, operand: &mut Operand, b: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
-        if state.lu.is_none() {
-            state.lu = Some(LuFactor::new(&state.a)?);
-        }
-        let lu = state.lu.as_ref().expect("factorization was just installed");
+        let lu = factorization(operand)?;
         out.resize(lu.dim(), 0.0);
         lu.solve_into(b, out)?;
         amc_linalg::vector::neg_in_place(out);
         self.stats.count_inv();
+        Ok(())
+    }
+
+    fn inv_block_into(
+        &mut self,
+        operand: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        check_block(b.len(), k, "numeric inv_block")?;
+        let lu = factorization(operand)?;
+        out.resize(lu.dim() * k, 0.0);
+        lu.solve_block_into(b, k, out)?;
+        amc_linalg::vector::neg_in_place(out);
+        self.stats.count_invs(k);
         Ok(())
     }
 
@@ -107,6 +129,22 @@ impl AmcEngine for NumericEngine {
         state.a.matvec_into(x, out)?;
         amc_linalg::vector::neg_in_place(out);
         self.stats.count_mvm();
+        Ok(())
+    }
+
+    fn mvm_block_into(
+        &mut self,
+        operand: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        check_block(x.len(), k, "numeric mvm_block")?;
+        let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
+        out.resize(state.a.rows() * k, 0.0);
+        state.a.matvec_block_into(x, k, out)?;
+        amc_linalg::vector::neg_in_place(out);
+        self.stats.count_mvms(k);
         Ok(())
     }
 

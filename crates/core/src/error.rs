@@ -32,6 +32,19 @@ pub enum BlockAmcError {
         /// Comma-separated names the registry does know.
         known: String,
     },
+    /// An input holds a NaN or an infinity. Raised at the solver boundary
+    /// (prepare, solve and the batch entry points) before any engine
+    /// call, instead of a misleading "singular" or a silent all-NaN
+    /// answer.
+    NonFinite {
+        /// Which input: `"A"` (the matrix) or `"b"` (the right-hand
+        /// side).
+        which: &'static str,
+        /// Position of the first non-finite entry: row-major for `"A"`;
+        /// for a batch of right-hand sides laid end to end, entry `i` of
+        /// right-hand side `r` is `r·n + i`.
+        index: usize,
+    },
     /// An underlying linear-algebra operation failed.
     Linalg(amc_linalg::LinalgError),
     /// An underlying device-model operation failed.
@@ -45,6 +58,22 @@ impl BlockAmcError {
     pub fn config(message: impl Into<String>) -> Self {
         BlockAmcError::InvalidConfig {
             message: message.into(),
+        }
+    }
+
+    /// Rejects `values` with [`BlockAmcError::NonFinite`] naming `which`
+    /// and the position of the first NaN or infinity.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockAmcError::NonFinite`] if any entry is not finite.
+    pub(crate) fn check_finite<'a>(
+        which: &'static str,
+        values: impl IntoIterator<Item = &'a f64>,
+    ) -> Result<(), Self> {
+        match values.into_iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(BlockAmcError::NonFinite { which, index }),
+            None => Ok(()),
         }
     }
 }
@@ -69,6 +98,9 @@ impl fmt::Display for BlockAmcError {
                     f,
                     "no engine backend registered under '{name}' (known: {known})"
                 )
+            }
+            BlockAmcError::NonFinite { which, index } => {
+                write!(f, "non-finite value in {which} at index {index}")
             }
             BlockAmcError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             BlockAmcError::Device(e) => write!(f, "device error: {e}"),
@@ -125,6 +157,23 @@ mod tests {
         assert!(BlockAmcError::OperandMismatch { engine: "numeric" }
             .to_string()
             .contains("numeric"));
+        let err = BlockAmcError::NonFinite {
+            which: "b",
+            index: 3,
+        };
+        assert_eq!(err.to_string(), "non-finite value in b at index 3");
+    }
+
+    #[test]
+    fn check_finite_names_the_first_bad_entry() {
+        assert_eq!(BlockAmcError::check_finite("b", &[1.0, -0.0]), Ok(()));
+        assert_eq!(
+            BlockAmcError::check_finite("A", &[1.0, f64::INFINITY, f64::NAN]),
+            Err(BlockAmcError::NonFinite {
+                which: "A",
+                index: 1
+            })
+        );
     }
 
     #[test]

@@ -144,6 +144,7 @@ pub fn yield_analysis_parallel(
             &mut engine,
             &mut tree,
             b,
+            1,
             signal,
             false,
             &mut amc_obs::Recorder::disabled(),

@@ -278,32 +278,50 @@ impl TraceLog {
 }
 
 /// An executor of a signed INV: computes `−block⁻¹·b` (the AMC sign
-/// convention, so executors compose exactly like cascaded INV circuits).
+/// convention, so executors compose exactly like cascaded INV circuits)
+/// for a block of `k` right-hand sides, writing it into `out`.
+///
+/// Signals are row-major `len×k` blocks (entry `i` of right-hand side
+/// `c` at `[i*k + c]`, the engine block layout of
+/// [`AmcEngine::inv_block_into`]); a single solve is `k = 1`.
 ///
 /// Implemented by [`Operand`] (a single array), by
 /// [`crate::one_stage::PreparedOneStage`] (a whole macro), and by
 /// [`Node`] (a partition subtree).
 pub(crate) trait InvExec<E: AmcEngine + ?Sized> {
-    #[allow(clippy::too_many_arguments)] // signal path + signal log + span recorder
+    #[allow(clippy::too_many_arguments)] // block + signal path + signal log + span recorder
     fn inv_signed(
         &mut self,
         engine: &mut E,
         b: &[f64],
+        k: usize,
         path: SignalPath<'_>,
         log: &mut TraceLog,
         rec: &mut Recorder,
-    ) -> Result<Vec<f64>>;
+        out: &mut Vec<f64>,
+    ) -> Result<()>;
 }
 
-/// An executor of a signed MVM: computes `−M·x`.
+/// An executor of a signed MVM: computes `−M·x` for a block of `k`
+/// right-hand sides (same layout as [`InvExec`]), writing it into `out`.
 ///
-/// Implemented by [`Operand`] and [`crate::two_stage::TiledMvm`].
+/// Implemented by [`Operand`], [`MvmBlock`] and
+/// [`crate::two_stage::TiledMvm`] (one [`QuadMvm`] level).
 pub(crate) trait MvmExec<E: AmcEngine + ?Sized> {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>>;
+    fn mvm_signed(&mut self, engine: &mut E, x: &[f64], k: usize, out: &mut Vec<f64>)
+        -> Result<()>;
 }
 
 /// Executes the paper's five-step algorithm (Fig. 2 / Algorithm 1) once,
-/// for every solver in the crate. Returns `−x` so that cascades compose.
+/// for every solver in the crate, on a block of `k` right-hand sides.
+/// Writes `−x` into `out` so that cascades compose.
+///
+/// Every glue operation between the engine calls — converters, S&H
+/// hops, the sums and negations, the split at row `split` (entry
+/// `split·k` of a block) and the final concatenation — is elementwise,
+/// so column `c` of a block solve is bit-identical to solving that
+/// column alone whenever the engine's block methods honour their
+/// per-column contract.
 ///
 /// The head of `path` is this cascade's signal-path policy; the tail is
 /// handed to the `A1`/`A4s` executors, so a multi-level [`SignalPlan`]
@@ -316,6 +334,7 @@ pub(crate) trait MvmExec<E: AmcEngine + ?Sized> {
 pub(crate) fn run_cascade<E, I, M>(
     engine: &mut E,
     split: usize,
+    k: usize,
     a1: &mut I,
     a4s: &mut I,
     a2: Option<&mut M>,
@@ -324,7 +343,8 @@ pub(crate) fn run_cascade<E, I, M>(
     path: SignalPath<'_>,
     log: &mut TraceLog,
     rec: &mut Recorder,
-) -> Result<Vec<f64>>
+    out: &mut Vec<f64>,
+) -> Result<()>
 where
     E: AmcEngine + ?Sized,
     I: InvExec<E>,
@@ -333,28 +353,32 @@ where
     let (policy, io) = path.head().stage_io();
     let io = &io;
     let inner = path.tail();
-    let bottom = b.len() - split;
+    let top = split * k;
+    let bottom = b.len() - top;
     // External inputs cross the DAC at macro/bus entries; the pure
     // recursion stays analog.
     let (f, g) = match policy {
-        StageIo::Pure => (b[..split].to_vec(), b[split..].to_vec()),
-        StageIo::Macro | StageIo::Bus => (io.apply_dac(&b[..split]), io.apply_dac(&b[split..])),
+        StageIo::Pure => (b[..top].to_vec(), b[top..].to_vec()),
+        StageIo::Macro | StageIo::Bus => (io.apply_dac(&b[..top]), io.apply_dac(&b[top..])),
     };
     let bus = |v: &[f64]| io.apply_dac(&io.apply_adc(v));
 
     // Step 1: INV(A1, f) -> −y_t = −A1⁻¹·f.
     let span = rec.enter("cascade.inv1");
-    let neg_yt = match policy {
-        StageIo::Bus => {
-            let c1 = a1.inv_signed(engine, &f, inner, &mut TraceLog::disabled(), rec)?;
-            bus(&c1)
-        }
-        _ => {
-            let out = a1.inv_signed(engine, &f, inner, &mut TraceLog::disabled(), rec)?;
-            log.record(StepId::Inv1, &f, &out);
-            out
-        }
-    };
+    let mut neg_yt = Vec::new();
+    a1.inv_signed(
+        engine,
+        &f,
+        k,
+        inner,
+        &mut TraceLog::disabled(),
+        rec,
+        &mut neg_yt,
+    )?;
+    match policy {
+        StageIo::Bus => neg_yt = bus(&neg_yt),
+        _ => log.record(StepId::Inv1, &f, &neg_yt),
+    }
     rec.exit_with(span, &[("n", split as f64)]);
 
     // Step 2: MVM(A3, −y_t) -> g_t (= −A3·(−y_t)).
@@ -369,12 +393,13 @@ where
                 }
                 _ => &neg_yt,
             };
-            let out = m.mvm_signed(engine, input)?;
+            let mut gt = Vec::new();
+            m.mvm_signed(engine, input, k, &mut gt)?;
             match policy {
-                StageIo::Bus => bus(&out),
+                StageIo::Bus => bus(&gt),
                 _ => {
-                    log.record(StepId::Mvm2, input, &out);
-                    out
+                    log.record(StepId::Mvm2, input, &gt);
+                    gt
                 }
             }
         }
@@ -386,7 +411,8 @@ where
     // The owned g/g_t vectors die here, so the subtractions reuse their
     // buffers instead of allocating per phase.
     let span = rec.enter("cascade.inv3");
-    let z = match policy {
+    let mut z = Vec::new();
+    match policy {
         StageIo::Bus => {
             // The inner macro is handed the right-hand side g − g_t and
             // returns +z, keeping its trace signals oriented exactly as
@@ -394,10 +420,9 @@ where
             let mut rhs3 = g;
             vector::sub_assign(&mut rhs3, &gt);
             let mut sub = TraceLog::new(log.enabled);
-            let mut c3 = a4s.inv_signed(engine, &rhs3, inner, &mut sub, rec)?;
+            a4s.inv_signed(engine, &rhs3, k, inner, &mut sub, rec, &mut z)?;
             log.capture_inner("A4s", sub);
-            vector::neg_in_place(&mut c3);
-            c3
+            vector::neg_in_place(&mut z);
         }
         _ => {
             let mut input3 = match policy {
@@ -405,12 +430,19 @@ where
                 _ => gt,
             };
             vector::sub_assign(&mut input3, &g);
-            let out = a4s.inv_signed(engine, &input3, inner, &mut TraceLog::disabled(), rec)?;
-            log.record(StepId::Inv3, &input3, &out);
-            out
+            a4s.inv_signed(
+                engine,
+                &input3,
+                k,
+                inner,
+                &mut TraceLog::disabled(),
+                rec,
+                &mut z,
+            )?;
+            log.record(StepId::Inv3, &input3, &z);
         }
-    };
-    rec.exit_with(span, &[("n", bottom as f64)]);
+    }
+    rec.exit_with(span, &[("n", (bottom / k) as f64)]);
     // The value step 4 consumes and the exit re-reads: the bus hop for
     // inter-macro transfers, the raw analog z otherwise.
     let z_held = match policy {
@@ -430,60 +462,63 @@ where
                 }
                 _ => &z_held,
             };
-            let out = m.mvm_signed(engine, input)?;
+            let mut neg_ft = Vec::new();
+            m.mvm_signed(engine, input, k, &mut neg_ft)?;
             match policy {
-                StageIo::Bus => bus(&out),
+                StageIo::Bus => bus(&neg_ft),
                 _ => {
-                    log.record(StepId::Mvm4, input, &out);
-                    out
+                    log.record(StepId::Mvm4, input, &neg_ft);
+                    neg_ft
                 }
             }
         }
-        None => vec![0.0; split],
+        None => vec![0.0; top],
     };
     rec.exit(span);
 
     // Step 5: INV(A1, f − f_t) -> −y (the negated upper half of x),
     // reusing the very same A1 executor as step 1 — the paper's "the A1
     // array should be used twice", so both steps see one variation draw.
-    // −f_t is owned and dead after this step; its buffer carries the sum.
+    // −f_t is owned and dead after this step; its buffer carries the sum,
+    // and the dead step-1 output's buffer receives the result.
     let mut input5 = match policy {
         StageIo::Macro => io.apply_sh(&neg_ft),
         _ => neg_ft,
     };
     vector::add_assign(&mut input5, &f);
     let span = rec.enter("cascade.inv5");
-    let c5 = match policy {
+    let mut c5 = neg_yt;
+    match policy {
         StageIo::Bus => {
             let mut sub = TraceLog::new(log.enabled);
-            let c5 = a1.inv_signed(engine, &input5, inner, &mut sub, rec)?;
+            a1.inv_signed(engine, &input5, k, inner, &mut sub, rec, &mut c5)?;
             log.capture_inner("A1", sub);
-            c5
         }
         _ => {
-            let out = a1.inv_signed(engine, &input5, inner, &mut TraceLog::disabled(), rec)?;
-            log.record(StepId::Inv5, &input5, &out);
-            out
+            a1.inv_signed(
+                engine,
+                &input5,
+                k,
+                inner,
+                &mut TraceLog::disabled(),
+                rec,
+                &mut c5,
+            )?;
+            log.record(StepId::Inv5, &input5, &c5);
         }
-    };
+    }
     rec.exit_with(span, &[("n", split as f64)]);
 
     // This node's "INV output" must be −x for the parent cascade:
-    // x = [y; z] with y = −c5, so −x = [c5; −z]. The tail buffer is
-    // negated in place before the single concat allocation.
-    Ok(match policy {
-        StageIo::Pure => {
-            let mut tail = z_held;
-            vector::neg_in_place(&mut tail);
-            vector::concat(&c5, &tail)
-        }
-        StageIo::Macro | StageIo::Bus => {
-            let head = io.apply_adc(&c5);
-            let mut tail = io.apply_adc(&z_held);
-            vector::neg_in_place(&mut tail);
-            vector::concat(&head, &tail)
-        }
-    })
+    // x = [y; z] with y = −c5, so −x = [c5; −z], assembled in `out`.
+    let (head, tail) = match policy {
+        StageIo::Pure => (c5, z_held),
+        StageIo::Macro | StageIo::Bus => (io.apply_adc(&c5), io.apply_adc(&z_held)),
+    };
+    out.clear();
+    out.extend_from_slice(&head);
+    out.extend(tail.iter().map(|v| -v));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -501,13 +536,10 @@ pub(crate) enum MvmBlock {
 }
 
 /// A quadrant decomposition of an MVM block whose tiles recurse while
-/// tiling levels remain — the multi-level generalization of the
-/// one-level [`crate::two_stage::TiledMvm`], so that a depth-`d` paper layout shrinks
-/// MVM arrays to the same size as its INV leaves. One level of
-/// quadrants over whole-array tiles is executed identically to
-/// [`crate::two_stage::TiledMvm`] (same quadrant order, zero-tile skipping, and partial
-/// sums), which is what makes the two-stage wrapper bit-equivalent to
-/// `PartitionPlan::paper(2)`.
+/// tiling levels remain, so that a depth-`d` paper layout shrinks MVM
+/// arrays to the same size as its INV leaves. One level of it is
+/// [`crate::two_stage::TiledMvm`], which is what makes the two-stage
+/// wrapper bit-equivalent to `PartitionPlan::paper(2)`.
 #[derive(Debug, Clone)]
 pub(crate) struct QuadMvm {
     rows: usize,
@@ -520,7 +552,13 @@ pub(crate) struct QuadMvm {
 }
 
 impl QuadMvm {
-    fn prepare<E: AmcEngine + ?Sized>(engine: &mut E, m: &Matrix, levels: usize) -> Result<Self> {
+    /// Programs the non-zero quadrants of `m` (row-major order), tiling
+    /// each further while `levels − 1` tiling levels remain.
+    pub(crate) fn prepare<E: AmcEngine + ?Sized>(
+        engine: &mut E,
+        m: &Matrix,
+        levels: usize,
+    ) -> Result<Self> {
         let (rows, cols) = m.shape();
         let row_split = rows.div_ceil(2);
         let col_split = cols.div_ceil(2);
@@ -543,44 +581,47 @@ impl QuadMvm {
         })
     }
 
-    fn mvm<E: AmcEngine + ?Sized>(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
+    /// `−M·x` for a block of `k` right-hand sides: each half of the
+    /// output is the (analog) sum of two quadrant results, zero tiles
+    /// skipped.
+    pub(crate) fn mvm<E: AmcEngine + ?Sized>(
+        &mut self,
+        engine: &mut E,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        if x.len() != self.cols * k {
             return Err(BlockAmcError::ShapeMismatch {
                 op: "quad_mvm",
-                expected: self.cols,
+                expected: self.cols * k,
                 got: x.len(),
             });
         }
-        let (xt, xb) = (&x[..self.col_split], &x[self.col_split..]);
-        let mut top = vec![0.0; self.row_split];
-        let mut bottom = vec![0.0; self.rows - self.row_split];
-        // Summing the tiles' signed outputs preserves the AMC sign,
-        // exactly as TiledMvm::mvm. One scratch buffer serves all four
-        // quadrants (whole-array tiles write into it via the engine's
-        // buffer-reusing `mvm_into`), so a quadrant level costs one
-        // allocation instead of one per non-zero tile.
+        let (xt, xb) = x.split_at(self.col_split * k);
+        out.clear();
+        out.resize(self.rows * k, 0.0);
+        let (top, bottom) = out.split_at_mut(self.row_split * k);
+        // Summing the tiles' signed outputs preserves the AMC sign. One
+        // scratch buffer serves all four
+        // quadrants, so a quadrant level costs one allocation instead of
+        // one per non-zero tile.
         let mut scratch = Vec::new();
-        let accumulate = |engine: &mut E,
-                          tile: Option<&mut MvmBlock>,
-                          input: &[f64],
-                          acc: &mut [f64],
-                          scratch: &mut Vec<f64>|
-         -> Result<()> {
-            if let Some(t) = tile {
-                match t {
-                    MvmBlock::Whole(op) => engine.mvm_into(op, input, scratch)?,
-                    MvmBlock::Tiled(q) => *scratch = q.mvm(engine, input)?,
-                }
-                vector::axpy(1.0, scratch.as_slice(), acc);
-            }
-            Ok(())
-        };
         let [t0, t1, t2, t3] = &mut self.tiles;
-        accumulate(engine, t0.as_mut(), xt, &mut top, &mut scratch)?;
-        accumulate(engine, t1.as_mut(), xb, &mut top, &mut scratch)?;
-        accumulate(engine, t2.as_mut(), xt, &mut bottom, &mut scratch)?;
-        accumulate(engine, t3.as_mut(), xb, &mut bottom, &mut scratch)?;
-        Ok(vector::concat(&top, &bottom))
+        for (row_tiles, acc) in [([t0, t1], top), ([t2, t3], bottom)] {
+            for (tile, input) in row_tiles.into_iter().zip([xt, xb]) {
+                if let Some(t) = tile {
+                    t.mvm_signed(engine, input, k, &mut scratch)?;
+                    vector::axpy(1.0, &scratch, acc);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of programmed (non-zero) top-level tiles.
+    pub(crate) fn tile_count(&self) -> usize {
+        self.tiles.iter().flatten().count()
     }
 
     fn max_tile_dim(&self) -> usize {
@@ -594,10 +635,16 @@ impl QuadMvm {
 }
 
 impl<E: AmcEngine + ?Sized> MvmExec<E> for MvmBlock {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
+    fn mvm_signed(
+        &mut self,
+        engine: &mut E,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         match self {
-            MvmBlock::Whole(op) => engine.mvm(op, x),
-            MvmBlock::Tiled(t) => t.mvm(engine, x),
+            MvmBlock::Whole(op) => op.mvm_signed(engine, x, k, out),
+            MvmBlock::Tiled(t) => t.mvm(engine, x, k, out),
         }
     }
 }
@@ -634,17 +681,14 @@ impl<E: AmcEngine + ?Sized> InvExec<E> for Node {
         &mut self,
         engine: &mut E,
         b: &[f64],
+        k: usize,
         path: SignalPath<'_>,
         log: &mut TraceLog,
         rec: &mut Recorder,
-    ) -> Result<Vec<f64>> {
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         match self {
-            Node::Leaf(op) => {
-                let span = rec.enter("engine.inv");
-                let out = engine.inv(op, b)?;
-                rec.exit_with(span, &[("n", b.len() as f64)]);
-                Ok(out)
-            }
+            Node::Leaf(op) => op.inv_signed(engine, b, k, path, log, rec, out),
             Node::Split {
                 split,
                 a1,
@@ -654,6 +698,7 @@ impl<E: AmcEngine + ?Sized> InvExec<E> for Node {
             } => run_cascade(
                 engine,
                 *split,
+                k,
                 a1.as_mut(),
                 a4s.as_mut(),
                 a2.as_mut(),
@@ -662,6 +707,7 @@ impl<E: AmcEngine + ?Sized> InvExec<E> for Node {
                 path,
                 log,
                 rec,
+                out,
             ),
         }
     }
@@ -1235,6 +1281,7 @@ pub fn solve<E: AmcEngine + ?Sized>(
         engine,
         prepared,
         b,
+        1,
         &SignalPlan::pure(),
         false,
         &mut Recorder::disabled(),
@@ -1242,9 +1289,14 @@ pub fn solve<E: AmcEngine + ?Sized>(
     Ok(x)
 }
 
-/// Solves `A·x = b` with a per-level [`SignalPlan`], returning the
-/// solution together with the trace log the cascade recorded (empty
-/// unless `capture` is set and the root level is `Macro`/`Bus`).
+/// Solves `A·X = B` for a row-major `n×k` block of right-hand sides
+/// (entry `i` of right-hand side `c` at `[i*k + c]`) with a per-level
+/// [`SignalPlan`], returning the solution block together with the trace
+/// log the cascade recorded. A single solve is `k = 1`; column `c` of a
+/// block solve is bit-identical to solving that column alone.
+///
+/// The log is empty unless `capture` is set, `k == 1` (a block solve
+/// records no per-step signals) and the root level is `Macro`/`Bus`.
 ///
 /// A depth-0 tree (single array) under a `Macro`/`Bus` root level runs
 /// as a single-array macro: DAC at entry, one INV, ADC at exit — the
@@ -1253,35 +1305,37 @@ pub(crate) fn solve_with_signal<E: AmcEngine + ?Sized>(
     engine: &mut E,
     prepared: &mut PreparedMultiStage,
     b: &[f64],
+    k: usize,
     signal: &SignalPlan,
     capture: bool,
     rec: &mut Recorder,
 ) -> Result<(Vec<f64>, TraceLog)> {
-    if b.len() != prepared.n {
+    if k == 0 || b.len() != prepared.n * k {
         return Err(BlockAmcError::ShapeMismatch {
             op: "multi_stage_solve",
-            expected: prepared.n,
+            expected: prepared.n * k.max(1),
             got: b.len(),
         });
     }
     signal.validate()?;
-    let mut log = if capture {
+    let mut log = if capture && k == 1 {
         TraceLog::enabled()
     } else {
         TraceLog::disabled()
     };
     let path = signal.path();
-    let mut x = match (&mut prepared.root, signal.level(0)) {
+    let mut x = Vec::new();
+    match (&mut prepared.root, signal.level(0)) {
         // A leaf root has no cascade to apply the boundary converters,
         // so the macro/bus digital boundary is applied here.
         (root @ Node::Leaf(_), LevelIo::Macro(io) | LevelIo::Bus(io)) => {
             io.validate()?;
             let input = io.apply_dac(b);
-            let out = root.inv_signed(engine, &input, path, &mut log, rec)?;
-            io.apply_adc(&out)
+            root.inv_signed(engine, &input, k, path, &mut log, rec, &mut x)?;
+            x = io.apply_adc(&x);
         }
-        (root, _) => root.inv_signed(engine, b, path, &mut log, rec)?,
-    };
+        (root, _) => root.inv_signed(engine, b, k, path, &mut log, rec, &mut x)?,
+    }
     vector::neg_in_place(&mut x);
     Ok((x, log))
 }

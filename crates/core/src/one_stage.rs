@@ -198,12 +198,15 @@ pub fn solve<E: AmcEngine + ?Sized>(
     }
     let mut log = TraceLog::enabled();
     let levels = [LevelIo::Macro(*io)];
-    let neg_x = prepared.inv_signed(
+    let mut neg_x = Vec::new();
+    prepared.inv_signed(
         engine,
         b,
+        1,
         SignalPath::new(&levels),
         &mut log,
         &mut amc_obs::Recorder::disabled(),
+        &mut neg_x,
     )?;
     Ok(OneStageSolution {
         x: vector::neg(&neg_x),
@@ -221,13 +224,16 @@ impl<E: AmcEngine + ?Sized> InvExec<E> for PreparedOneStage {
         &mut self,
         engine: &mut E,
         b: &[f64],
+        k: usize,
         path: SignalPath<'_>,
         log: &mut TraceLog,
         rec: &mut amc_obs::Recorder,
-    ) -> Result<Vec<f64>> {
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         run_cascade(
             engine,
             self.split,
+            k,
             &mut self.a1,
             &mut self.a4s,
             self.a2.as_mut(),
@@ -236,6 +242,7 @@ impl<E: AmcEngine + ?Sized> InvExec<E> for PreparedOneStage {
             path,
             log,
             rec,
+            out,
         )
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! [`prepare`]: BlockAmcSolver::prepare
 
-use amc_linalg::Matrix;
+use amc_linalg::{vector, Matrix};
 use amc_obs::Recorder;
 
 use crate::converter::IoConfig;
@@ -525,17 +525,11 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     ///
     /// # Errors
     ///
-    /// Configuration validation ([`SolverConfig::validate_for_size`]),
+    /// [`BlockAmcError::NonFinite`] for a NaN or infinite entry of `a`,
+    /// configuration validation ([`SolverConfig::validate_for_size`]),
     /// shape, partitioning/Schur, and programming failures.
     pub fn prepare(&mut self, a: &Matrix) -> Result<PreparedSolver<'_, E>> {
-        if !a.is_square() {
-            return Err(BlockAmcError::ShapeMismatch {
-                op: "prepare (square matrix required)",
-                expected: a.rows(),
-                got: a.cols(),
-            });
-        }
-        self.config.validate_for_size(a.rows())?;
+        self.validate_matrix(a)?;
         let plan = self.config.partition_plan();
         let tree =
             multi_stage::prepare_plan_recorded(&mut self.engine, a, &plan, &mut self.recorder)?;
@@ -545,6 +539,20 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
             tree,
             recorder: &mut self.recorder,
         })
+    }
+
+    /// The checks both prepare entry points run before any engine call:
+    /// a square, finite matrix the configuration can partition.
+    fn validate_matrix(&self, a: &Matrix) -> Result<()> {
+        if !a.is_square() {
+            return Err(BlockAmcError::ShapeMismatch {
+                op: "prepare (square matrix required)",
+                expected: a.rows(),
+                got: a.cols(),
+            });
+        }
+        BlockAmcError::check_finite("A", a.as_slice())?;
+        self.config.validate_for_size(a.rows())
     }
 
     /// [`prepare`](Self::prepare) with the partition/Schur work sharded
@@ -561,14 +569,7 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
         a: &Matrix,
         workers: usize,
     ) -> Result<PreparedSolver<'_, E>> {
-        if !a.is_square() {
-            return Err(BlockAmcError::ShapeMismatch {
-                op: "prepare (square matrix required)",
-                expected: a.rows(),
-                got: a.cols(),
-            });
-        }
-        self.config.validate_for_size(a.rows())?;
+        self.validate_matrix(a)?;
         let plan = self.config.partition_plan();
         let tree = multi_stage::prepare_plan_workers_recorded(
             &mut self.engine,
@@ -598,8 +599,10 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches, configuration validation, partitioning/Schur
-    /// failures, and engine errors.
+    /// Shape mismatches, [`BlockAmcError::NonFinite`] for a NaN or
+    /// infinity in `a` or `b` (before anything is programmed),
+    /// configuration validation, partitioning/Schur failures, and engine
+    /// errors.
     pub fn solve(&mut self, a: &Matrix, b: &[f64]) -> Result<SolveReport> {
         if a.is_square() && b.len() != a.rows() {
             return Err(BlockAmcError::ShapeMismatch {
@@ -608,6 +611,8 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
                 got: b.len(),
             });
         }
+        // Checked before `prepare` programs anything.
+        BlockAmcError::check_finite("b", b)?;
         let before = self.engine.stats();
         let mut report = {
             let mut prepared = self.prepare(a)?;
@@ -664,7 +669,8 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches and engine failures.
+    /// [`BlockAmcError::NonFinite`] for a NaN or infinite entry of `b`
+    /// (before any engine call), shape mismatches and engine failures.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport> {
         solve_prepared(self.engine, self.config, &mut self.tree, b, self.recorder)
     }
@@ -702,28 +708,53 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
             .collect()
     }
 
-    /// Solves one right-hand side after another against the same
+    /// Solves every right-hand side of `batch` against the same
     /// programmed arrays and returns the solutions in input order —
     /// the multi-RHS workload the paper's §III.B pipelining serves.
     ///
+    /// The batch runs through the cascade as one block (see
+    /// [`AmcEngine::inv_block_into`]); each solution is bit-identical to
+    /// [`solve`](Self::solve) on that right-hand side alone.
+    ///
     /// # Errors
     ///
-    /// [`BlockAmcError::InvalidConfig`] for an empty batch; per-solve
-    /// shape and engine failures.
+    /// [`BlockAmcError::InvalidConfig`] for an empty batch,
+    /// [`BlockAmcError::ShapeMismatch`] for a right-hand side of the
+    /// wrong length and [`BlockAmcError::NonFinite`] for a NaN or
+    /// infinity (both before any engine call), and engine failures.
     pub fn solve_batch(&mut self, batch: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        if batch.is_empty() {
-            return Err(BlockAmcError::config("batch must contain at least one RHS"));
-        }
-        let mut solutions = Vec::with_capacity(batch.len());
-        for b in batch {
-            solutions.push(self.solve(b)?.x);
-        }
-        Ok(solutions)
+        validate_batch(batch, self.tree.size())?;
+        solve_block(
+            self.engine,
+            self.config,
+            &mut self.tree,
+            batch,
+            self.recorder,
+        )
     }
+}
+
+/// The checks every batch entry point runs before any engine call: a
+/// non-empty batch of finite right-hand sides of length `n`. A
+/// non-finite entry `i` of right-hand side `r` is reported at index
+/// `r·n + i`.
+pub(crate) fn validate_batch(batch: &[Vec<f64>], n: usize) -> Result<()> {
+    if batch.is_empty() {
+        return Err(BlockAmcError::config("batch must contain at least one RHS"));
+    }
+    if let Some(b) = batch.iter().find(|b| b.len() != n) {
+        return Err(BlockAmcError::ShapeMismatch {
+            op: "solve_batch",
+            expected: n,
+            got: b.len(),
+        });
+    }
+    BlockAmcError::check_finite("b", batch.iter().flatten())
 }
 
 /// Runs one solve against an already-prepared partition tree; shared by
 /// the borrowing [`PreparedSolver`] and the owning [`SolverReplica`].
+/// `b` is checked for NaN and infinity before any engine call.
 fn solve_prepared<E: AmcEngine>(
     engine: &mut E,
     config: &SolverConfig,
@@ -731,16 +762,73 @@ fn solve_prepared<E: AmcEngine>(
     b: &[f64],
     rec: &mut Recorder,
 ) -> Result<SolveReport> {
+    BlockAmcError::check_finite("b", b)?;
+    let before = engine.stats();
+    let (x, log) = solve_recorded(engine, config, tree, b, 1, rec)?;
+    let trace = (!log.steps.is_empty()).then_some(log.steps);
+    Ok(SolveReport {
+        x,
+        stages: config.stages,
+        engine: engine.name(),
+        trace,
+        inner_traces: log.inner,
+        stats_delta: stats_delta(&before, &engine.stats()),
+    })
+}
+
+/// Solves an already-validated batch as one `n×k` block: interleaves
+/// the right-hand sides (entry `i` of right-hand side `c` at
+/// `[i*k + c]`), runs the cascade once, and de-interleaves the
+/// solutions in input order.
+fn solve_block<E: AmcEngine>(
+    engine: &mut E,
+    config: &SolverConfig,
+    tree: &mut PreparedMultiStage,
+    batch: &[Vec<f64>],
+    rec: &mut Recorder,
+) -> Result<Vec<Vec<f64>>> {
+    let k = batch.len();
+    let mut block = vec![0.0; tree.size() * k];
+    for (c, b) in batch.iter().enumerate() {
+        vector::scatter_column(b, k, c, &mut block);
+    }
+    let (x, _) = solve_recorded(engine, config, tree, &block, k, rec)?;
+    Ok((0..k)
+        .map(|c| {
+            let mut col = Vec::new();
+            vector::gather_column(&x, k, c, &mut col);
+            col
+        })
+        .collect())
+}
+
+/// The cascade run behind [`solve_prepared`] and [`solve_block`], inside
+/// a `solve` span that carries the block's engine op counts.
+fn solve_recorded<E: AmcEngine>(
+    engine: &mut E,
+    config: &SolverConfig,
+    tree: &mut PreparedMultiStage,
+    b: &[f64],
+    k: usize,
+    rec: &mut Recorder,
+) -> Result<(Vec<f64>, multi_stage::TraceLog)> {
     let before = engine.stats();
     let span = rec.enter("solve");
-    let (x, log) =
-        multi_stage::solve_with_signal(engine, tree, b, &config.signal, config.capture_trace, rec)?;
+    let out = multi_stage::solve_with_signal(
+        engine,
+        tree,
+        b,
+        k,
+        &config.signal,
+        config.capture_trace,
+        rec,
+    )?;
     let after = engine.stats();
     // Fold the engine op-count delta of this solve into the root span.
     rec.exit_with(
         span,
         &[
-            ("n", b.len() as f64),
+            ("n", (b.len() / k) as f64),
             (
                 "inv_ops",
                 after.inv_ops.saturating_sub(before.inv_ops) as f64,
@@ -751,15 +839,7 @@ fn solve_prepared<E: AmcEngine>(
             ),
         ],
     );
-    let trace = (!log.steps.is_empty()).then_some(log.steps);
-    Ok(SolveReport {
-        x,
-        stages: config.stages,
-        engine: engine.name(),
-        trace,
-        inner_traces: log.inner,
-        stats_delta: stats_delta(&before, &after),
-    })
+    Ok(out)
 }
 
 /// A self-contained copy of a prepared solver: engine, configuration,
@@ -822,7 +902,7 @@ impl<E: AmcEngine> SolverReplica<E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches and engine failures.
+    /// Same conditions as [`PreparedSolver::solve`].
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport> {
         solve_prepared(
             &mut self.engine,
@@ -833,18 +913,27 @@ impl<E: AmcEngine> SolverReplica<E> {
         )
     }
 
-    /// Solves one right-hand side after another against the replica's
-    /// programmed arrays, returning the solutions in input order.
+    /// Solves every right-hand side of `batch` against the replica's
+    /// programmed arrays as one block, returning the solutions in input
+    /// order (see [`PreparedSolver::solve_batch`]).
     ///
     /// # Errors
     ///
-    /// [`BlockAmcError::InvalidConfig`] for an empty batch; per-solve
-    /// shape and engine failures.
+    /// Same conditions as [`PreparedSolver::solve_batch`].
     pub fn solve_batch(&mut self, batch: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        if batch.is_empty() {
-            return Err(BlockAmcError::config("batch must contain at least one RHS"));
-        }
-        batch.iter().map(|b| self.solve(b).map(|r| r.x)).collect()
+        validate_batch(batch, self.tree.size())?;
+        self.solve_shard(batch)
+    }
+
+    /// One validated shard through the block cascade.
+    fn solve_shard(&mut self, batch: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        solve_block(
+            &mut self.engine,
+            &self.config,
+            &mut self.tree,
+            batch,
+            &mut self.recorder,
+        )
     }
 
     /// Shards `batch` over `workers` solving instances — this replica
@@ -860,8 +949,8 @@ impl<E: AmcEngine> SolverReplica<E> {
     ///
     /// # Errors
     ///
-    /// [`BlockAmcError::InvalidConfig`] for an empty batch or
-    /// `workers == 0`; per-solve shape and engine failures.
+    /// The batch errors of [`PreparedSolver::solve_batch`], and
+    /// [`BlockAmcError::InvalidConfig`] for `workers == 0`.
     pub fn solve_batch_parallel(
         &mut self,
         batch: &[Vec<f64>],
@@ -879,7 +968,8 @@ impl<E: AmcEngine> SolverReplica<E> {
     /// [`crate::batch::solve_batch_parallel`]. Runs inside a `batch`
     /// span and also returns the engine cost of every solve, summed over
     /// all workers: each clone starts from this replica's counters, so
-    /// only what it solves on top is added.
+    /// only what it solves on top is added. Each shard runs through the
+    /// cascade as one block.
     pub(crate) fn shard_batch(
         &mut self,
         batch: &[Vec<f64>],
@@ -888,9 +978,7 @@ impl<E: AmcEngine> SolverReplica<E> {
     where
         E: Clone,
     {
-        if batch.is_empty() {
-            return Err(BlockAmcError::config("batch must contain at least one RHS"));
-        }
+        validate_batch(batch, self.tree.size())?;
         if workers == 0 {
             return Err(BlockAmcError::config(
                 "parallel batch needs at least one worker",
@@ -914,10 +1002,7 @@ impl<E: AmcEngine> SolverReplica<E> {
             .max(1);
         let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len).collect();
         let sharded = amc_par::map_with_states(&mut states, shards, |replica, _, shard| {
-            shard
-                .iter()
-                .map(|b| replica.solve(b).map(|r| r.x))
-                .collect::<Result<Vec<_>>>()
+            replica.solve_shard(shard)
         });
         let mut stats = EngineStats::default();
         for state in &states {

@@ -25,25 +25,18 @@
 use amc_linalg::{vector, Matrix};
 
 use crate::converter::IoConfig;
-use crate::engine::{AmcEngine, Operand};
-use crate::multi_stage::{run_cascade, LevelIo, MvmExec, SignalPath, TraceLog};
+use crate::engine::AmcEngine;
+use crate::multi_stage::{run_cascade, LevelIo, MvmExec, QuadMvm, SignalPath, TraceLog};
 use crate::one_stage::{self, PreparedOneStage};
 use crate::partition::BlockPartition;
 use crate::{BlockAmcError, Result};
 
 /// A rectangular matrix programmed as four quadrant tiles for partial
 /// MVM (the "divide and recover" scheme the paper cites for forward
-/// operations).
+/// operations): one quadrant level of the partition tree's tiled MVM
+/// blocks, so the two are executed by the same code.
 #[derive(Debug, Clone)]
-pub struct TiledMvm {
-    rows: usize,
-    cols: usize,
-    row_split: usize,
-    col_split: usize,
-    /// Quadrants in row-major order: `[top-left, top-right, bottom-left,
-    /// bottom-right]`; `None` marks a zero tile (no array needed).
-    tiles: [Option<Operand>; 4],
-}
+pub struct TiledMvm(QuadMvm);
 
 impl TiledMvm {
     /// Partitions `m` at half rows/columns and programs the non-zero
@@ -60,27 +53,7 @@ impl TiledMvm {
                 "tiled MVM requires at least 2x2, got {rows}x{cols}"
             )));
         }
-        let row_split = rows.div_ceil(2);
-        let col_split = cols.div_ceil(2);
-        let quadrants = [
-            m.block(0, 0, row_split, col_split)?,
-            m.block(0, col_split, row_split, cols - col_split)?,
-            m.block(row_split, 0, rows - row_split, col_split)?,
-            m.block(row_split, col_split, rows - row_split, cols - col_split)?,
-        ];
-        let mut tiles: [Option<Operand>; 4] = [None, None, None, None];
-        for (slot, q) in tiles.iter_mut().zip(quadrants.iter()) {
-            if !q.is_zero() {
-                *slot = Some(engine.program(q)?);
-            }
-        }
-        Ok(TiledMvm {
-            rows,
-            cols,
-            row_split,
-            col_split,
-            tiles,
-        })
+        Ok(TiledMvm(QuadMvm::prepare(engine, m, 1)?))
     }
 
     /// Computes `−M·x` from four partial MVMs: each half of the output is
@@ -90,43 +63,27 @@ impl TiledMvm {
     ///
     /// Shape mismatches and engine failures.
     pub fn mvm<E: AmcEngine + ?Sized>(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(BlockAmcError::ShapeMismatch {
-                op: "tiled_mvm",
-                expected: self.cols,
-                got: x.len(),
-            });
-        }
-        let (xt, xb) = (&x[..self.col_split], &x[self.col_split..]);
-        let mut top = vec![0.0; self.row_split];
-        let mut bottom = vec![0.0; self.rows - self.row_split];
-        // Engine MVM returns −(tile·part); summing negatives yields the
-        // negative of the summed products, preserving the AMC sign.
-        if let Some(t) = self.tiles[0].as_mut() {
-            vector::axpy(1.0, &engine.mvm(t, xt)?, &mut top);
-        }
-        if let Some(t) = self.tiles[1].as_mut() {
-            vector::axpy(1.0, &engine.mvm(t, xb)?, &mut top);
-        }
-        if let Some(t) = self.tiles[2].as_mut() {
-            vector::axpy(1.0, &engine.mvm(t, xt)?, &mut bottom);
-        }
-        if let Some(t) = self.tiles[3].as_mut() {
-            vector::axpy(1.0, &engine.mvm(t, xb)?, &mut bottom);
-        }
-        Ok(vector::concat(&top, &bottom))
+        let mut out = Vec::new();
+        self.0.mvm(engine, x, 1, &mut out)?;
+        Ok(out)
     }
 
     /// Number of programmed (non-zero) tiles.
     pub fn tile_count(&self) -> usize {
-        self.tiles.iter().filter(|t| t.is_some()).count()
+        self.0.tile_count()
     }
 }
 
 // A tiled matrix is an MVM executor for the recursive cascade core.
 impl<E: AmcEngine + ?Sized> MvmExec<E> for TiledMvm {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
-        self.mvm(engine, x)
+    fn mvm_signed(
+        &mut self,
+        engine: &mut E,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        self.0.mvm(engine, x, k, out)
     }
 }
 
@@ -252,9 +209,11 @@ pub fn solve<E: AmcEngine + ?Sized>(
     // the step-3/step-5 inner-macro traces.
     let mut log = TraceLog::enabled();
     let levels = [LevelIo::Bus(*io), LevelIo::Macro(*io)];
-    let neg_x = run_cascade(
+    let mut neg_x = Vec::new();
+    run_cascade(
         engine,
         prepared.split,
+        1,
         &mut prepared.a1,
         &mut prepared.a4s,
         prepared.a2.as_mut(),
@@ -263,6 +222,7 @@ pub fn solve<E: AmcEngine + ?Sized>(
         SignalPath::new(&levels),
         &mut log,
         &mut amc_obs::Recorder::disabled(),
+        &mut neg_x,
     )?;
     Ok(TwoStageSolution {
         x: vector::neg(&neg_x),

@@ -6,7 +6,7 @@
 //! and by the dense modified-nodal-analysis path in `amc-circuit`.
 
 use crate::sparse::CsrMatrix;
-use crate::{LinalgError, Matrix, Result};
+use crate::{vector, LinalgError, Matrix, Result};
 
 /// Relative pivot threshold below which a matrix is declared singular.
 const SINGULARITY_RTOL: f64 = 1e-300;
@@ -159,7 +159,89 @@ impl LuFactor {
         Ok(())
     }
 
-    /// Solves `A·X = B` for a matrix right-hand side.
+    /// Solves `A·X = B` for `k` right-hand sides at once.
+    ///
+    /// Blocks are stored row-major: `b` and `x` are `n×k`, with entry `i`
+    /// of right-hand side `c` at `[i*k + c]` (a [`Matrix`] with `k`
+    /// columns has exactly this layout). Every column of `x` is
+    /// **bit-identical** to [`LuFactor::solve_into`] on that column: the
+    /// triangular solves walk the columns in groups of 8, then 4, keeping
+    /// one register accumulator per column that sums over the row in
+    /// index order from [`crate::vector::SUM_NEUTRAL`]. Leftover columns
+    /// (and `k = 1`) run [`LuFactor::solve_into`] itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `b.len()` or `x.len()`
+    /// differs from `n·k`.
+    pub fn solve_block_into(&self, b: &[f64], k: usize, x: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if b.len() != n * k {
+            return Err(LinalgError::ShapeMismatch {
+                op: "lu_solve_block",
+                lhs: (n, n),
+                rhs: (b.len(), k),
+            });
+        }
+        if x.len() != n * k {
+            return Err(LinalgError::ShapeMismatch {
+                op: "lu_solve_block (output)",
+                lhs: (n, n),
+                rhs: (x.len(), k),
+            });
+        }
+        match k {
+            0 => return Ok(()),
+            1 => return self.solve_into(b, x),
+            _ => {}
+        }
+        // Permute every column's rows at once: X = P·B.
+        for (x_row, &pi) in x.chunks_exact_mut(k).zip(&self.perm) {
+            x_row.copy_from_slice(&b[pi * k..(pi + 1) * k]);
+        }
+        let (mut col, mut res) = (Vec::new(), Vec::new());
+        for (c0, width) in vector::column_groups(k) {
+            match width {
+                vector::WIDE => self.solve_group::<{ vector::WIDE }>(x, k, c0),
+                vector::NARROW => self.solve_group::<{ vector::NARROW }>(x, k, c0),
+                _ => {
+                    vector::gather_column(b, k, c0, &mut col);
+                    res.resize(n, 0.0);
+                    self.solve_into(&col, &mut res)?;
+                    vector::scatter_column(&res, k, c0, x);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One column group of [`LuFactor::solve_block_into`]: the forward
+    /// and back substitutions of [`LuFactor::solve_into`] on columns
+    /// `c0..c0 + W` of the already-permuted block `x`.
+    fn solve_group<const W: usize>(&self, x: &mut [f64], k: usize, c0: usize) {
+        let n = self.dim();
+        let lu = self.lu.as_slice();
+        // Forward substitution: L·Y = P·B.
+        for i in 1..n {
+            let (solved, rest) = x.split_at_mut(i * k);
+            let acc = vector::dot_group::<W>(&lu[i * n..i * n + i], solved, k, c0);
+            for (xi, s) in rest[c0..c0 + W].iter_mut().zip(acc) {
+                *xi -= s;
+            }
+        }
+        // Back substitution: U·X = Y.
+        for i in (0..n).rev() {
+            let (head, tail) = x.split_at_mut((i + 1) * k);
+            let acc = vector::dot_group::<W>(&lu[i * n + i + 1..(i + 1) * n], tail, k, c0);
+            let pivot = lu[i * n + i];
+            for (xi, s) in head[i * k + c0..i * k + c0 + W].iter_mut().zip(acc) {
+                *xi = (*xi - s) / pivot;
+            }
+        }
+    }
+
+    /// Solves `A·X = B` for a matrix right-hand side — one
+    /// [`LuFactor::solve_block_into`] call over `B`'s storage.
     ///
     /// # Errors
     ///
@@ -174,17 +256,7 @@ impl LuFactor {
             });
         }
         let mut out = Matrix::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for j in 0..b.cols() {
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = b[(i, j)];
-            }
-            self.solve_into(&col, &mut x)?;
-            for (i, &xi) in x.iter().enumerate() {
-                out[(i, j)] = xi;
-            }
-        }
+        self.solve_block_into(b.as_slice(), b.cols(), out.as_mut_slice())?;
         Ok(out)
     }
 
@@ -193,10 +265,14 @@ impl LuFactor {
     /// `A4` — the fused pre-processing kernel of the BlockAMC partition
     /// (paper eq. 3).
     ///
-    /// Compared to materializing `A1⁻¹·A2` and the `A3·…` product as
-    /// full matrices, this streams one column at a time through two
-    /// reused scratch vectors, so the only allocation is the two
-    /// column buffers regardless of block size.
+    /// `A2` is already a row-major `n×k` block, so the update is two
+    /// multi-column kernel calls and a subtraction: `Y = A1⁻¹·A2` through
+    /// [`LuFactor::solve_block_into`] into an `n×k` scratch, then
+    /// `A3·Y` through [`Matrix::matvec_block_into`] into an `m×k`
+    /// scratch, subtracted from `out`. Those two buffers are the only
+    /// allocations. Every entry is bit-identical to the column-at-a-time
+    /// form — solve column `j` of `A2` with [`LuFactor::solve_into`],
+    /// then subtract `dot(A3[i, :], y)` from `out[i, j]`.
     ///
     /// # Errors
     ///
@@ -219,16 +295,13 @@ impl LuFactor {
                 rhs: out.shape(),
             });
         }
-        let mut col = vec![0.0; n];
-        let mut y = vec![0.0; n];
-        for j in 0..a2.cols() {
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = a2[(i, j)];
-            }
-            self.solve_into(&col, &mut y)?;
-            for i in 0..out.rows() {
-                out[(i, j)] -= crate::vector::dot(a3.row(i), &y);
-            }
+        let k = a2.cols();
+        let mut y = vec![0.0; n * k];
+        self.solve_block_into(a2.as_slice(), k, &mut y)?;
+        let mut product = vec![0.0; out.rows() * k];
+        a3.matvec_block_into(&y, k, &mut product)?;
+        for (o, p) in out.as_mut_slice().iter_mut().zip(&product) {
+            *o -= p;
         }
         Ok(())
     }
@@ -287,7 +360,10 @@ impl LuFactor {
             self.solve_into(&col, &mut y)?;
             for i in 0..out.rows() {
                 let (ridx, rvals) = a3.row_entries(i);
-                let dot: f64 = ridx.iter().zip(rvals).map(|(&c, &v)| v * y[c]).sum();
+                let dot = ridx
+                    .iter()
+                    .zip(rvals)
+                    .fold(vector::SUM_NEUTRAL, |acc, (&c, &v)| acc + v * y[c]);
                 out[(i, j)] -= dot;
             }
         }

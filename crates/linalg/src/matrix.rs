@@ -1,6 +1,6 @@
 //! Dense row-major matrix type.
 
-use crate::{LinalgError, Result};
+use crate::{vector, LinalgError, Result};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -326,10 +326,66 @@ impl Matrix {
             });
         }
         for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *o = row.iter().zip(x).map(|(a, b)| a * b).sum();
+            *o = vector::dot(self.row(i), x);
         }
         Ok(())
+    }
+
+    /// Matrix–block product `self · X` for `k` right-hand sides at once.
+    ///
+    /// Blocks are stored row-major: `x` is `cols×k` and `out` is
+    /// `rows×k`, with entry `i` of column `c` at `[i*k + c]`. Every
+    /// column of `out` is **bit-identical** to [`Matrix::matvec_into`]
+    /// on that column: the kernel walks the columns in groups of 8, then
+    /// 4, keeping one register accumulator per column that sums over the
+    /// row in index order from [`vector::SUM_NEUTRAL`]. Leftover columns
+    /// (and `k = 1`) run [`Matrix::matvec_into`] itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != cols·k` or
+    /// `out.len() != rows·k`.
+    pub fn matvec_block_into(&self, x: &[f64], k: usize, out: &mut [f64]) -> Result<()> {
+        if x.len() != self.cols * k {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matvec_block",
+                lhs: self.shape(),
+                rhs: (x.len(), k),
+            });
+        }
+        if out.len() != self.rows * k {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matvec_block_into (output)",
+                lhs: self.shape(),
+                rhs: (out.len(), k),
+            });
+        }
+        if k == 1 {
+            return self.matvec_into(x, out);
+        }
+        let (mut col, mut res) = (Vec::new(), Vec::new());
+        for (c0, width) in vector::column_groups(k) {
+            match width {
+                vector::WIDE => self.matvec_group::<{ vector::WIDE }>(x, k, c0, out),
+                vector::NARROW => self.matvec_group::<{ vector::NARROW }>(x, k, c0, out),
+                _ => {
+                    vector::gather_column(x, k, c0, &mut col);
+                    res.resize(self.rows, 0.0);
+                    self.matvec_into(&col, &mut res)?;
+                    vector::scatter_column(&res, k, c0, out);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One column group of [`Matrix::matvec_block_into`]: columns
+    /// `c0..c0 + W` of `out = self · x`.
+    fn matvec_group<const W: usize>(&self, x: &[f64], k: usize, c0: usize, out: &mut [f64]) {
+        for i in 0..self.rows {
+            let acc = vector::dot_group::<W>(self.row(i), x, k, c0);
+            out[i * k + c0..i * k + c0 + W].copy_from_slice(&acc);
+        }
     }
 
     /// Transposed matrix-vector product `selfᵀ * x`.

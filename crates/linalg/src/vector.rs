@@ -6,14 +6,101 @@
 //! validate shapes at the matrix level, so these helpers use debug
 //! assertions instead of `Result`s).
 
-/// Dot product of two equally sized slices.
+/// The start value of every dot-product accumulation in this crate:
+/// `−0.0`, the additive identity of IEEE-754 (`−0.0 + x == x` for every
+/// `x`, `+0.0` included). [`dot`], [`Matrix::matvec_into`] and the
+/// multi-column kernels ([`Matrix::matvec_block_into`],
+/// [`LuFactor::solve_block_into`]) all start from it, so each column of a
+/// block result is bit-identical to its single-column counterpart —
+/// signed zeros included — whatever start value `Iterator::sum` uses.
+///
+/// [`Matrix::matvec_into`]: crate::Matrix::matvec_into
+/// [`Matrix::matvec_block_into`]: crate::Matrix::matvec_block_into
+/// [`LuFactor::solve_block_into`]: crate::lu::LuFactor::solve_block_into
+pub const SUM_NEUTRAL: f64 = -0.0;
+
+/// Dot product of two equally sized slices, summed in index order from
+/// [`SUM_NEUTRAL`].
 ///
 /// # Panics
 ///
 /// Panics in debug builds if the slices have different lengths.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(SUM_NEUTRAL, |acc, (x, y)| acc + x * y)
+}
+
+/// Width of the wide column groups of the multi-column kernels.
+pub(crate) const WIDE: usize = 8;
+/// Width of the narrow column group of the multi-column kernels.
+pub(crate) const NARROW: usize = 4;
+
+/// Cuts the columns `0..k` of a block into the groups the multi-column
+/// kernels process, yielding `(first column, width)`: groups of [`WIDE`]
+/// first, then at most one group of [`NARROW`], then the remaining
+/// columns one at a time (width 1).
+pub(crate) fn column_groups(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let wide_end = k / WIDE * WIDE;
+    let narrow_end = wide_end + (k - wide_end) / NARROW * NARROW;
+    (0..wide_end)
+        .step_by(WIDE)
+        .map(|c| (c, WIDE))
+        .chain((wide_end..narrow_end).step_by(NARROW).map(|c| (c, NARROW)))
+        .chain((narrow_end..k).map(|c| (c, 1)))
+}
+
+/// Dot products of `row` with `W` adjacent columns of a row-major block
+/// of width `k`: entry `c` is `Σ_j row[j]·block[j·k + c0 + c]`, summed in
+/// `j` order from [`SUM_NEUTRAL`] — column for column the arithmetic of
+/// [`dot`], so the compiler can vectorize across the group without
+/// changing a bit. Only the first `row.len()` rows of `block` are read.
+///
+/// # Panics
+///
+/// Panics if `c0 + W > k` or `block` has fewer than `row.len()` rows.
+#[inline]
+pub(crate) fn dot_group<const W: usize>(
+    row: &[f64],
+    block: &[f64],
+    k: usize,
+    c0: usize,
+) -> [f64; W] {
+    debug_assert!(block.len() >= row.len() * k, "dot_group: block too short");
+    let mut acc = [SUM_NEUTRAL; W];
+    for (&a, block_row) in row.iter().zip(block.chunks_exact(k)) {
+        let group: &[f64; W] = block_row[c0..c0 + W]
+            .try_into()
+            .expect("column group lies inside the block");
+        for (s, &v) in acc.iter_mut().zip(group) {
+            *s += a * v;
+        }
+    }
+    acc
+}
+
+/// Copies column `c` of a row-major block of width `k` into `out`
+/// (resized to the block's row count).
+///
+/// # Panics
+///
+/// Panics if `c >= k`.
+pub fn gather_column(block: &[f64], k: usize, c: usize, out: &mut Vec<f64>) {
+    assert!(c < k, "column index out of bounds");
+    out.clear();
+    out.extend(block.iter().skip(c).step_by(k));
+}
+
+/// Writes `col` into column `c` of a row-major block of width `k`.
+///
+/// # Panics
+///
+/// Panics if `c >= k` or `col` has more entries than the block has rows.
+pub fn scatter_column(col: &[f64], k: usize, c: usize, block: &mut [f64]) {
+    assert!(c < k, "column index out of bounds");
+    assert!(col.len() * k <= block.len(), "column longer than the block");
+    for (&v, row) in col.iter().zip(block.chunks_exact_mut(k)) {
+        row[c] = v;
+    }
 }
 
 /// Euclidean norm.
@@ -139,6 +226,41 @@ mod tests {
         assert_eq!(norm_inf(&a), 4.0);
         assert_eq!(norm1(&a), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
+    }
+
+    #[test]
+    fn dot_starts_from_negative_zero() {
+        assert!(dot(&[], &[]).is_sign_negative());
+        assert!(dot(&[-0.0], &[1.0]).is_sign_negative());
+        assert!(dot(&[0.0], &[1.0]).is_sign_positive());
+    }
+
+    #[test]
+    fn column_groups_cover_every_column_once() {
+        for k in 0..=20 {
+            let groups: Vec<(usize, usize)> = column_groups(k).collect();
+            let mut next = 0;
+            for &(c0, w) in &groups {
+                assert_eq!(c0, next, "k={k}: groups must tile the columns in order");
+                next += w;
+            }
+            assert_eq!(next, k);
+            // Widths never grow along the block, and at most one 4 appears.
+            assert!(groups.windows(2).all(|p| p[0].1 >= p[1].1), "k={k}");
+            assert!(groups.iter().filter(|g| g.1 == 4).count() <= 1, "k={k}");
+            assert!(groups.iter().filter(|g| g.1 == 1).count() < 4, "k={k}");
+        }
+    }
+
+    #[test]
+    fn gather_and_scatter_round_trip() {
+        let block = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2 rows x 3 columns
+        let mut col = vec![9.0; 7];
+        gather_column(&block, 3, 1, &mut col);
+        assert_eq!(col, vec![2.0, 5.0]);
+        let mut out = [0.0; 6];
+        scatter_column(&col, 3, 2, &mut out);
+        assert_eq!(out, [0.0, 0.0, 2.0, 0.0, 0.0, 5.0]);
     }
 
     #[test]

@@ -137,3 +137,133 @@ proptest! {
         prop_assert!(a.frobenius_norm() >= a.max_abs() - 1e-15);
     }
 }
+
+/// Bit patterns of column `c` of a row-major block of width `k`.
+fn column_bits(block: &[f64], k: usize, c: usize) -> Vec<u64> {
+    block
+        .iter()
+        .skip(c)
+        .step_by(k)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A seeded `rows×k` block salted with the cases the bit-identity
+/// contract must survive: column `seed % k` all zero, a `-0.0` in
+/// every row, and (with `inf`) a `+Inf` and a `-Inf`.
+fn edge_block(rows: usize, k: usize, seed: u64, inf: bool) -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut block = generate::random_vector(rows * k, &mut rng);
+    let zero_col = (seed % k as u64) as usize;
+    for (i, row) in block.chunks_exact_mut(k).enumerate() {
+        row[zero_col] = 0.0;
+        row[(zero_col + 1 + i) % k] = -0.0;
+    }
+    if inf {
+        block[(seed as usize / 7) % (rows * k)] = f64::INFINITY;
+        block[(seed as usize / 11) % (rows * k)] = f64::NEG_INFINITY;
+    }
+    block
+}
+
+/// The column-at-a-time Schur update the multi-column kernel replaces:
+/// solve column `j` of `A2`, then subtract `dot(A3[i, :], y)` from
+/// `out[i, j]`.
+fn schur_reference(lu: &lu::LuFactor, a2: &Matrix, a3: &Matrix, out: &mut Matrix) {
+    let mut y = vec![0.0; a2.rows()];
+    for j in 0..a2.cols() {
+        lu.solve_into(&a2.col(j), &mut y).unwrap();
+        for i in 0..out.rows() {
+            out[(i, j)] -= vector::dot(a3.row(i), &y);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn solve_block_matches_solve_into_bit_for_bit(
+        a in dd_matrix(),
+        seed in any::<u64>(),
+        inf in any::<bool>(),
+    ) {
+        // Every k up to 17 covers each 8/4/1 column-group remainder.
+        let n = a.rows();
+        let factor = lu::LuFactor::new(&a).unwrap();
+        let mut col = vec![0.0; n];
+        for k in 1..=17 {
+            let b = edge_block(n, k, seed ^ k as u64, inf);
+            let mut x = vec![f64::NAN; n * k];
+            factor.solve_block_into(&b, k, &mut x).unwrap();
+            for c in 0..k {
+                let bc: Vec<f64> = b.iter().skip(c).step_by(k).copied().collect();
+                factor.solve_into(&bc, &mut col).unwrap();
+                prop_assert_eq!(column_bits(&x, k, c), bits(&col), "k={} column {}", k, c);
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_block_matches_matvec_into_bit_for_bit(
+        rows in 1usize..=9,
+        cols in 1usize..=9,
+        seed in any::<u64>(),
+        inf in any::<bool>(),
+    ) {
+        // Square and rectangular shapes; the matrix carries -0.0 too.
+        let m = Matrix::from_vec(rows, cols, edge_block(rows, cols, seed, false)).unwrap();
+        let mut col = vec![0.0; rows];
+        for k in 1..=17 {
+            let x = edge_block(cols, k, seed ^ ((k as u64) << 8), inf);
+            let mut out = vec![f64::NAN; rows * k];
+            m.matvec_block_into(&x, k, &mut out).unwrap();
+            for c in 0..k {
+                let xc: Vec<f64> = x.iter().skip(c).step_by(k).copied().collect();
+                m.matvec_into(&xc, &mut col).unwrap();
+                prop_assert_eq!(column_bits(&out, k, c), bits(&col), "k={} column {}", k, c);
+            }
+        }
+    }
+
+    #[test]
+    fn schur_update_matches_column_reference_bit_for_bit(
+        a1 in dd_matrix(),
+        m in 1usize..=7,
+        k in 1usize..=17,
+        seed in any::<u64>(),
+    ) {
+        // Rectangular A2 (n×k) and A3 (m×n) with m ≠ k in general.
+        let n = a1.rows();
+        let factor = lu::LuFactor::new(&a1).unwrap();
+        let a2 = Matrix::from_vec(n, k, edge_block(n, k, seed, false)).unwrap();
+        let a3 = Matrix::from_vec(m, n, edge_block(m, n, seed ^ 1, false)).unwrap();
+        let a4 = Matrix::from_vec(m, k, edge_block(m, k, seed ^ 2, false)).unwrap();
+        let mut got = a4.clone();
+        factor.schur_update_into(&a2, &a3, &mut got).unwrap();
+        let mut want = a4;
+        schur_reference(&factor, &a2, &a3, &mut want);
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+    }
+}
+
+#[test]
+fn block_kernels_reject_mismatched_shapes() {
+    let a = Matrix::identity(3);
+    let factor = lu::LuFactor::new(&a).unwrap();
+    assert!(factor
+        .solve_block_into(&[1.0; 6], 2, &mut [0.0; 5])
+        .is_err());
+    assert!(factor
+        .solve_block_into(&[1.0; 5], 2, &mut [0.0; 6])
+        .is_err());
+    assert!(a.matvec_block_into(&[1.0; 9], 2, &mut [0.0; 6]).is_err());
+    assert!(a.matvec_block_into(&[1.0; 6], 2, &mut [0.0; 9]).is_err());
+    // k = 0 is an empty block, not an error.
+    assert!(factor.solve_block_into(&[], 0, &mut []).is_ok());
+    assert!(a.matvec_block_into(&[], 0, &mut []).is_ok());
+}

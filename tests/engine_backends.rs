@@ -10,19 +10,24 @@
 //! * `Box<dyn AmcEngine>` supports the *whole* production surface —
 //!   replication and parallel batching included — bit-identically to
 //!   the concrete engine.
+//! * The multi-RHS block methods match per-column `inv_into`/`mvm_into`
+//!   bit for bit on every backend, count one op per column, and a
+//!   registry-built `Box<dyn AmcEngine>` reaches a backend's override.
 
 use amc_circuit::opamp::OpAmpSpec;
 use amc_linalg::{generate, lu, metrics, Matrix};
 use blockamc::batch;
 use blockamc::engine::{
-    AmcEngine, CircuitEngine, CircuitEngineConfig, EngineRegistry, EngineSpec, FixedPointEngine,
-    NumericEngine,
+    AmcEngine, CircuitEngine, CircuitEngineConfig, EngineRegistry, EngineSpec, EngineStats,
+    FixedPointEngine, NumericEngine, Operand,
 };
 use blockamc::solver::{BlockAmcSolver, SolverConfig, Stages};
 use blockamc::BlockAmcError;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A seeded SPD workload (Wishart) with one right-hand side.
 fn spd_workload(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -217,4 +222,184 @@ fn numeric_engine_unchanged_by_the_redesign() {
     let mut expected = lu::solve(&a, &b).unwrap();
     amc_linalg::vector::neg_in_place(&mut expected);
     assert_eq!(engine.inv(&mut op, &b).unwrap(), expected);
+}
+
+/// Column `c` of a row-major block of width `k`.
+fn column(block: &[f64], k: usize, c: usize) -> Vec<f64> {
+    block.iter().skip(c).step_by(k).copied().collect()
+}
+
+/// A `rows×k` block of seeded entries with one all-zero column (the
+/// last) and a `-0.0` in the first.
+fn rhs_block(rows: usize, k: usize, seed: u64) -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut block = generate::random_vector(rows * k, &mut rng);
+    for row in block.chunks_exact_mut(k) {
+        row[k - 1] = 0.0;
+    }
+    block[0] = -0.0;
+    block
+}
+
+/// The block methods against per-column `inv_into`/`mvm_into` on the
+/// same operands: bit-identical columns and `k` ops counted per call.
+fn assert_block_methods_match_per_column(mut engine: impl AmcEngine, name: &str) {
+    let (a, _) = spd_workload(10, 17);
+    let mut inv_op = engine.program(&a).unwrap();
+    // A rectangular MVM operand, as the odd-split A2/A3 blocks are.
+    let m = a.block(0, 0, 7, 5).unwrap();
+    let mut mvm_op = engine.program(&m).unwrap();
+    for k in [1usize, 2, 5, 9] {
+        let b = rhs_block(10, k, k as u64);
+        let before = engine.stats();
+        let mut block = Vec::new();
+        engine
+            .inv_block_into(&mut inv_op, &b, k, &mut block)
+            .unwrap();
+        assert_eq!(engine.stats().inv_ops - before.inv_ops, k, "{name} k={k}");
+        let mut single = Vec::new();
+        for c in 0..k {
+            engine
+                .inv_into(&mut inv_op, &column(&b, k, c), &mut single)
+                .unwrap();
+            let got: Vec<u64> = column(&block, k, c).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = single.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{name} inv k={k} column {c}");
+        }
+
+        let x = rhs_block(5, k, 100 + k as u64);
+        let before = engine.stats();
+        engine
+            .mvm_block_into(&mut mvm_op, &x, k, &mut block)
+            .unwrap();
+        assert_eq!(engine.stats().mvm_ops - before.mvm_ops, k, "{name} k={k}");
+        assert_eq!(block.len(), 7 * k);
+        for c in 0..k {
+            engine
+                .mvm_into(&mut mvm_op, &column(&x, k, c), &mut single)
+                .unwrap();
+            let got: Vec<u64> = column(&block, k, c).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = single.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{name} mvm k={k} column {c}");
+        }
+    }
+    // A block whose length is not a multiple of k, and k = 0, are
+    // rejected before any op is counted.
+    let before = engine.stats();
+    let mut out = Vec::new();
+    assert!(engine
+        .inv_block_into(&mut inv_op, &[0.5; 21], 2, &mut out)
+        .is_err());
+    assert!(engine
+        .mvm_block_into(&mut mvm_op, &[0.5; 5], 0, &mut out)
+        .is_err());
+    assert_eq!(engine.stats().inv_ops, before.inv_ops, "{name}");
+    assert_eq!(engine.stats().mvm_ops, before.mvm_ops, "{name}");
+}
+
+#[test]
+fn block_methods_match_per_column_calls_bit_for_bit() {
+    // Fixed-point and circuit take the per-column default; numeric
+    // overrides both methods with the multi-column kernels.
+    assert_block_methods_match_per_column(FixedPointEngine::new(12).unwrap(), "fixed-point");
+    assert_block_methods_match_per_column(
+        CircuitEngine::new(CircuitEngineConfig::paper_variation(), 5),
+        "circuit",
+    );
+    assert_block_methods_match_per_column(NumericEngine::new(), "numeric");
+    let boxed: Box<dyn AmcEngine> = Box::new(NumericEngine::new());
+    assert_block_methods_match_per_column(boxed, "boxed numeric");
+}
+
+/// A numeric backend whose block overrides count their calls, so a test
+/// can see whether a `Box<dyn AmcEngine>` reaches them.
+#[derive(Debug, Clone)]
+struct MarkedEngine {
+    inner: NumericEngine,
+    block_calls: Arc<AtomicUsize>,
+}
+
+impl AmcEngine for MarkedEngine {
+    fn program(&mut self, a: &Matrix) -> blockamc::Result<Operand> {
+        self.inner.program(a)
+    }
+
+    fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> blockamc::Result<Vec<f64>> {
+        self.inner.inv(operand, b)
+    }
+
+    fn mvm(&mut self, operand: &mut Operand, x: &[f64]) -> blockamc::Result<Vec<f64>> {
+        self.inner.mvm(operand, x)
+    }
+
+    fn inv_block_into(
+        &mut self,
+        operand: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        self.block_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.inv_block_into(operand, b, k, out)
+    }
+
+    fn mvm_block_into(
+        &mut self,
+        operand: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        self.block_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.mvm_block_into(operand, x, k, out)
+    }
+
+    fn name(&self) -> &'static str {
+        "marked"
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.inner.stats()
+    }
+
+    fn clone_boxed(&self) -> Box<dyn AmcEngine> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn registry_built_engines_reach_the_block_overrides() {
+    let block_calls = Arc::new(AtomicUsize::new(0));
+    let mut registry = EngineRegistry::empty();
+    let marker = Arc::clone(&block_calls);
+    registry.register("marked", move |_seed| {
+        Ok(Box::new(MarkedEngine {
+            inner: NumericEngine::new(),
+            block_calls: Arc::clone(&marker),
+        }))
+    });
+    let (a, _) = spd_workload(12, 23);
+    let mut rng = ChaCha8Rng::seed_from_u64(24);
+    let batch: Vec<Vec<f64>> = (0..6)
+        .map(|_| generate::random_vector(12, &mut rng))
+        .collect();
+    let mut solver = SolverConfig::builder()
+        .stages(Stages::Two)
+        .build(registry.build("marked", 0).unwrap())
+        .unwrap();
+    let mut prepared = solver.prepare(&a).unwrap();
+    let solutions = prepared.solve_batch(&batch).unwrap();
+    assert!(
+        block_calls.load(Ordering::Relaxed) > 0,
+        "the boxed engine must forward the block methods to the override"
+    );
+    // The override path agrees bit for bit with one solve per RHS.
+    for (b, x) in batch.iter().zip(&solutions) {
+        assert_eq!(&prepared.solve(b).unwrap().x, x);
+    }
+    // Every worker's replica clones the override, too.
+    let mut replica = prepared.replicate(1).remove(0);
+    block_calls.store(0, Ordering::Relaxed);
+    assert_eq!(replica.solve_batch_parallel(&batch, 2).unwrap(), solutions);
+    assert!(block_calls.load(Ordering::Relaxed) > 0);
 }

@@ -10,7 +10,7 @@
 use amc_linalg::{generate, lu, metrics, vector, Matrix};
 use blockamc::converter::{Converter, IoConfig};
 use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
-use blockamc::solver::{LevelIo, SignalPlan, SolverConfig, Stages};
+use blockamc::solver::{BlockAmcSolver, LevelIo, SignalPlan, SolverConfig, Stages};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -224,4 +224,63 @@ fn deep_paper_plan_applies_converters_at_every_level() {
         full_paper > root_only,
         "per-level hops must add error: {full_paper} vs {root_only}"
     );
+}
+
+#[test]
+fn non_finite_inputs_get_typed_errors_before_any_engine_call() {
+    use blockamc::batch;
+    use blockamc::BlockAmcError;
+    let (a, b) = workload(8, 41);
+    fn non_finite<T>(which: &'static str, index: usize) -> Result<T, BlockAmcError> {
+        Err(BlockAmcError::NonFinite { which, index })
+    }
+    let solver = || BlockAmcSolver::new(NumericEngine::new(), Stages::Two);
+
+    // Probe 1: a NaN in b used to come back as Ok with an all-NaN x.
+    let mut bad_b = b.clone();
+    bad_b[5] = f64::NAN;
+    let mut facade = solver();
+    assert_eq!(facade.solve(&a, &bad_b).map(|r| r.x), non_finite("b", 5));
+    assert_eq!(facade.engine().stats().program_ops, 0);
+    let mut prepared = facade.prepare(&a).unwrap();
+    assert_eq!(prepared.solve(&bad_b).map(|r| r.x), non_finite("b", 5));
+    let mut replica = prepared.replicate(1).remove(0);
+    assert_eq!(replica.solve(&bad_b).map(|r| r.x), non_finite("b", 5));
+    assert_eq!(replica.engine().stats().inv_ops, 0);
+
+    // Probe 2: a +Inf in A used to be reported as "singular".
+    let mut bad_a = a.clone();
+    bad_a[(2, 3)] = f64::INFINITY;
+    let mut facade = solver();
+    assert_eq!(
+        facade.prepare(&bad_a).err(),
+        Some(BlockAmcError::NonFinite {
+            which: "A",
+            index: 2 * 8 + 3,
+        })
+    );
+    assert_eq!(facade.solve(&bad_a, &b).map(|r| r.x), non_finite("A", 19));
+    assert_eq!(facade.engine().stats().program_ops, 0);
+
+    // A batch with one bad right-hand side: entry i of RHS r is index
+    // r·n + i, and every batch entry point rejects it up front.
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let mut rhs: Vec<Vec<f64>> = (0..5)
+        .map(|_| generate::random_vector(8, &mut rng))
+        .collect();
+    rhs[3][1] = f64::NEG_INFINITY;
+    let mut facade = solver();
+    let mut prepared = facade.prepare(&a).unwrap();
+    assert_eq!(prepared.solve_batch(&rhs), non_finite("b", 25));
+    let mut replica = prepared.replicate(1).remove(0);
+    assert_eq!(replica.solve_batch(&rhs), non_finite("b", 25));
+    assert_eq!(replica.solve_batch_parallel(&rhs, 2), non_finite("b", 25));
+    assert_eq!(replica.engine().stats().inv_ops, 0);
+    let opamp = amc_circuit::opamp::OpAmpSpec::ideal();
+    let mut facade = solver();
+    let serial = batch::solve_batch(&mut facade, &a, &rhs, &opamp, 0.0);
+    assert_eq!(serial.map(|s| s.solutions), non_finite("b", 25));
+    let parallel = batch::solve_batch_parallel(&mut facade, &a, &rhs, &opamp, 0.0, 2);
+    assert_eq!(parallel.map(|s| s.solutions), non_finite("b", 25));
+    assert_eq!(facade.engine().stats().program_ops, 0);
 }
