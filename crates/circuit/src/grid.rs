@@ -246,14 +246,32 @@ pub fn mvm_exact(
     v_in: &[f64],
     r_segment: f64,
 ) -> Result<GridComputeOutput> {
-    let gp = programmed.pos().conductances();
-    let gn = programmed.neg().conductances();
+    mvm_exact_conductances(
+        &programmed.pos().conductances(),
+        &programmed.neg().conductances(),
+        programmed.g0(),
+        v_in,
+        r_segment,
+    )
+}
+
+/// [`mvm_exact`] on conductance matrices already read off the two arrays.
+///
+/// # Errors
+///
+/// As [`mvm_exact`].
+pub(crate) fn mvm_exact_conductances(
+    g_pos: &Matrix,
+    g_neg: &Matrix,
+    g0: f64,
+    v_in: &[f64],
+    r_segment: f64,
+) -> Result<GridComputeOutput> {
     let neg_in: Vec<f64> = v_in.iter().map(|v| -v).collect();
-    let grid_p = ResistiveGrid::new(&gp, r_segment)?;
-    let grid_n = ResistiveGrid::new(&gn, r_segment)?;
+    let grid_p = ResistiveGrid::new(g_pos, r_segment)?;
+    let grid_n = ResistiveGrid::new(g_neg, r_segment)?;
     let sol_p = grid_p.solve(v_in)?;
     let sol_n = grid_n.solve(&neg_in)?;
-    let g0 = programmed.g0();
     let volts: Vec<f64> = sol_p
         .sense_currents
         .iter()
@@ -276,6 +294,8 @@ pub fn mvm_exact(
 /// is solved by LU. This is exact but costs `2n` grid solves — use it for
 /// validation-scale arrays (the paper's two non-ideality figures use it at
 /// HSPICE scale; the sweeps here use the series approximation).
+/// [`crate::sim::AnalogSimulator::prepare_inv`] keeps `M` factorised for
+/// repeated inputs.
 ///
 /// # Errors
 ///
@@ -296,6 +316,16 @@ pub fn inv_exact(
             got: n,
         });
     }
+    check_inv_input(n, v_in)?;
+    ExactInvSystem::new(
+        programmed.pos().conductances(),
+        programmed.neg().conductances(),
+        r_segment,
+    )?
+    .solve(programmed.g0(), v_in)
+}
+
+fn check_inv_input(n: usize, v_in: &[f64]) -> Result<()> {
     if v_in.len() != n {
         return Err(CircuitError::ShapeMismatch {
             op: "inv_exact",
@@ -303,42 +333,94 @@ pub fn inv_exact(
             got: v_in.len(),
         });
     }
-    let gp = programmed.pos().conductances();
-    let gn = programmed.neg().conductances();
-    let grid_p = ResistiveGrid::new(&gp, r_segment)?;
-    let grid_n = ResistiveGrid::new(&gn, r_segment)?;
+    Ok(())
+}
 
-    // Assemble M: column j = sense currents for unit drive on op-amp j.
-    let mut m_mat = Matrix::zeros(n, n);
-    let mut unit = vec![0.0; n];
-    for j in 0..n {
-        unit[j] = 1.0;
-        let neg_unit: Vec<f64> = unit.iter().map(|v| -v).collect();
-        let sol_p = grid_p.solve(&unit)?;
-        let sol_n = grid_n.solve(&neg_unit)?;
-        for i in 0..n {
-            m_mat[(i, j)] = sol_p.sense_currents[i] + sol_n.sense_currents[i];
+/// The input-independent half of [`inv_exact`]: the two arrays'
+/// conductances and the LU factorisation of the current-balance matrix
+/// `M`, assembled from `2n` unit-drive grid solves.
+#[derive(Debug, Clone)]
+pub(crate) struct ExactInvSystem {
+    g_pos: Matrix,
+    g_neg: Matrix,
+    r_segment: f64,
+    balance: LuFactor,
+}
+
+impl ExactInvSystem {
+    /// Assembles and factorises `M` for the arrays `g_pos` / `g_neg`.
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::ShapeMismatch`] if the arrays are not square or
+    ///   their shapes differ.
+    /// * Configuration / convergence errors from the grid solver.
+    /// * [`CircuitError::NoOperatingPoint`] if `M` is singular.
+    pub(crate) fn new(g_pos: Matrix, g_neg: Matrix, r_segment: f64) -> Result<Self> {
+        let (m, n) = g_pos.shape();
+        if m != n {
+            return Err(CircuitError::ShapeMismatch {
+                op: "inv_exact (square array required)",
+                expected: m,
+                got: n,
+            });
         }
-        unit[j] = 0.0;
+        if g_neg.shape() != (m, n) {
+            return Err(CircuitError::ShapeMismatch {
+                op: "inv_exact arrays",
+                expected: n,
+                got: g_neg.cols(),
+            });
+        }
+        let grid_p = ResistiveGrid::new(&g_pos, r_segment)?;
+        let grid_n = ResistiveGrid::new(&g_neg, r_segment)?;
+
+        // Assemble M: column j = sense currents for unit drive on op-amp j.
+        let mut m_mat = Matrix::zeros(n, n);
+        let mut unit = vec![0.0; n];
+        for j in 0..n {
+            unit[j] = 1.0;
+            let neg_unit: Vec<f64> = unit.iter().map(|v| -v).collect();
+            let sol_p = grid_p.solve(&unit)?;
+            let sol_n = grid_n.solve(&neg_unit)?;
+            for i in 0..n {
+                m_mat[(i, j)] = sol_p.sense_currents[i] + sol_n.sense_currents[i];
+            }
+            unit[j] = 0.0;
+        }
+        let balance = LuFactor::new(&m_mat)
+            .map_err(|e| CircuitError::no_op_point(format!("INV current-balance system: {e}")))?;
+        Ok(ExactInvSystem {
+            g_pos,
+            g_neg,
+            r_segment,
+            balance,
+        })
     }
 
-    // Solve M·v = −G₀·v_in.
-    let g0 = programmed.g0();
-    let rhs: Vec<f64> = v_in.iter().map(|&b| -g0 * b).collect();
-    let lu = LuFactor::new(&m_mat)
-        .map_err(|e| CircuitError::no_op_point(format!("INV current-balance system: {e}")))?;
-    let volts = lu.solve(&rhs)?;
+    /// Solves `M·v = −G₀·v_in` for the operating point, then re-solves
+    /// both grids there for the power figure.
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::ShapeMismatch`] if `v_in` has the wrong length.
+    /// * Convergence errors from the grid solver.
+    pub(crate) fn solve(&self, g0: f64, v_in: &[f64]) -> Result<GridComputeOutput> {
+        check_inv_input(self.balance.dim(), v_in)?;
+        let rhs: Vec<f64> = v_in.iter().map(|&b| -g0 * b).collect();
+        let volts = self.balance.solve(&rhs)?;
 
-    // Re-solve the grids at the operating point for the power figure.
-    let neg_volts: Vec<f64> = volts.iter().map(|v| -v).collect();
-    let sol_p = grid_p.solve(&volts)?;
-    let sol_n = grid_n.solve(&neg_volts)?;
-    // Input-resistor dissipation: G₀ between v_in and the virtual ground.
-    let input_power: f64 = v_in.iter().map(|&b| g0 * b * b).sum();
-    Ok(GridComputeOutput {
-        volts,
-        array_power_w: sol_p.power_w + sol_n.power_w + input_power,
-    })
+        // Re-solve the grids at the operating point for the power figure.
+        let neg_volts: Vec<f64> = volts.iter().map(|v| -v).collect();
+        let sol_p = ResistiveGrid::new(&self.g_pos, self.r_segment)?.solve(&volts)?;
+        let sol_n = ResistiveGrid::new(&self.g_neg, self.r_segment)?.solve(&neg_volts)?;
+        // Input-resistor dissipation: G₀ between v_in and the virtual ground.
+        let input_power: f64 = v_in.iter().map(|&b| g0 * b * b).sum();
+        Ok(GridComputeOutput {
+            volts,
+            array_power_w: sol_p.power_w + sol_n.power_w + input_power,
+        })
+    }
 }
 
 #[cfg(test)]

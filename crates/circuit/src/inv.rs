@@ -44,7 +44,7 @@ pub struct InvSolution {
 /// * [`CircuitError::InvalidConfig`] if `g0` is not positive or the gain
 ///   model is invalid.
 /// * [`CircuitError::ShapeMismatch`] if the arrays are not square or
-///   shapes disagree.
+///   shapes disagree, or `v_in` does not match the row count.
 /// * [`CircuitError::NoOperatingPoint`] if the feedback system is
 ///   singular (the circuit has no stable equilibrium).
 pub fn solve_inv(
@@ -54,6 +54,32 @@ pub fn solve_inv(
     v_in: &[f64],
     gain: GainModel,
 ) -> Result<InvSolution> {
+    if v_in.len() != g_pos.rows() {
+        return Err(CircuitError::ShapeMismatch {
+            op: "inv input",
+            expected: g_pos.rows(),
+            got: v_in.len(),
+        });
+    }
+    let system = inv_system(g_pos, g_neg, g0, gain)?;
+    let rhs: Vec<f64> = v_in.iter().map(|&v| -v).collect();
+    let volts = system.solve(&rhs)?;
+    Ok(InvSolution { volts })
+}
+
+/// The input-independent half of [`solve_inv`]: the LU factorisation of
+/// the feedback system `Ĝ + D̂/a₀`. The operating point for an input
+/// `v_in` is then `system.solve(−v_in)`.
+///
+/// # Errors
+///
+/// As [`solve_inv`], minus the input-length check.
+pub(crate) fn inv_system(
+    g_pos: &Matrix,
+    g_neg: &Matrix,
+    g0: f64,
+    gain: GainModel,
+) -> Result<LuFactor> {
     gain.validate()?;
     if !(g0 > 0.0 && g0.is_finite()) {
         return Err(CircuitError::config("g0 must be positive and finite"));
@@ -73,13 +99,6 @@ pub fn solve_inv(
         });
     }
     let n = g_pos.rows();
-    if v_in.len() != n {
-        return Err(CircuitError::ShapeMismatch {
-            op: "inv input",
-            expected: n,
-            got: v_in.len(),
-        });
-    }
     let inv_a0 = gain.inverse_gain();
     // System matrix Ĝ + D̂/a₀.
     let mut sys = Matrix::zeros(n, n);
@@ -96,11 +115,8 @@ pub fn solve_inv(
             sys[(i, i)] += (1.0 + row_sum) * inv_a0;
         }
     }
-    let rhs: Vec<f64> = v_in.iter().map(|&v| -v).collect();
-    let lu = LuFactor::new(&sys)
-        .map_err(|e| CircuitError::no_op_point(format!("INV feedback system is singular: {e}")))?;
-    let volts = lu.solve(&rhs)?;
-    Ok(InvSolution { volts })
+    LuFactor::new(&sys)
+        .map_err(|e| CircuitError::no_op_point(format!("INV feedback system is singular: {e}")))
 }
 
 #[cfg(test)]

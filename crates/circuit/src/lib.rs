@@ -29,7 +29,10 @@
 //!   netlists, and power-delivery-network grids exported as SPD
 //!   linear-system workloads for the scenario registry.
 //! * [`sim`] — the [`sim::AnalogSimulator`] facade combining all of the
-//!   above; this is what the BlockAMC engine drives.
+//!   above; this is what the BlockAMC engine drives. Each operation
+//!   splits into an input-independent prepare, done once per programmed
+//!   array ([`sim::PreparedInv`] holds the factorised feedback system),
+//!   and a per-input apply.
 //!
 //! # Example
 //!

@@ -42,6 +42,30 @@ pub fn solve_mvm(
     v_in: &[f64],
     gain: GainModel,
 ) -> Result<MvmSolution> {
+    let denominators = row_denominators(g_pos, g_neg, g0, gain)?;
+    if v_in.len() != g_pos.cols() {
+        return Err(CircuitError::ShapeMismatch {
+            op: "mvm input",
+            expected: g_pos.cols(),
+            got: v_in.len(),
+        });
+    }
+    let volts = apply_mvm(&g_pos.sub_matrix(g_neg)?, &denominators, v_in);
+    Ok(MvmSolution { volts })
+}
+
+/// The input-independent half of [`solve_mvm`]: the TIA denominator
+/// `G₀·(1 + (1 + Ŝ_i)/a₀)` of every row.
+///
+/// # Errors
+///
+/// As [`solve_mvm`], minus the input-length check.
+pub(crate) fn row_denominators(
+    g_pos: &Matrix,
+    g_neg: &Matrix,
+    g0: f64,
+    gain: GainModel,
+) -> Result<Vec<f64>> {
     gain.validate()?;
     if !(g0 > 0.0 && g0.is_finite()) {
         return Err(CircuitError::config("g0 must be positive and finite"));
@@ -53,29 +77,33 @@ pub fn solve_mvm(
             got: g_neg.cols(),
         });
     }
-    if v_in.len() != g_pos.cols() {
-        return Err(CircuitError::ShapeMismatch {
-            op: "mvm input",
-            expected: g_pos.cols(),
-            got: v_in.len(),
-        });
-    }
     let inv_a0 = gain.inverse_gain();
-    let m = g_pos.rows();
-    let mut volts = vec![0.0; m];
-    for (i, out) in volts.iter_mut().enumerate() {
-        let rp = g_pos.row(i);
-        let rn = g_neg.row(i);
-        let mut current = 0.0; // Σ_j (g⁺−g⁻)_ij · v_j
-        let mut row_sum = 0.0; // Σ_j (g⁺+g⁻)_ij
-        for ((&gp, &gn), &v) in rp.iter().zip(rn).zip(v_in) {
-            current += (gp - gn) * v;
-            row_sum += gp + gn;
-        }
-        let denom = g0 * (1.0 + (1.0 + row_sum / g0) * inv_a0);
-        *out = -current / denom;
-    }
-    Ok(MvmSolution { volts })
+    Ok((0..g_pos.rows())
+        .map(|i| {
+            let mut row_sum = 0.0; // Σ_j (g⁺+g⁻)_ij
+            for (&gp, &gn) in g_pos.row(i).iter().zip(g_neg.row(i)) {
+                row_sum += gp + gn;
+            }
+            g0 * (1.0 + (1.0 + row_sum / g0) * inv_a0)
+        })
+        .collect())
+}
+
+/// The per-input half of [`solve_mvm`]: `v_out_i = −(Σ_j g_diff_ij·v_j) /
+/// denominator_i` with `g_diff = G⁺ − G⁻`. The caller guarantees
+/// `v_in.len() == g_diff.cols()`.
+pub(crate) fn apply_mvm(g_diff: &Matrix, denominators: &[f64], v_in: &[f64]) -> Vec<f64> {
+    denominators
+        .iter()
+        .enumerate()
+        .map(|(i, &denom)| {
+            let mut current = 0.0; // Σ_j (g⁺−g⁻)_ij · v_j
+            for (&g, &v) in g_diff.row(i).iter().zip(v_in) {
+                current += g * v;
+            }
+            -current / denom
+        })
+        .collect()
 }
 
 #[cfg(test)]

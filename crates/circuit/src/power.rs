@@ -42,17 +42,13 @@ pub fn mvm_power(
             got: v_in.len(),
         });
     }
-    let mut p = 0.0;
-    for i in 0..g_pos.rows() {
-        for (j, &v) in v_in.iter().enumerate() {
-            p += (g_pos[(i, j)] + g_neg[(i, j)]) * v * v;
-        }
-    }
-    for &v in v_out {
-        p += g0 * v * v;
-    }
-    p += g_pos.rows() as f64 * opamp.static_power_w();
-    Ok(p)
+    Ok(operating_point_power(
+        &g_pos.add_matrix(g_neg)?,
+        g0,
+        v_in,
+        v_out,
+        opamp,
+    ))
 }
 
 /// Power of the INV circuit at its operating point.
@@ -81,17 +77,39 @@ pub fn inv_power(
             got: v_in.len(),
         });
     }
+    Ok(operating_point_power(
+        &g_pos.add_matrix(g_neg)?,
+        g0,
+        v_out,
+        v_in,
+        opamp,
+    ))
+}
+
+/// The power sum both circuits share, given the summed conductances
+/// `g_sum = G⁺ + G⁻` (the bit-line voltage magnitude is the same on both
+/// arrays): `Σ_ij g_sum_ij·v_bl_j² + Σ_i G₀·v_g0_i² + rows·P_opamp`.
+///
+/// `v_bit_lines` drives the array columns (the MVM input, the INV output)
+/// and `v_g0` sits across the `G₀` resistors (the MVM output, the INV
+/// input). The caller guarantees `v_bit_lines.len() == g_sum.cols()`.
+pub(crate) fn operating_point_power(
+    g_sum: &Matrix,
+    g0: f64,
+    v_bit_lines: &[f64],
+    v_g0: &[f64],
+    opamp: &OpAmpSpec,
+) -> f64 {
     let mut p = 0.0;
-    for i in 0..g_pos.rows() {
-        for (j, &v) in v_out.iter().enumerate() {
-            p += (g_pos[(i, j)] + g_neg[(i, j)]) * v * v;
+    for i in 0..g_sum.rows() {
+        for (&g, &v) in g_sum.row(i).iter().zip(v_bit_lines) {
+            p += g * v * v;
         }
     }
-    for &v in v_in {
+    for &v in v_g0 {
         p += g0 * v * v;
     }
-    p += g_pos.rows() as f64 * opamp.static_power_w();
-    Ok(p)
+    p + g_sum.rows() as f64 * opamp.static_power_w()
 }
 
 #[cfg(test)]

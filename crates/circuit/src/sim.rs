@@ -17,7 +17,7 @@
 //! (the BlockAMC algorithm exploits those signs, see the paper's Fig. 2).
 
 use amc_device::array::ProgrammedMatrix;
-use amc_linalg::Matrix;
+use amc_linalg::{lu::LuFactor, Matrix};
 
 use crate::interconnect::{series_effective_conductances, InterconnectModel};
 use crate::opamp::{GainModel, OpAmpSpec};
@@ -155,85 +155,266 @@ impl AnalogSimulator {
     }
 
     /// Simulates an MVM operation: returns `−A·x` (mathematically) for the
-    /// matrix `A` represented by `programmed`.
+    /// matrix `A` represented by `programmed`. One-shot form of
+    /// [`AnalogSimulator::prepare_mvm`] + [`PreparedMvm::apply`].
     ///
     /// # Errors
     ///
-    /// Configuration, shape, convergence, and (if enabled) saturation
-    /// errors.
+    /// Shape (checked first), configuration, convergence, and (if
+    /// enabled) saturation errors.
     pub fn mvm(&self, programmed: &ProgrammedMatrix, x: &[f64]) -> Result<CircuitOutput> {
-        self.config.validate()?;
-        let g0 = programmed.g0();
-        let (gp, gn) = self.effective_conductances(programmed)?;
-
-        let volts = match self.config.interconnect {
-            InterconnectModel::ExactGrid { r_segment } => {
-                grid::mvm_exact(programmed, x, r_segment)?.volts
-            }
-            _ => mvm::solve_mvm(&gp, &gn, g0, x, self.config.opamp.gain)?.volts,
-        };
-        if self.config.check_saturation {
-            self.config.opamp.check_saturation(&volts)?;
-        }
-        let power_w = match self.config.interconnect {
-            InterconnectModel::ExactGrid { r_segment } => {
-                let out = grid::mvm_exact(programmed, x, r_segment)?;
-                out.array_power_w + gp.rows() as f64 * self.config.opamp.static_power_w()
-            }
-            _ => power::mvm_power(&gp, &gn, g0, x, &volts, &self.config.opamp)?,
-        };
-        let max_row = gp.add_matrix(&gn)?.norm_inf() / g0;
-        let settle_time_s =
-            timing::mvm_settle_time(max_row, &self.config.opamp, self.config.settle_epsilon)?;
-        let scale = programmed.scale();
-        Ok(CircuitOutput {
-            values: volts.iter().map(|v| v * scale).collect(),
-            volts,
-            power_w,
-            settle_time_s,
-        })
+        check_mvm_input(programmed, x)?;
+        self.prepare_mvm(programmed)?.apply(x)
     }
 
     /// Simulates an INV operation: returns `−A⁻¹·b` (mathematically) for
     /// the matrix `A` represented by `programmed` — i.e. solves `A·x = b`
-    /// in one step, with the AMC minus sign.
+    /// in one step, with the AMC minus sign. One-shot form of
+    /// [`AnalogSimulator::prepare_inv`] + [`PreparedInv::apply`].
     ///
     /// # Errors
     ///
-    /// Configuration, shape, operating-point, and (if enabled) saturation
-    /// errors.
+    /// Shape (checked first), configuration, operating-point, and (if
+    /// enabled) saturation errors.
     pub fn inv(&self, programmed: &ProgrammedMatrix, b: &[f64]) -> Result<CircuitOutput> {
+        check_inv_input(programmed, b)?;
+        self.prepare_inv(programmed)?.apply(b)
+    }
+
+    /// Everything an MVM on `programmed` computes before it sees an
+    /// input: the effective conductances, the per-row TIA denominators
+    /// and the settling time. Costs O(m·n).
+    ///
+    /// # Errors
+    ///
+    /// Configuration and shape errors.
+    pub fn prepare_mvm(&self, programmed: &ProgrammedMatrix) -> Result<PreparedMvm> {
         self.config.validate()?;
         let g0 = programmed.g0();
         let (gp, gn) = self.effective_conductances(programmed)?;
+        let g_sum = gp.add_matrix(&gn)?;
+        let max_row = g_sum.norm_inf() / g0;
+        let kernel = match self.config.interconnect {
+            InterconnectModel::ExactGrid { r_segment } => MvmKernel::Grid {
+                g_pos: gp,
+                g_neg: gn,
+                r_segment,
+            },
+            _ => MvmKernel::Analytic {
+                denominators: mvm::row_denominators(&gp, &gn, g0, self.config.opamp.gain)?,
+                g_diff: gp.sub_matrix(&gn)?,
+                g_sum,
+            },
+        };
+        let settle_time_s =
+            timing::mvm_settle_time(max_row, &self.config.opamp, self.config.settle_epsilon)?;
+        Ok(PreparedMvm {
+            kernel,
+            config: self.config,
+            g0,
+            scale: programmed.scale(),
+            settle_time_s,
+        })
+    }
 
-        let (volts, grid_power) = match self.config.interconnect {
-            InterconnectModel::ExactGrid { r_segment } => {
-                let out = grid::inv_exact(programmed, b, r_segment)?;
-                let p = out.array_power_w;
-                (out.volts, Some(p))
-            }
-            _ => (
-                inv::solve_inv(&gp, &gn, g0, b, self.config.opamp.gain)?.volts,
-                None,
-            ),
-        };
-        if self.config.check_saturation {
-            self.config.opamp.check_saturation(&volts)?;
-        }
-        let power_w = match grid_power {
-            Some(p) => p + gp.rows() as f64 * self.config.opamp.static_power_w(),
-            None => power::inv_power(&gp, &gn, g0, b, &volts, &self.config.opamp)?,
-        };
+    /// Everything an INV on `programmed` computes before it sees an
+    /// input: the effective conductances, the factorised feedback system
+    /// and the settling time. Costs O(n³) (the exact grid adds `2n` grid
+    /// solves); each [`PreparedInv::apply`] then costs O(n²).
+    ///
+    /// # Errors
+    ///
+    /// Configuration and shape errors, and
+    /// [`CircuitError::NoOperatingPoint`] if the feedback system or the
+    /// settling-time estimate finds the array singular.
+    pub fn prepare_inv(&self, programmed: &ProgrammedMatrix) -> Result<PreparedInv> {
+        self.config.validate()?;
+        let g0 = programmed.g0();
+        let (gp, gn) = self.effective_conductances(programmed)?;
         let g_hat = gp.sub_matrix(&gn)?.scaled(1.0 / g0);
+        let kernel = match self.config.interconnect {
+            InterconnectModel::ExactGrid { r_segment } => {
+                InvKernel::Grid(grid::ExactInvSystem::new(gp, gn, r_segment)?)
+            }
+            _ => InvKernel::Analytic {
+                system: inv::inv_system(&gp, &gn, g0, self.config.opamp.gain)?,
+                g_sum: gp.add_matrix(&gn)?,
+            },
+        };
+        // The settling estimate runs after the feedback system so that a
+        // singular array reports the feedback system's error, not the
+        // eigen-estimate's.
         let settle_time_s =
             timing::inv_settle_time(&g_hat, &self.config.opamp, self.config.settle_epsilon)?;
-        let scale = programmed.scale();
+        Ok(PreparedInv {
+            kernel,
+            config: self.config,
+            g0,
+            scale: programmed.scale(),
+            settle_time_s,
+        })
+    }
+}
+
+/// Rejects an MVM input whose length is not `programmed`'s column count
+/// — the check [`PreparedMvm::apply`] makes, available before preparing.
+///
+/// # Errors
+///
+/// [`CircuitError::ShapeMismatch`].
+pub fn check_mvm_input(programmed: &ProgrammedMatrix, x: &[f64]) -> Result<()> {
+    check_len("mvm input", programmed.shape().1, x.len())
+}
+
+/// Rejects an INV input whose length is not `programmed`'s row count —
+/// the check [`PreparedInv::apply`] makes, available before preparing.
+///
+/// # Errors
+///
+/// [`CircuitError::ShapeMismatch`].
+pub fn check_inv_input(programmed: &ProgrammedMatrix, b: &[f64]) -> Result<()> {
+    check_len("inv input", programmed.shape().0, b.len())
+}
+
+fn check_len(op: &'static str, expected: usize, got: usize) -> Result<()> {
+    if got != expected {
+        return Err(CircuitError::ShapeMismatch { op, expected, got });
+    }
+    Ok(())
+}
+
+#[derive(Debug, Clone)]
+enum MvmKernel {
+    /// Ideal or series-approximated wires: the closed-form TIA outputs.
+    Analytic {
+        g_diff: Matrix,
+        g_sum: Matrix,
+        denominators: Vec<f64>,
+    },
+    /// Exact resistive grid: two grid solves per input.
+    Grid {
+        g_pos: Matrix,
+        g_neg: Matrix,
+        r_segment: f64,
+    },
+}
+
+/// The input-independent state of MVM operations on one programmed array,
+/// built by [`AnalogSimulator::prepare_mvm`]. [`PreparedMvm::apply`]
+/// returns the same [`CircuitOutput`], bit for bit, as
+/// [`AnalogSimulator::mvm`].
+#[derive(Debug, Clone)]
+pub struct PreparedMvm {
+    kernel: MvmKernel,
+    config: SimConfig,
+    g0: f64,
+    scale: f64,
+    settle_time_s: f64,
+}
+
+impl PreparedMvm {
+    /// The simulator configuration this state was prepared under.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Simulates the MVM for input `x`.
+    ///
+    /// # Errors
+    ///
+    /// Shape, grid-convergence, and (if enabled) saturation errors.
+    pub fn apply(&self, x: &[f64]) -> Result<CircuitOutput> {
+        let opamp = &self.config.opamp;
+        let (volts, power_w) = match &self.kernel {
+            MvmKernel::Analytic {
+                g_diff,
+                g_sum,
+                denominators,
+            } => {
+                check_len("mvm input", g_diff.cols(), x.len())?;
+                let volts = mvm::apply_mvm(g_diff, denominators, x);
+                let power_w = power::operating_point_power(g_sum, self.g0, x, &volts, opamp);
+                (volts, power_w)
+            }
+            MvmKernel::Grid {
+                g_pos,
+                g_neg,
+                r_segment,
+            } => {
+                let out = grid::mvm_exact_conductances(g_pos, g_neg, self.g0, x, *r_segment)?;
+                let power_w = out.array_power_w + g_pos.rows() as f64 * opamp.static_power_w();
+                (out.volts, power_w)
+            }
+        };
+        if self.config.check_saturation {
+            opamp.check_saturation(&volts)?;
+        }
         Ok(CircuitOutput {
-            values: volts.iter().map(|v| v / scale).collect(),
+            values: volts.iter().map(|v| v * self.scale).collect(),
             volts,
             power_w,
-            settle_time_s,
+            settle_time_s: self.settle_time_s,
+        })
+    }
+}
+
+#[derive(Debug, Clone)]
+enum InvKernel {
+    /// Ideal or series-approximated wires: the factorised `Ĝ + D̂/a₀` and
+    /// `G⁺ + G⁻` for the power sum.
+    Analytic { system: LuFactor, g_sum: Matrix },
+    /// Exact resistive grid: the factorised current-balance matrix.
+    Grid(grid::ExactInvSystem),
+}
+
+/// The input-independent state of INV operations on one programmed array,
+/// built by [`AnalogSimulator::prepare_inv`]. [`PreparedInv::apply`]
+/// returns the same [`CircuitOutput`], bit for bit, as
+/// [`AnalogSimulator::inv`].
+#[derive(Debug, Clone)]
+pub struct PreparedInv {
+    kernel: InvKernel,
+    config: SimConfig,
+    g0: f64,
+    scale: f64,
+    settle_time_s: f64,
+}
+
+impl PreparedInv {
+    /// The simulator configuration this state was prepared under.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Simulates the INV for input `b`.
+    ///
+    /// # Errors
+    ///
+    /// Shape, grid-convergence, and (if enabled) saturation errors.
+    pub fn apply(&self, b: &[f64]) -> Result<CircuitOutput> {
+        let opamp = &self.config.opamp;
+        let (volts, power_w) = match &self.kernel {
+            InvKernel::Analytic { system, g_sum } => {
+                check_len("inv input", system.dim(), b.len())?;
+                let rhs: Vec<f64> = b.iter().map(|&v| -v).collect();
+                let volts = system.solve(&rhs)?;
+                let power_w = power::operating_point_power(g_sum, self.g0, &volts, b, opamp);
+                (volts, power_w)
+            }
+            InvKernel::Grid(system) => {
+                let out = system.solve(self.g0, b)?;
+                let rows = out.volts.len() as f64;
+                (out.volts, out.array_power_w + rows * opamp.static_power_w())
+            }
+        };
+        if self.config.check_saturation {
+            opamp.check_saturation(&volts)?;
+        }
+        Ok(CircuitOutput {
+            values: volts.iter().map(|v| v / self.scale).collect(),
+            volts,
+            power_w,
+            settle_time_s: self.settle_time_s,
         })
     }
 }

@@ -2,7 +2,10 @@
 
 use std::any::Any;
 
-use amc_circuit::sim::{AnalogSimulator, SimConfig};
+use amc_circuit::sim::{
+    check_inv_input, check_mvm_input, AnalogSimulator, CircuitOutput, PreparedInv, PreparedMvm,
+    SimConfig,
+};
 use amc_device::array::ProgrammedMatrix;
 use amc_device::mapping::MappingConfig;
 use amc_device::variation::VariationModel;
@@ -14,10 +17,40 @@ use super::{AmcEngine, EngineStats, Operand, OperandState};
 use crate::Result;
 
 /// Operand state of [`CircuitEngine`]: a conductance-programmed
-/// crossbar pair.
+/// crossbar pair, with its INV and MVM circuit state prepared on the
+/// first operation of each kind and cached from then on (the array is
+/// programmed once and serves every later input). Clones carry the
+/// caches along; an engine with a different simulator configuration
+/// prepares afresh.
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitOperand {
-    pub(crate) programmed: ProgrammedMatrix,
+    programmed: ProgrammedMatrix,
+    inv: Option<PreparedInv>,
+    mvm: Option<PreparedMvm>,
+}
+
+impl CircuitOperand {
+    fn inv(&mut self, sim: &AnalogSimulator, b: &[f64]) -> Result<CircuitOutput> {
+        let prepared = match &mut self.inv {
+            Some(prepared) if prepared.config() == sim.config() => prepared,
+            slot => {
+                check_inv_input(&self.programmed, b)?;
+                slot.insert(sim.prepare_inv(&self.programmed)?)
+            }
+        };
+        Ok(prepared.apply(b)?)
+    }
+
+    fn mvm(&mut self, sim: &AnalogSimulator, x: &[f64]) -> Result<CircuitOutput> {
+        let prepared = match &mut self.mvm {
+            Some(prepared) if prepared.config() == sim.config() => prepared,
+            slot => {
+                check_mvm_input(&self.programmed, x)?;
+                slot.insert(sim.prepare_mvm(&self.programmed)?)
+            }
+        };
+        Ok(prepared.apply(x)?)
+    }
 }
 
 impl OperandState for CircuitOperand {
@@ -171,12 +204,16 @@ impl AmcEngine for CircuitEngine {
             &mut self.rng,
         )?;
         self.stats.count_program();
-        Ok(Operand::new(CircuitOperand { programmed }))
+        Ok(Operand::new(CircuitOperand {
+            programmed,
+            inv: None,
+            mvm: None,
+        }))
     }
 
     fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> Result<Vec<f64>> {
         let state = operand.expect_state_mut::<CircuitOperand>("circuit")?;
-        let out = self.sim.inv(&state.programmed, b)?;
+        let out = state.inv(&self.sim, b)?;
         self.stats.count_inv();
         self.stats.analog_time_s += out.settle_time_s;
         self.stats.analog_energy_j += out.settle_time_s * out.power_w;
@@ -185,7 +222,7 @@ impl AmcEngine for CircuitEngine {
 
     fn mvm(&mut self, operand: &mut Operand, x: &[f64]) -> Result<Vec<f64>> {
         let state = operand.expect_state_mut::<CircuitOperand>("circuit")?;
-        let out = self.sim.mvm(&state.programmed, x)?;
+        let out = state.mvm(&self.sim, x)?;
         self.stats.count_mvm();
         self.stats.analog_time_s += out.settle_time_s;
         self.stats.analog_energy_j += out.settle_time_s * out.power_w;

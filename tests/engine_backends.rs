@@ -13,8 +13,17 @@
 //! * The multi-RHS block methods match per-column `inv_into`/`mvm_into`
 //!   bit for bit on every backend, count one op per column, and a
 //!   registry-built `Box<dyn AmcEngine>` reaches a backend's override.
+//! * A circuit operand prepares its INV/MVM circuit state once and
+//!   reuses it: repeated calls, clones taken before or after the first
+//!   call, and the one-shot `AnalogSimulator` agree bit for bit; a failed
+//!   prepare is never cached; input-shape errors come before prepare
+//!   errors.
 
+use amc_circuit::interconnect::InterconnectModel;
 use amc_circuit::opamp::OpAmpSpec;
+use amc_circuit::sim::{AnalogSimulator, CircuitOutput};
+use amc_circuit::CircuitError;
+use amc_device::array::ProgrammedMatrix;
 use amc_linalg::{generate, lu, metrics, Matrix};
 use blockamc::batch;
 use blockamc::engine::{
@@ -402,4 +411,159 @@ fn registry_built_engines_reach_the_block_overrides() {
     block_calls.store(0, Ordering::Relaxed);
     assert_eq!(replica.solve_batch_parallel(&batch, 2).unwrap(), solutions);
     assert!(block_calls.load(Ordering::Relaxed) > 0);
+}
+
+/// The circuit configurations the cache must be invisible under, each
+/// with an array size it runs at (the exact grid is small-array only).
+fn circuit_configs() -> Vec<(&'static str, CircuitEngineConfig, usize)> {
+    let mut exact_grid = CircuitEngineConfig::ideal();
+    exact_grid.sim.interconnect = InterconnectModel::ExactGrid { r_segment: 1.0 };
+    vec![
+        ("ideal", CircuitEngineConfig::ideal(), 10),
+        ("ideal_mapping", CircuitEngineConfig::ideal_mapping(), 10),
+        (
+            "paper_variation",
+            CircuitEngineConfig::paper_variation(),
+            10,
+        ),
+        ("paper_full", CircuitEngineConfig::paper_full(), 10),
+        ("exact_grid", exact_grid, 4),
+    ]
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn circuit_operands_reuse_prepared_state_bit_for_bit() {
+    for (label, config, n) in circuit_configs() {
+        let (a, _) = spd_workload(n, 31);
+        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        let inputs: Vec<Vec<f64>> = (0..3)
+            .map(|_| generate::random_vector(n, &mut rng))
+            .collect();
+        // The engine's first program() draws from a ChaCha8 stream seeded
+        // with the engine seed; the same draw feeds the one-shot simulator.
+        let seed = 5;
+        let programmed = ProgrammedMatrix::program(
+            &a,
+            &config.mapping,
+            &config.variation,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        )
+        .unwrap();
+        let sim = AnalogSimulator::new(config.sim);
+        let mut engine = CircuitEngine::new(config, seed);
+        let mut op = engine.program(&a).unwrap();
+
+        let (mut time, mut energy) = (0.0, 0.0);
+        let mut account = |out: &CircuitOutput| {
+            time += out.settle_time_s;
+            energy += out.settle_time_s * out.power_w;
+        };
+        // Interleave INV and MVM, and revisit the first input at the end.
+        for input in inputs.iter().chain(&inputs[..1]) {
+            let want = sim.inv(&programmed, input).unwrap();
+            account(&want);
+            let got = engine.inv(&mut op, input).unwrap();
+            assert_eq!(bits(&got), bits(&want.values), "{label}: inv");
+            let want = sim.mvm(&programmed, input).unwrap();
+            account(&want);
+            let got = engine.mvm(&mut op, input).unwrap();
+            assert_eq!(bits(&got), bits(&want.values), "{label}: mvm");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.inv_ops, stats.mvm_ops), (4, 4), "{label}");
+        assert_eq!(stats.analog_time_s.to_bits(), time.to_bits(), "{label}");
+        assert_eq!(stats.analog_energy_j.to_bits(), energy.to_bits(), "{label}");
+    }
+}
+
+#[test]
+fn circuit_operand_clones_share_results_before_and_after_first_use() {
+    for (label, config, n) in circuit_configs() {
+        let (a, b) = spd_workload(n, 41);
+        let mut engine = CircuitEngine::new(config, 6);
+        let mut op = engine.program(&a).unwrap();
+        let mut cold = op.clone();
+        let first_inv = engine.inv(&mut op, &b).unwrap();
+        let first_mvm = engine.mvm(&mut op, &b).unwrap();
+        let mut warm = op.clone();
+        for clone in [&mut cold, &mut warm] {
+            assert_eq!(
+                bits(&engine.inv(clone, &b).unwrap()),
+                bits(&first_inv),
+                "{label}: inv"
+            );
+            assert_eq!(
+                bits(&engine.mvm(clone, &b).unwrap()),
+                bits(&first_mvm),
+                "{label}: mvm"
+            );
+        }
+    }
+}
+
+#[test]
+fn circuit_operand_reprepares_under_another_simulator_config() {
+    let (a, b) = spd_workload(8, 51);
+    let mut programmer = CircuitEngine::new(CircuitEngineConfig::ideal(), 8);
+    let mut op = programmer.program(&a).unwrap();
+    programmer.inv(&mut op, &b).unwrap();
+    programmer.mvm(&mut op, &b).unwrap();
+    let mut finite = CircuitEngineConfig::ideal();
+    finite.sim = CircuitEngineConfig::ideal_mapping().sim;
+    let mut other = CircuitEngine::new(finite, 8);
+    let mut fresh = other.program(&a).unwrap(); // same seed: same draw
+    assert_eq!(
+        bits(&other.inv(&mut op, &b).unwrap()),
+        bits(&other.inv(&mut fresh, &b).unwrap())
+    );
+    assert_eq!(
+        bits(&other.mvm(&mut op, &b).unwrap()),
+        bits(&other.mvm(&mut fresh, &b).unwrap())
+    );
+}
+
+#[test]
+fn failed_circuit_prepare_is_not_cached_and_shape_errors_come_first() {
+    let singular = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
+    let mut engine = CircuitEngine::new(CircuitEngineConfig::ideal(), 7);
+    let mut op = engine.program(&singular).unwrap();
+    for attempt in ["first", "second"] {
+        assert!(
+            matches!(
+                engine.inv(&mut op, &[0.1, 0.2]),
+                Err(BlockAmcError::Circuit(
+                    CircuitError::NoOperatingPoint { .. }
+                ))
+            ),
+            "{attempt} INV on a singular array"
+        );
+    }
+    // A wrong-length input is a shape error even though preparing this
+    // operand would fail, and on a healthy operand after its first use.
+    let shape_error = |r: blockamc::Result<Vec<f64>>| {
+        matches!(
+            r,
+            Err(BlockAmcError::Circuit(CircuitError::ShapeMismatch {
+                expected: 2,
+                got: 3,
+                ..
+            }))
+        )
+    };
+    assert!(shape_error(engine.inv(&mut op, &[0.1; 3])));
+    let mut healthy = engine
+        .program(&Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.5]]).unwrap())
+        .unwrap();
+    for _ in 0..2 {
+        assert!(shape_error(engine.inv(&mut healthy, &[0.1; 3])));
+        assert!(shape_error(engine.mvm(&mut healthy, &[0.1; 3])));
+        engine.inv(&mut healthy, &[0.1, 0.2]).unwrap();
+        engine.mvm(&mut healthy, &[0.1, 0.2]).unwrap();
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.inv_ops, stats.mvm_ops), (2, 2));
 }
