@@ -1634,28 +1634,18 @@ fn fig8(opts: &RunOpts) {
     let x_ref = lu::solve(&a, &b).expect("reference solve");
 
     println!("(a,b) inner second-stage INV traces, {n}x{n} Wishart:");
-    let mut engine = CircuitEngine::new(config, 3);
-    match blockamc::two_stage::prepare(&mut engine, &a) {
-        Ok(mut prep) => {
-            match blockamc::two_stage::solve(
-                &mut engine,
-                &mut prep,
-                &b,
-                &blockamc::converter::IoConfig::ideal(),
-            ) {
-                Ok(sol) => {
-                    for (block, trace) in &sol.inner_traces {
-                        println!("    inner macro {block}: {} steps executed", trace.len());
-                    }
-                    println!(
-                        "\n(c) final two-stage solution rel. error: {:.3e}",
-                        metrics::relative_error(&x_ref, &sol.x)
-                    );
-                }
-                Err(e) => println!("    two-stage solve failed: {e}"),
+    let mut solver = BlockAmcSolver::new(CircuitEngine::new(config, 3), Stages::Two);
+    match solver.solve(&a, &b) {
+        Ok(r) => {
+            for (block, trace) in &r.inner_traces {
+                println!("    inner macro {block}: {} steps executed", trace.len());
             }
+            println!(
+                "\n(c) final two-stage solution rel. error: {:.3e}",
+                metrics::relative_error(&x_ref, &r.x)
+            );
         }
-        Err(e) => println!("    two-stage prepare failed: {e}"),
+        Err(e) => println!("    two-stage solve failed: {e}"),
     }
 
     let solvers = presets::original_vs_two_stage(config);

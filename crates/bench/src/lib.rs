@@ -255,31 +255,30 @@ pub mod presets {
     }
 }
 
-/// Per-step trace comparison for Fig. 6(a) / Fig. 8(a,b): runs the
-/// one-stage algorithm with a numeric engine and an analog engine on the
-/// same workload and reports the per-step relative error.
+/// Per-step trace comparison for Fig. 6(a): runs the one-stage solver
+/// with a numeric engine and an analog engine on the same workload and
+/// reports the per-step relative error.
 pub fn step_trace_comparison(
     a: &Matrix,
     b: &[f64],
     config: CircuitEngineConfig,
     seed: u64,
 ) -> blockamc::Result<Vec<(String, f64)>> {
-    use blockamc::converter::IoConfig;
-    use blockamc::engine::NumericEngine;
-    use blockamc::one_stage;
+    use blockamc::engine::{AmcEngine, NumericEngine};
 
-    let mut num = NumericEngine::new();
-    let mut num_prep = one_stage::prepare_matrix(&mut num, a)?;
-    let num_sol = one_stage::solve(&mut num, &mut num_prep, b, &IoConfig::ideal())?;
-
-    let mut cir = CircuitEngine::new(config, seed);
-    let mut cir_prep = one_stage::prepare_matrix(&mut cir, a)?;
-    let cir_sol = one_stage::solve(&mut cir, &mut cir_prep, b, &IoConfig::ideal())?;
-
-    Ok(num_sol
-        .trace
+    fn trace<E: AmcEngine>(
+        engine: E,
+        a: &Matrix,
+        b: &[f64],
+    ) -> blockamc::Result<Vec<blockamc::solver::StepRecord>> {
+        let report = BlockAmcSolver::new(engine, Stages::One).solve(a, b)?;
+        Ok(report.trace.unwrap_or_default())
+    }
+    let num = trace(NumericEngine::new(), a, b)?;
+    let cir = trace(CircuitEngine::new(config, seed), a, b)?;
+    Ok(num
         .iter()
-        .zip(&cir_sol.trace)
+        .zip(&cir)
         .map(|(nrec, crec)| {
             (
                 nrec.step.to_string(),

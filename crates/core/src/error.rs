@@ -45,6 +45,18 @@ pub enum BlockAmcError {
         /// right-hand side `r` is `r·n + i`.
         index: usize,
     },
+    /// The leading block `A1` of a partition has no LU factorisation, so
+    /// the Schur complement at this split does not exist. The matrix
+    /// being partitioned may still be nonsingular: a permutation or a
+    /// saddle-point system can have a singular leading block.
+    SingularLeadingBlock {
+        /// Size of the partitioned block.
+        n: usize,
+        /// The split index: `A1` is `split×split`.
+        split: usize,
+        /// Pivot of `A1` at which the factorisation broke down.
+        pivot: usize,
+    },
     /// An underlying linear-algebra operation failed.
     Linalg(amc_linalg::LinalgError),
     /// An underlying device-model operation failed.
@@ -102,6 +114,12 @@ impl fmt::Display for BlockAmcError {
             BlockAmcError::NonFinite { which, index } => {
                 write!(f, "non-finite value in {which} at index {index}")
             }
+            BlockAmcError::SingularLeadingBlock { n, split, pivot } => write!(
+                f,
+                "leading block A1 ({split}x{split}) of the {n}x{n} block split at \
+                 {split} has no LU factorisation (zero pivot at index {pivot}); \
+                 the Schur complement needs another split"
+            ),
             BlockAmcError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             BlockAmcError::Device(e) => write!(f, "device error: {e}"),
             BlockAmcError::Circuit(e) => write!(f, "circuit error: {e}"),

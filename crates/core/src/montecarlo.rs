@@ -7,15 +7,15 @@
 //! analysis for any facade [`SolverConfig`] — architecture, per-level
 //! signal plan, and split rule included.
 //!
-//! All configurations execute on the unified recursive cascade core
-//! ([`crate::multi_stage`]), so yield differences measured here isolate
-//! array count, size, and signal path — not implementation drift.
+//! Every trial runs through the [`crate::solver`] facade and therefore
+//! the one recursive cascade core ([`crate::multi_stage`]), so yield
+//! differences measured here isolate array count, size, and signal
+//! path — not implementation drift.
 
 use amc_linalg::{lu, metrics, Matrix};
 
 use crate::engine::EngineSpec;
-use crate::multi_stage;
-use crate::solver::{SolverConfig, Stages};
+use crate::solver::{BlockAmcSolver, SolverConfig, Stages};
 use crate::{BlockAmcError, Result};
 
 /// Result of a yield run.
@@ -57,10 +57,10 @@ impl YieldReport {
 /// nothing, so their "yield" is simply whether the deterministic error
 /// meets the spec.)
 ///
-/// Configuration validation, the reference solution, and partition
-/// planning are hoisted out of the trial loop: each trial pays only for
-/// what a new manufactured part pays for — programming its arrays and
-/// running the cascade.
+/// Configuration validation and the reference solution are hoisted out
+/// of the trial loop: each trial pays for what a new manufactured part
+/// pays for — partitioning, programming its arrays and running the
+/// cascade.
 ///
 /// # Errors
 ///
@@ -132,24 +132,17 @@ pub fn yield_analysis_parallel(
     // instead of letting every trial swallow it into a 0% yield.
     drop(engine.build(engine_seed)?);
     let x_ref = lu::solve(a, b)?;
-    // Hoisted per-run state: the partition plan and signal plan are
-    // trial-invariant; only array programming and the cascade run per
-    // trial.
-    let plan = solver.partition_plan();
-    let signal = solver.signal_plan();
+    // Trials only need the solution, so trace capture is off.
+    let config = SolverConfig::builder()
+        .stages(solver.stages())
+        .signal_plan(solver.signal_plan().clone())
+        .split_rule(solver.split_rule())
+        .capture_trace(false)
+        .finish()?;
     let run_trial = |t: usize| -> Option<f64> {
-        let mut engine = engine.build(engine_seed.wrapping_add(t as u64)).ok()?;
-        let mut tree = multi_stage::prepare_plan(&mut engine, a, &plan).ok()?;
-        let (x, _) = multi_stage::solve_with_signal(
-            &mut engine,
-            &mut tree,
-            b,
-            1,
-            signal,
-            false,
-            &mut amc_obs::Recorder::disabled(),
-        )
-        .ok()?;
+        let engine = engine.build(engine_seed.wrapping_add(t as u64)).ok()?;
+        let mut part = BlockAmcSolver::from_config(engine, config.clone());
+        let x = part.prepare(a).ok()?.solve(b).ok()?.x;
         let err = metrics::relative_error(&x_ref, &x);
         err.is_finite().then_some(err)
     };

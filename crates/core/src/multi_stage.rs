@@ -5,19 +5,17 @@
 //! matrices that can be accommodated in memory arrays", and Fig. 8(d)
 //! supports "the scalability of this method towards larger scale INV
 //! problems through deeper partitioning". This module implements that
-//! generalization — and, since the one-stage and two-stage solvers are
-//! just depth-1 and depth-2 instances of the same five-step cascade,
-//! it also hosts the one implementation of that cascade
-//! (`run_cascade`, crate-internal) that [`crate::one_stage`] and
-//! [`crate::two_stage`] delegate to.
+//! generalization. The one-stage and two-stage solvers are its depth-1
+//! and depth-2 instances, so it also hosts the one implementation of
+//! the five-step cascade (`run_cascade`, crate-internal). Every solve
+//! reaches it through the [`crate::solver`] facade.
 //!
 //! The cascade is written once over two small traits:
 //!
 //! * `InvExec` — "something that can run a (signed) INV": a programmed
-//!   array ([`Operand`]), a prepared one-stage macro, or a deeper
-//!   partition-tree node;
+//!   array ([`Operand`]) or a partition-tree node;
 //! * `MvmExec` — "something that can run a (signed) MVM": a whole
-//!   array or a quadrant-tiled one ([`crate::two_stage::TiledMvm`]).
+//!   array or a quadrant-tiled one.
 //!
 //! What distinguishes the solvers is only their *signal path*, captured
 //! per cascade level by [`LevelIo`] and assembled into a per-level
@@ -25,9 +23,9 @@
 //!
 //! | Policy  | Entry   | Between steps        | Exit   | Used by |
 //! |---------|---------|----------------------|--------|---------|
-//! | `Macro` | DAC     | S&H cascades         | ADC    | [`crate::one_stage`] (and the inner macros of two-stage) |
-//! | `Bus`   | DAC     | ADC→DAC bus hops     | ADC    | [`crate::two_stage`] first stage |
-//! | `Pure`  | —       | — (ideal analog)     | —      | this module's tree recursion (default) |
+//! | `Macro` | DAC     | S&H cascades         | ADC    | the root of `Stages::One`, and the deepest level of `Stages::Two` / `Stages::Multi` |
+//! | `Bus`   | DAC     | ADC→DAC bus hops     | ADC    | the levels above it in `Stages::Two` / `Stages::Multi` |
+//! | `Pure`  | —       | — (ideal analog)     | —      | levels past the end of a plan, and [`SignalPlan::pure`] |
 //!
 //! MVM blocks are executed directly on engine arrays at their natural
 //! block size by default (forward partitioning of MVM is routine —
@@ -40,7 +38,6 @@ use amc_obs::Recorder;
 
 use crate::converter::IoConfig;
 use crate::engine::{AmcEngine, Operand};
-use crate::one_stage::{StepId, StepRecord};
 use crate::partition::BlockPartition;
 use crate::split_search::{self, SplitSearchOptions};
 use crate::{BlockAmcError, Result};
@@ -229,6 +226,46 @@ impl<'a> SignalPath<'a> {
     }
 }
 
+/// Identifies one of the five algorithm steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StepId {
+    /// Step 1: INV with `A1` and `f`.
+    Inv1,
+    /// Step 2: MVM with `A3`.
+    Mvm2,
+    /// Step 3: INV with `A4s`.
+    Inv3,
+    /// Step 4: MVM with `A2`.
+    Mvm4,
+    /// Step 5: INV with `A1` again.
+    Inv5,
+}
+
+impl std::fmt::Display for StepId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            StepId::Inv1 => "step 1 (INV A1)",
+            StepId::Mvm2 => "step 2 (MVM A3)",
+            StepId::Inv3 => "step 3 (INV A4s)",
+            StepId::Mvm4 => "step 4 (MVM A2)",
+            StepId::Inv5 => "step 5 (INV A1)",
+        };
+        f.write_str(s)
+    }
+}
+
+/// Input/output record of one executed step (Fig. 6(a) plots exactly
+/// these signals against their numerical references).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepRecord {
+    /// Which step this record describes.
+    pub step: StepId,
+    /// The analog input vector fed to the array.
+    pub input: Vec<f64>,
+    /// The analog output vector produced.
+    pub output: Vec<f64>,
+}
+
 /// Trace sink threaded through a cascade.
 ///
 /// `steps` collects the five [`StepRecord`]s of a `Macro`-policy
@@ -285,9 +322,8 @@ impl TraceLog {
 /// `c` at `[i*k + c]`, the engine block layout of
 /// [`AmcEngine::inv_block_into`]); a single solve is `k = 1`.
 ///
-/// Implemented by [`Operand`] (a single array), by
-/// [`crate::one_stage::PreparedOneStage`] (a whole macro), and by
-/// [`Node`] (a partition subtree).
+/// Implemented by [`Operand`] (a single array) and by [`Node`] (a
+/// partition subtree).
 pub(crate) trait InvExec<E: AmcEngine + ?Sized> {
     #[allow(clippy::too_many_arguments)] // block + signal path + signal log + span recorder
     fn inv_signed(
@@ -305,8 +341,7 @@ pub(crate) trait InvExec<E: AmcEngine + ?Sized> {
 /// An executor of a signed MVM: computes `−M·x` for a block of `k`
 /// right-hand sides (same layout as [`InvExec`]), writing it into `out`.
 ///
-/// Implemented by [`Operand`], [`MvmBlock`] and
-/// [`crate::two_stage::TiledMvm`] (one [`QuadMvm`] level).
+/// Implemented by [`Operand`] and [`MvmBlock`].
 pub(crate) trait MvmExec<E: AmcEngine + ?Sized> {
     fn mvm_signed(&mut self, engine: &mut E, x: &[f64], k: usize, out: &mut Vec<f64>)
         -> Result<()>;
@@ -537,9 +572,8 @@ pub(crate) enum MvmBlock {
 
 /// A quadrant decomposition of an MVM block whose tiles recurse while
 /// tiling levels remain, so that a depth-`d` paper layout shrinks MVM
-/// arrays to the same size as its INV leaves. One level of it is
-/// [`crate::two_stage::TiledMvm`], which is what makes the two-stage
-/// wrapper bit-equivalent to `PartitionPlan::paper(2)`.
+/// arrays to the same size as its INV leaves; `PartitionPlan::paper(2)`
+/// tiles one level, the two-stage solver's array inventory.
 #[derive(Debug, Clone)]
 pub(crate) struct QuadMvm {
     rows: usize,
@@ -617,11 +651,6 @@ impl QuadMvm {
             }
         }
         Ok(())
-    }
-
-    /// Number of programmed (non-zero) top-level tiles.
-    pub(crate) fn tile_count(&self) -> usize {
-        self.tiles.iter().flatten().count()
     }
 
     fn max_tile_dim(&self) -> usize {
@@ -740,7 +769,7 @@ pub enum SplitRule {
 
 impl PartitionPlan {
     /// Natural-size MVM blocks and midpoint splits at the given depth —
-    /// the layout the plain [`prepare`] entry point uses.
+    /// the layout of `Stages::One` and `Stages::Multi`.
     pub fn depth(depth: usize) -> Self {
         PartitionPlan {
             depth,
@@ -767,29 +796,25 @@ impl PartitionPlan {
     }
 }
 
-/// A matrix prepared for multi-stage BlockAMC solving.
+/// A matrix prepared for multi-stage BlockAMC solving: the programmed
+/// partition tree behind every prepared facade solver.
 #[derive(Debug, Clone)]
-pub struct PreparedMultiStage {
+pub(crate) struct PreparedMultiStage {
     root: Node,
     n: usize,
-    plan: PartitionPlan,
+    depth: usize,
 }
 
 impl PreparedMultiStage {
     /// Problem size `n`.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.n
     }
 
     /// Partitioning depth (0 = single array, 1 = one-stage, 2 = two-stage
     /// INV recursion, …).
-    pub fn depth(&self) -> usize {
-        self.plan.depth
-    }
-
-    /// The plan this tree was built with.
-    pub fn plan(&self) -> PartitionPlan {
-        self.plan
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
     }
 
     /// Visits every programmed operand in **canonical program order** —
@@ -890,7 +915,7 @@ impl PreparedMultiStage {
     }
 
     /// Largest array (leaf or MVM-tile) size in the tree.
-    pub fn max_leaf_size(&self) -> usize {
+    pub(crate) fn max_leaf_size(&self) -> usize {
         fn walk(node: &Node) -> usize {
             match node {
                 Node::Leaf(op) => op.shape().0.max(op.shape().1),
@@ -955,9 +980,9 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     let span = rec.enter("prepare.schur");
     let a4s = p.schur_complement()?;
     rec.exit_with(span, &[("n", a4s.rows() as f64)]);
-    // Programming order mirrors one_stage::prepare (A1, A2, A3, A4s) so
-    // a depth-1 tree consumes the engine's variation stream identically
-    // to the one-stage macro — see tests/solver_equivalence.rs.
+    // Canonical programming order (A1, A2, A3, A4s): the order in which
+    // the engine's variation stream is consumed, which
+    // tests/cascade_golden.rs pins for the one- and two-stage layouts.
     let a1 = prepare_node(engine, &p.a1, depth - 1, plan, rec)?;
     // In the paper layout, MVM blocks tile down to the same size as the
     // INV leaves below them: one quadrant level per remaining INV split
@@ -978,31 +1003,18 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     })
 }
 
-/// Partitions `a` according to `plan` and programs all arrays.
+/// Partitions `a` according to `plan` and programs all arrays, with
+/// per-level partition / Schur / program-arrays spans recorded on `rec`
+/// (pass [`Recorder::disabled`] for the zero-cost no-op).
+///
+/// Instrumentation is strictly read-only: the prepared tree does not
+/// depend on the recorder.
 ///
 /// # Errors
 ///
 /// Partitioning, Schur, and programming failures. `plan.depth` may
 /// exceed `log2(n)`; recursion stops early at 1×1 blocks.
-pub fn prepare_plan<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-) -> Result<PreparedMultiStage> {
-    prepare_plan_recorded(engine, a, plan, &mut Recorder::disabled())
-}
-
-/// [`prepare_plan`] with span tracing: per-level partition / Schur /
-/// program-arrays spans are recorded on `rec` (pass
-/// [`Recorder::disabled`] for the zero-cost no-op).
-///
-/// Instrumentation is strictly read-only: the prepared tree is
-/// bit-identical to [`prepare_plan`]'s regardless of the recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
+pub(crate) fn prepare_plan<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
     plan: &PartitionPlan,
@@ -1024,22 +1036,8 @@ pub fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
     Ok(PreparedMultiStage {
         n: a.rows(),
         root,
-        plan: *plan,
+        depth: plan.depth,
     })
-}
-
-/// Partitions `a` recursively to `depth` and programs all leaves
-/// (midpoint splits, natural-size MVM blocks).
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    depth: usize,
-) -> Result<PreparedMultiStage> {
-    prepare_plan(engine, a, &PartitionPlan::depth(depth))
 }
 
 // ---------------------------------------------------------------------
@@ -1215,28 +1213,15 @@ fn program_tree<E: AmcEngine + ?Sized>(
 /// order. The parallel win comes from the O(n³) Schur complements at
 /// each level, which dominate prepare for depth ≥ 3 trees.
 ///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_workers<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-    workers: usize,
-) -> Result<PreparedMultiStage> {
-    prepare_plan_workers_recorded(engine, a, plan, workers, &mut Recorder::disabled())
-}
-
-/// [`prepare_plan_workers`] with span tracing: one coarse
-/// `prepare.plan` span over the sharded partition/Schur phase (the
-/// recorder is single-threaded, so per-node spans are not recorded
-/// inside the worker pool) and per-node `prepare.program` spans over
-/// the serial programming phase.
+/// Spans: one coarse `prepare.plan` span over the sharded
+/// partition/Schur phase (the recorder is single-threaded, so per-node
+/// spans are not recorded inside the worker pool) and per-node
+/// `prepare.program` spans over the serial programming phase.
 ///
 /// # Errors
 ///
 /// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_workers_recorded<E: AmcEngine + ?Sized>(
+pub(crate) fn prepare_plan_workers<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
     plan: &PartitionPlan,
@@ -1262,31 +1247,8 @@ pub fn prepare_plan_workers_recorded<E: AmcEngine + ?Sized>(
     Ok(PreparedMultiStage {
         n: a.rows(),
         root,
-        plan: *plan,
+        depth: plan.depth,
     })
-}
-
-/// Solves `A·x = b` with the prepared partition tree and a fully analog
-/// signal path (every level [`LevelIo::Pure`]).
-///
-/// # Errors
-///
-/// Shape mismatches and engine failures.
-pub fn solve<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    prepared: &mut PreparedMultiStage,
-    b: &[f64],
-) -> Result<Vec<f64>> {
-    let (x, _) = solve_with_signal(
-        engine,
-        prepared,
-        b,
-        1,
-        &SignalPlan::pure(),
-        false,
-        &mut Recorder::disabled(),
-    )?;
-    Ok(x)
 }
 
 /// Solves `A·X = B` for a row-major `n×k` block of right-hand sides
@@ -1353,6 +1315,50 @@ mod tests {
         let a = generate::wishart_default(n, &mut rng).unwrap();
         let b = generate::random_vector(n, &mut rng);
         (a, b)
+    }
+
+    fn prepare_plan<E: AmcEngine>(
+        engine: &mut E,
+        a: &Matrix,
+        plan: &PartitionPlan,
+    ) -> Result<PreparedMultiStage> {
+        super::prepare_plan(engine, a, plan, &mut Recorder::disabled())
+    }
+
+    fn prepare<E: AmcEngine>(
+        engine: &mut E,
+        a: &Matrix,
+        depth: usize,
+    ) -> Result<PreparedMultiStage> {
+        prepare_plan(engine, a, &PartitionPlan::depth(depth))
+    }
+
+    fn prepare_plan_workers<E: AmcEngine>(
+        engine: &mut E,
+        a: &Matrix,
+        plan: &PartitionPlan,
+        workers: usize,
+    ) -> Result<PreparedMultiStage> {
+        super::prepare_plan_workers(engine, a, plan, workers, &mut Recorder::disabled())
+    }
+
+    /// A fully analog solve (every level `Pure`).
+    fn solve<E: AmcEngine>(
+        engine: &mut E,
+        prepared: &mut PreparedMultiStage,
+        b: &[f64],
+    ) -> Result<Vec<f64>> {
+        let plan = SignalPlan::pure();
+        solve_with_signal(
+            engine,
+            prepared,
+            b,
+            1,
+            &plan,
+            false,
+            &mut Recorder::disabled(),
+        )
+        .map(|(x, _)| x)
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! split index per node is either the midpoint or chosen by
 //! [`crate::split_search`] (see `SplitRule`).
 
-use amc_linalg::{lu::LuFactor, sparse::CsrMatrix, Matrix};
+use amc_linalg::{lu::LuFactor, sparse::CsrMatrix, LinalgError, Matrix};
 
 use crate::{BlockAmcError, Result};
 
@@ -110,7 +110,7 @@ impl BlockPartition {
     ///
     /// # Errors
     ///
-    /// Returns a wrapped [`amc_linalg::LinalgError::Singular`] if `A1` is
+    /// Returns [`BlockAmcError::SingularLeadingBlock`] if `A1` is
     /// singular (the algorithm requires an invertible `A1`; choose a
     /// different split in that case).
     pub fn schur_complement(&self) -> Result<Matrix> {
@@ -142,7 +142,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_dense(&self) -> Result<Matrix> {
-        let lu = LuFactor::new(&self.a1)?;
+        let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_into(&self.a2, &self.a3, &mut a4s)?;
         Ok(a4s)
@@ -157,7 +157,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_sparse(&self) -> Result<Matrix> {
-        let lu = LuFactor::new(&self.a1)?;
+        let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_sparse_into(
             &CsrMatrix::from_dense(&self.a2),
@@ -165,6 +165,19 @@ impl BlockPartition {
             &mut a4s,
         )?;
         Ok(a4s)
+    }
+
+    /// The LU factorisation of `A1`, with a breakdown reported as
+    /// [`BlockAmcError::SingularLeadingBlock`].
+    fn factor_a1(&self) -> Result<LuFactor> {
+        LuFactor::new(&self.a1).map_err(|e| match e {
+            LinalgError::Singular { pivot } => BlockAmcError::SingularLeadingBlock {
+                n: self.size(),
+                split: self.split,
+                pivot,
+            },
+            e => e.into(),
+        })
     }
 
     /// Splits a right-hand-side vector into `(f, g)` — the upper `split`
@@ -327,7 +340,13 @@ mod tests {
         let a2 = Matrix::filled(2, 2, 1.0);
         let a = Matrix::from_blocks(&a1, &a2, &a2, &rest).unwrap();
         let p = BlockPartition::halves(&a).unwrap();
-        assert!(p.schur_complement().is_err());
+        let err = BlockAmcError::SingularLeadingBlock {
+            n: 4,
+            split: 2,
+            pivot: 0,
+        };
+        assert_eq!(p.schur_complement_dense(), Err(err.clone()));
+        assert_eq!(p.schur_complement_sparse(), Err(err));
     }
 
     #[test]

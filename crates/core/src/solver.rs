@@ -30,10 +30,9 @@ use amc_obs::Recorder;
 use crate::converter::IoConfig;
 use crate::engine::{AmcEngine, EngineStats};
 use crate::multi_stage::{self, PreparedMultiStage};
-use crate::one_stage::StepRecord;
 use crate::{BlockAmcError, Result};
 
-pub use crate::multi_stage::{LevelIo, PartitionPlan, SignalPlan, SplitRule};
+pub use crate::multi_stage::{LevelIo, PartitionPlan, SignalPlan, SplitRule, StepId, StepRecord};
 pub use crate::split_search::SplitSearchOptions;
 
 /// Solver architecture selection.
@@ -177,10 +176,9 @@ impl SolverConfig {
         }
     }
 
-    /// The partition layout this configuration programs: the legacy
-    /// module layouts per architecture (natural-size MVM blocks for
-    /// `Original`/`One`/`Multi`, the paper's quadrant tiling for `Two`),
-    /// with the configured split rule.
+    /// The partition layout this configuration programs: natural-size
+    /// MVM blocks for `Original`/`One`/`Multi`, the paper's quadrant
+    /// tiling for `Two`, with the configured split rule.
     pub fn partition_plan(&self) -> PartitionPlan {
         let base = match self.stages {
             Stages::Original => PartitionPlan::depth(0),
@@ -531,8 +529,7 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     pub fn prepare(&mut self, a: &Matrix) -> Result<PreparedSolver<'_, E>> {
         self.validate_matrix(a)?;
         let plan = self.config.partition_plan();
-        let tree =
-            multi_stage::prepare_plan_recorded(&mut self.engine, a, &plan, &mut self.recorder)?;
+        let tree = multi_stage::prepare_plan(&mut self.engine, a, &plan, &mut self.recorder)?;
         Ok(PreparedSolver {
             engine: &mut self.engine,
             config: &self.config,
@@ -556,10 +553,10 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     }
 
     /// [`prepare`](Self::prepare) with the partition/Schur work sharded
-    /// over `workers` threads (see
-    /// [`multi_stage::prepare_plan_workers`]). Bit-identical to
-    /// [`prepare`](Self::prepare) at any worker count; array programming
-    /// stays serial and in canonical order.
+    /// over `workers` threads (`amc-par` work-stealing pool; `workers ==
+    /// 1` runs inline). Bit-identical to [`prepare`](Self::prepare) at any
+    /// worker count; array programming stays serial and in canonical
+    /// order.
     ///
     /// # Errors
     ///
@@ -571,7 +568,7 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     ) -> Result<PreparedSolver<'_, E>> {
         self.validate_matrix(a)?;
         let plan = self.config.partition_plan();
-        let tree = multi_stage::prepare_plan_workers_recorded(
+        let tree = multi_stage::prepare_plan_workers(
             &mut self.engine,
             a,
             &plan,
@@ -738,7 +735,18 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
 /// non-empty batch of finite right-hand sides of length `n`. A
 /// non-finite entry `i` of right-hand side `r` is reported at index
 /// `r·n + i`.
-pub(crate) fn validate_batch(batch: &[Vec<f64>], n: usize) -> Result<()> {
+///
+/// Public so that a caller coalescing several requests into one batch
+/// (the `amc-serve` dispatcher) can reject a bad request on its own,
+/// with the message the batch solve would give, before it joins its
+/// peers.
+///
+/// # Errors
+///
+/// [`BlockAmcError::InvalidConfig`] for an empty batch,
+/// [`BlockAmcError::ShapeMismatch`] for a right-hand side of the wrong
+/// length and [`BlockAmcError::NonFinite`] for a NaN or infinity.
+pub fn validate_batch(batch: &[Vec<f64>], n: usize) -> Result<()> {
     if batch.is_empty() {
         return Err(BlockAmcError::config("batch must contain at least one RHS"));
     }

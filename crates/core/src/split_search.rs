@@ -232,17 +232,19 @@ mod tests {
 
     #[test]
     fn chosen_split_actually_solves_well() {
-        use crate::converter::IoConfig;
         use crate::engine::NumericEngine;
+        use crate::solver::{SolverConfig, SplitRule, Stages};
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let a = generate::wishart_default(12, &mut rng).unwrap();
         let b = generate::random_vector(12, &mut rng);
-        let best = best_split(&a, &SplitSearchOptions::default()).unwrap();
-        let p = BlockPartition::new(&a, best.split).unwrap();
-        let mut engine = NumericEngine::new();
-        let mut prep = crate::one_stage::prepare(&mut engine, &p).unwrap();
-        let sol = crate::one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+        // Stages::One under the searched rule splits at `best_split`.
+        let mut solver = SolverConfig::builder()
+            .stages(Stages::One)
+            .split_rule(SplitRule::Searched(SplitSearchOptions::default()))
+            .build(NumericEngine::new())
+            .unwrap();
+        let x = solver.solve(&a, &b).unwrap().x;
         let x_ref = amc_linalg::lu::solve(&a, &b).unwrap();
-        assert!(amc_linalg::metrics::relative_error(&x_ref, &sol.x) < 1e-8);
+        assert!(amc_linalg::metrics::relative_error(&x_ref, &x) < 1e-8);
     }
 }

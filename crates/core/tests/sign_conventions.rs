@@ -6,10 +6,9 @@
 //! conventions down so a refactor can never silently flip one.
 
 use amc_linalg::{generate, lu, vector, Matrix};
-use blockamc::converter::IoConfig;
 use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
-use blockamc::one_stage;
 use blockamc::partition::BlockPartition;
+use blockamc::solver::{BlockAmcSolver, Stages, StepRecord};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -18,6 +17,14 @@ fn workload(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
     let a = generate::diagonally_dominant(n, 1.0, &mut rng).unwrap();
     let b = generate::random_vector(n, &mut rng);
     (a, b)
+}
+
+/// One-stage solve (midpoint split, ideal signal path): `x` and the
+/// per-step trace.
+fn one_stage(a: &Matrix, b: &[f64]) -> (Vec<f64>, Vec<StepRecord>) {
+    let mut solver = BlockAmcSolver::new(NumericEngine::new(), Stages::One);
+    let report = solver.solve(a, b).unwrap();
+    (report.x, report.trace.unwrap())
 }
 
 #[test]
@@ -71,33 +78,28 @@ fn step_signs_match_the_papers_flow_chart() {
     let f_t = p.a2.matvec(&z).unwrap();
     let y = lu::solve(&p.a1, &vector::sub(&f, &f_t)).unwrap();
 
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare(&mut engine, &p).unwrap();
-    let sol = one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+    let (x, trace) = one_stage(&a, &b);
 
-    assert_eq!(sol.trace.len(), 5);
+    assert_eq!(trace.len(), 5);
     assert!(
-        vector::approx_eq(&sol.trace[0].output, &vector::neg(&y_t), 1e-10),
+        vector::approx_eq(&trace[0].output, &vector::neg(&y_t), 1e-10),
         "step 1 = −y_t"
     );
     assert!(
-        vector::approx_eq(&sol.trace[1].output, &g_t, 1e-10),
+        vector::approx_eq(&trace[1].output, &g_t, 1e-10),
         "step 2 = g_t"
     );
+    assert!(vector::approx_eq(&trace[2].output, &z, 1e-10), "step 3 = z");
     assert!(
-        vector::approx_eq(&sol.trace[2].output, &z, 1e-10),
-        "step 3 = z"
-    );
-    assert!(
-        vector::approx_eq(&sol.trace[3].output, &vector::neg(&f_t), 1e-10),
+        vector::approx_eq(&trace[3].output, &vector::neg(&f_t), 1e-10),
         "step 4 = −f_t"
     );
     assert!(
-        vector::approx_eq(&sol.trace[4].output, &vector::neg(&y), 1e-10),
+        vector::approx_eq(&trace[4].output, &vector::neg(&y), 1e-10),
         "step 5 = −y"
     );
     // Final solution assembles [y; z].
-    assert!(vector::approx_eq(&sol.x, &vector::concat(&y, &z), 1e-10));
+    assert!(vector::approx_eq(&x, &vector::concat(&y, &z), 1e-10));
 }
 
 #[test]
@@ -106,24 +108,22 @@ fn step_inputs_match_the_papers_flow_chart() {
     let p = BlockPartition::halves(&a).unwrap();
     let (f, g) = p.split_vector(&b).unwrap();
 
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare(&mut engine, &p).unwrap();
-    let sol = one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+    let (_, trace) = one_stage(&a, &b);
 
     // Step 1 input is f; step 3 input is g_t − g (the "−g_s" of eq. 3);
     // step 5 input is f − f_t (the "f_s").
     assert!(
-        vector::approx_eq(&sol.trace[0].input, &f, 0.0),
+        vector::approx_eq(&trace[0].input, &f, 0.0),
         "step 1 input = f"
     );
-    let gt = &sol.trace[1].output;
+    let gt = &trace[1].output;
     assert!(
-        vector::approx_eq(&sol.trace[2].input, &vector::sub(gt, &g), 1e-12),
+        vector::approx_eq(&trace[2].input, &vector::sub(gt, &g), 1e-12),
         "step 3 input = g_t − g"
     );
-    let neg_ft = &sol.trace[3].output;
+    let neg_ft = &trace[3].output;
     assert!(
-        vector::approx_eq(&sol.trace[4].input, &vector::add(&f, neg_ft), 1e-12),
+        vector::approx_eq(&trace[4].input, &vector::add(&f, neg_ft), 1e-12),
         "step 5 input = f + (−f_t)"
     );
 }
@@ -132,15 +132,13 @@ fn step_inputs_match_the_papers_flow_chart() {
 fn double_negation_recovers_positive_solution() {
     // x_upper = −(step-5 output): the only digital negation in the flow.
     let (a, b) = workload(10, 5);
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let sol = one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+    let (x, trace) = one_stage(&a, &b);
     let x_ref = lu::solve(&a, &b).unwrap();
-    assert!(vector::approx_eq(&sol.x, &x_ref, 1e-9));
+    assert!(vector::approx_eq(&x, &x_ref, 1e-9));
     // And the raw step-5 output is its negation.
-    let split = prep.split();
+    let split = BlockPartition::halves(&a).unwrap().split;
     assert!(vector::approx_eq(
-        &sol.trace[4].output,
+        &trace[4].output,
         &vector::neg(&x_ref[..split]),
         1e-9
     ));

@@ -52,7 +52,7 @@ use amc_linalg::Matrix;
 use amc_obs::{Counter, Histogram, MetricsSnapshot, Recorder, Registry, TraceSession};
 use blockamc::aging::{AgedSolver, AgingModel};
 use blockamc::engine::{AmcEngine, EngineRegistry};
-use blockamc::solver::{BlockAmcSolver, SolverConfig, SolverReplica};
+use blockamc::solver::{validate_batch, BlockAmcSolver, SolverConfig, SolverReplica};
 
 use crate::cache::{CacheKey, LfuCache};
 use crate::error::{Result, ServeError};
@@ -73,6 +73,16 @@ pub type CachedSolver = SolverReplica<Box<dyn AmcEngine>>;
 enum Entry {
     Plain(CachedSolver),
     Aged(Box<AgedSolver<Box<dyn AmcEngine>>>),
+}
+
+impl Entry {
+    /// Problem size `n` of the cached solver.
+    fn size(&self) -> usize {
+        match self {
+            Entry::Plain(replica) => replica.size(),
+            Entry::Aged(aged) => aged.replica().size(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -787,6 +797,11 @@ impl Server {
     /// Resolves a [`MatrixRef`] to a cache key — preparing inline
     /// matrices on first sight — then queues the right-hand sides and
     /// blocks for the solutions.
+    ///
+    /// The right-hand sides are validated against the cached solver
+    /// before they are queued, so a wrong-length or non-finite one fails
+    /// this request alone (with the solver's own message) instead of the
+    /// coalesced batch it would have joined.
     fn resolve_and_submit(
         &self,
         matrix: MatrixRef,
@@ -796,16 +811,16 @@ impl Server {
         accept_degraded: bool,
         rec: &mut Recorder,
     ) -> std::result::Result<(Vec<Vec<f64>>, bool), ServeError> {
-        let key = match matrix {
+        let (key, n) = match matrix {
             MatrixRef::Cached(fingerprint) => {
                 let key = CacheKey::new(fingerprint, config, engine);
                 let lookup = rec.enter("serve.lookup");
-                let hit = self.inner.cache.lock().unwrap().get(&key).is_some();
-                rec.exit_with(lookup, &[("hit", f64::from(hit))]);
-                if !hit {
-                    return Err(ServeError::NotPrepared { fingerprint });
+                let n = self.inner.cache.lock().unwrap().get(&key).map(Entry::size);
+                rec.exit_with(lookup, &[("hit", f64::from(n.is_some()))]);
+                match n {
+                    Some(n) => (key, n),
+                    None => return Err(ServeError::NotPrepared { fingerprint }),
                 }
-                key
             }
             MatrixRef::Inline(m) => {
                 let fingerprint = m.fingerprint();
@@ -820,9 +835,10 @@ impl Server {
                     let entry = built.map_err(ServeError::Remote)?;
                     self.inner.cache.lock().unwrap().insert(key.clone(), entry);
                 }
-                key
+                (key, m.rows())
             }
         };
+        validate_batch(&rhs, n).map_err(|e| ServeError::Remote(e.to_string()))?;
         self.submit(key, rhs, accept_degraded, rec)
     }
 

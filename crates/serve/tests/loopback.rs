@@ -10,6 +10,7 @@ use amc_serve::wire::{EngineRef, MatrixRef};
 use amc_serve::ServeError;
 use blockamc::aging::{AgingModel, DriftModel};
 use blockamc::solver::SolverConfig;
+use blockamc::BlockAmcError;
 
 fn quiet_config() -> SolverConfig {
     SolverConfig::builder()
@@ -386,6 +387,97 @@ fn concurrent_same_key_requests_coalesce_into_shared_batches() {
             .unwrap();
         assert_eq!(x, expected, "request {id}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn hostile_requests_fail_alone_and_leave_coalesced_peers_intact() {
+    // The coalescing pattern above, with every fifth request carrying a
+    // NaN and every seventh one entry short. Each bad request must get
+    // its own solver error; every valid one its bit-identical answer,
+    // even when it shared a dispatch batch with a bad one.
+    let server = Server::with_builtin_engines(ServerConfig {
+        solver_workers: 1,
+        queue_capacity: 1024,
+        ..ServerConfig::default()
+    });
+    let config = quiet_config();
+    let engine = EngineRef::new("numeric", 0);
+    let n = 48;
+    let a = workload_matrix(n, 7);
+    let mut setup = Client::new(server.loopback());
+    let (fp, _) = setup.prepare(&a, &config, &engine).unwrap();
+
+    // The request with this id, and the error the solver gives it.
+    let request = |id: u64| -> (Vec<f64>, Option<BlockAmcError>) {
+        let mut rhs = workload_rhs(n, 7, id);
+        if id % 7 == 3 {
+            rhs.pop();
+            let got = rhs.len();
+            let err = BlockAmcError::ShapeMismatch {
+                op: "solve_batch",
+                expected: n,
+                got,
+            };
+            (rhs, Some(err))
+        } else if id % 5 == 2 {
+            let index = id as usize % n;
+            rhs[index] = f64::NAN;
+            (rhs, Some(BlockAmcError::NonFinite { which: "b", index }))
+        } else {
+            (rhs, None)
+        }
+    };
+
+    let clients = 8;
+    let per_client = 6;
+    let results: Vec<(u64, Result<Vec<f64>, ServeError>)> = std::thread::scope(|scope| {
+        (0..clients)
+            .map(|c| {
+                let transport = server.loopback();
+                let (config, engine, request) = (&config, &engine, &request);
+                scope.spawn(move || {
+                    let mut client = Client::new(transport);
+                    (0..per_client)
+                        .map(|k| {
+                            let id = (c * per_client + k) as u64;
+                            let (rhs, _) = request(id);
+                            (
+                                id,
+                                client.solve(MatrixRef::Cached(fp), config, engine, &rhs),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    let mut direct = Client::new(server.loopback());
+    let mut bad = 0;
+    for (id, got) in results {
+        match request(id) {
+            (_, Some(err)) => {
+                bad += 1;
+                let got = got.unwrap_err().to_string();
+                assert!(got.ends_with(&err.to_string()), "request {id}: {got}");
+            }
+            (rhs, None) => {
+                let expected = direct
+                    .solve(MatrixRef::Cached(fp), &config, &engine, &rhs)
+                    .unwrap();
+                assert_eq!(got.unwrap(), expected, "request {id}");
+            }
+        }
+    }
+    assert_eq!(bad, 16);
+    // Each valid request was solved twice (served, then directly); no
+    // bad one reached a solve.
+    let valid = (clients * per_client - bad) as u64;
+    assert_eq!(server.stats().solved_rhs, 2 * valid);
     server.shutdown();
 }
 

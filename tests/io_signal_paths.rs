@@ -5,7 +5,8 @@
 //! `Pure` signal-path policies of the unified cascade are
 //! indistinguishable (DAC/ADC/S&H are identities). These tests pin the
 //! *non-ideal* branches — quantized converters and S&H droop — against
-//! exact reference outputs captured from the current implementation,
+//! exact reference outputs captured from the dedicated one- and
+//! two-stage module APIs that `Stages::One` / `Stages::Two` replaced,
 //! so a dropped or doubled hop in any policy branch changes a bit here
 //! and fails.
 //!
@@ -16,8 +17,7 @@
 use amc_linalg::Matrix;
 use blockamc::converter::{Converter, IoConfig};
 use blockamc::engine::NumericEngine;
-use blockamc::one_stage::{self, StepId};
-use blockamc::two_stage;
+use blockamc::solver::{SolveReport, SolverConfig, Stages, StepId};
 
 /// Diagonally dominant matrix and RHS with exactly-representable
 /// entries, generated without any RNG or libm call.
@@ -43,12 +43,22 @@ fn nonideal_io() -> IoConfig {
     }
 }
 
+/// Prepared-facade solve of `stages` with `io` in the default plan.
+fn solve(stages: Stages, io: IoConfig, a: &Matrix, b: &[f64]) -> SolveReport {
+    let mut solver = SolverConfig::builder()
+        .stages(stages)
+        .io(io)
+        .build(NumericEngine::new())
+        .unwrap();
+    let mut prepared = solver.prepare(a).unwrap();
+    prepared.solve(b).unwrap()
+}
+
 #[test]
 fn one_stage_macro_path_is_pinned() {
     let (a, b) = dyadic_workload(8);
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let sol = one_stage::solve(&mut engine, &mut prep, &b, &nonideal_io()).unwrap();
+    let sol = solve(Stages::One, nonideal_io(), &a, &b);
+    let trace = sol.trace.unwrap();
 
     // Solution values land on the 6-bit ADC grid (multiples of 2/63).
     let expected = [
@@ -66,7 +76,7 @@ fn one_stage_macro_path_is_pinned() {
     // The recorded step-1 input is the DAC'd external f: on the 8-bit
     // grid (multiples of 2/255), proving the entry DAC ran exactly once.
     assert_eq!(
-        sol.trace[0].input,
+        trace[0].input,
         [
             -0.5019607843137255,
             0.0,
@@ -75,7 +85,7 @@ fn one_stage_macro_path_is_pinned() {
         ]
     );
     assert_eq!(
-        sol.trace.iter().map(|r| r.step).collect::<Vec<_>>(),
+        trace.iter().map(|r| r.step).collect::<Vec<_>>(),
         [
             StepId::Inv1,
             StepId::Mvm2,
@@ -89,9 +99,7 @@ fn one_stage_macro_path_is_pinned() {
 #[test]
 fn two_stage_bus_path_is_pinned() {
     let (a, b) = dyadic_workload(8);
-    let mut engine = NumericEngine::new();
-    let mut prep = two_stage::prepare(&mut engine, &a).unwrap();
-    let sol = two_stage::solve(&mut engine, &mut prep, &b, &nonideal_io()).unwrap();
+    let sol = solve(Stages::Two, nonideal_io(), &a, &b);
 
     // Differs from the one-stage result in exactly the entries where the
     // extra ADC→DAC bus hops re-quantize intermediates.
@@ -126,13 +134,11 @@ fn droop_alone_attenuates_cascaded_steps_only() {
         adc: None,
         sh_droop: 0.0625,
     };
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let drooped = one_stage::solve(&mut engine, &mut prep, &b, &io).unwrap();
-    let ideal = one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+    let drooped = solve(Stages::One, io, &a, &b);
+    let ideal = solve(Stages::One, IoConfig::ideal(), &a, &b);
     let err = amc_linalg::metrics::relative_error(&ideal.x, &drooped.x);
     assert!(err > 1e-3, "droop must perturb (err={err})");
     assert!(err < 0.5, "droop stays bounded (err={err})");
     // Step 1 sees no droop (first hop is after it): its input is raw f.
-    assert_eq!(drooped.trace[0].input, b[..4].to_vec());
+    assert_eq!(drooped.trace.unwrap()[0].input, b[..4].to_vec());
 }

@@ -126,38 +126,6 @@ fn nonideal_io() -> IoConfig {
 }
 
 #[test]
-fn facade_one_and_two_stage_match_module_apis_under_nonideal_io() {
-    // The builder facade routes everything through the partition tree;
-    // these pins prove the tree reproduces the legacy module paths
-    // bit-for-bit *including* the quantized/drooped signal paths.
-    let (a, b) = dyadic_workload(8);
-
-    let mut engine = NumericEngine::new();
-    let mut prep = blockamc::one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let module_one = blockamc::one_stage::solve(&mut engine, &mut prep, &b, &nonideal_io())
-        .unwrap()
-        .x;
-    let mut facade_one = SolverConfig::builder()
-        .stages(Stages::One)
-        .io(nonideal_io())
-        .build(NumericEngine::new())
-        .unwrap();
-    assert_eq!(facade_one.solve(&a, &b).unwrap().x, module_one);
-
-    let mut engine = NumericEngine::new();
-    let mut prep = blockamc::two_stage::prepare(&mut engine, &a).unwrap();
-    let module_two = blockamc::two_stage::solve(&mut engine, &mut prep, &b, &nonideal_io())
-        .unwrap()
-        .x;
-    let mut facade_two = SolverConfig::builder()
-        .stages(Stages::Two)
-        .io(nonideal_io())
-        .build(NumericEngine::new())
-        .unwrap();
-    assert_eq!(facade_two.solve(&a, &b).unwrap().x, module_two);
-}
-
-#[test]
 fn depth3_cascade_with_bus_entry_at_level1_snapshot() {
     // Acceptance criterion: a depth-3 cascade whose level-1 boundary
     // crosses the data bus runs through the facade. The workload is
@@ -283,4 +251,39 @@ fn non_finite_inputs_get_typed_errors_before_any_engine_call() {
     let parallel = batch::solve_batch_parallel(&mut facade, &a, &rhs, &opamp, 0.0, 2);
     assert_eq!(parallel.map(|s| s.solutions), non_finite("b", 25));
     assert_eq!(facade.engine().stats().program_ops, 0);
+}
+
+#[test]
+fn singular_leading_block_gets_a_typed_error_not_a_singular_matrix() {
+    use blockamc::solver::{SplitRule, SplitSearchOptions};
+    use blockamc::BlockAmcError;
+    // An orthogonal 4x4 block swap [[0, I], [I, 0]] (κ = 1) whose
+    // leading 2x2 block is zero.
+    let (z, i) = (Matrix::zeros(2, 2), Matrix::identity(2));
+    let a = Matrix::from_blocks(&z, &i, &i, &z).unwrap();
+    let build = |split| {
+        SolverConfig::builder()
+            .stages(Stages::One)
+            .split_rule(split)
+            .build(NumericEngine::new())
+            .unwrap()
+    };
+
+    let err = build(SplitRule::Halves).prepare(&a).unwrap_err();
+    assert_eq!(
+        err,
+        BlockAmcError::SingularLeadingBlock {
+            n: 4,
+            split: 2,
+            pivot: 0
+        }
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("A1 (2x2)") && msg.contains("split"), "{msg}");
+    assert!(!msg.contains("matrix is singular"), "{msg}");
+
+    // Every candidate split of the searched rule has a singular leading
+    // block here too: an error, not a panic.
+    let searched = SplitRule::Searched(SplitSearchOptions::default());
+    assert!(build(searched).prepare(&a).is_err());
 }

@@ -69,10 +69,19 @@ proptest! {
         depth in 0usize..4,
     ) {
         use blockamc::engine::NumericEngine;
+        use blockamc::solver::{SignalPlan, SolverConfig, Stages};
         let x_ref = lu::solve(&a, &b).unwrap();
-        let mut engine = NumericEngine::new();
-        let mut prep = blockamc::multi_stage::prepare(&mut engine, &a, depth).unwrap();
-        let x = blockamc::multi_stage::solve(&mut engine, &mut prep, &b).unwrap();
+        // The facade caps the depth at log2(n); depth 0 is one array.
+        let stages = match depth.min(a.rows().ilog2() as usize) {
+            0 => Stages::Original,
+            d => Stages::Multi(d),
+        };
+        let mut solver = SolverConfig::builder()
+            .stages(stages)
+            .signal_plan(SignalPlan::pure())
+            .build(NumericEngine::new())
+            .unwrap();
+        let x = solver.solve(&a, &b).unwrap().x;
         prop_assert!(
             amc_linalg::metrics::relative_error(&x_ref, &x) < 1e-6,
             "depth {} diverged", depth
