@@ -2,7 +2,6 @@
 //! where simulation time goes.
 
 use amc_bench::{make_workload, MatrixFamily};
-use amc_engine_simd::SimdEngine;
 use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -61,9 +60,9 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-/// The large-`n` ladder where the micro-tiled backend earns its keep:
-/// full factorize+solve and the amortized per-RHS `inv_into` path for
-/// simd vs numeric at n = 256 / 512 / 1024.
+/// The large-`n` ladder: full factorize+solve and the amortized
+/// per-RHS `inv_into` path of the exact digital engine at
+/// n = 256 / 512 / 1024.
 fn bench_large_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_large_n");
     group.sample_size(10);
@@ -71,40 +70,29 @@ fn bench_large_n(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(0x51D + n as u64);
         let (a, b) = make_workload(MatrixFamily::Wishart, n, &mut rng);
 
-        macro_rules! factorize_and_amortized {
-            ($label:literal, $make:expr) => {
-                group.bench_with_input(
-                    BenchmarkId::new(concat!($label, "_factorize"), n),
-                    &n,
-                    |bencher, _| {
-                        let mut e = $make;
-                        let mut out = Vec::new();
-                        bencher.iter(|| {
-                            let mut op = e.program(&a).expect("program");
-                            e.inv_into(&mut op, &b, &mut out).expect("inv");
-                            std::hint::black_box(out.len())
-                        });
-                    },
-                );
-                group.bench_with_input(
-                    BenchmarkId::new(concat!($label, "_inv_into"), n),
-                    &n,
-                    |bencher, _| {
-                        let mut e = $make;
-                        let mut op = e.program(&a).expect("program");
-                        let mut out = Vec::new();
-                        e.inv_into(&mut op, &b, &mut out).expect("warm-up inv");
-                        bencher.iter(|| {
-                            e.inv_into(&mut op, &b, &mut out).expect("inv");
-                            std::hint::black_box(out.len())
-                        });
-                    },
-                );
-            };
-        }
-
-        factorize_and_amortized!("simd", SimdEngine::new());
-        factorize_and_amortized!("numeric", NumericEngine::new());
+        group.bench_with_input(
+            BenchmarkId::new("numeric_factorize", n),
+            &n,
+            |bencher, _| {
+                let mut e = NumericEngine::new();
+                let mut out = Vec::new();
+                bencher.iter(|| {
+                    let mut op = e.program(&a).expect("program");
+                    e.inv_into(&mut op, &b, &mut out).expect("inv");
+                    std::hint::black_box(out.len())
+                });
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("numeric_inv_into", n), &n, |bencher, _| {
+            let mut e = NumericEngine::new();
+            let mut op = e.program(&a).expect("program");
+            let mut out = Vec::new();
+            e.inv_into(&mut op, &b, &mut out).expect("warm-up inv");
+            bencher.iter(|| {
+                e.inv_into(&mut op, &b, &mut out).expect("inv");
+                std::hint::black_box(out.len())
+            });
+        });
     }
     group.finish();
 }

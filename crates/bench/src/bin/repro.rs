@@ -14,7 +14,7 @@ use amc_bench::{
     MatrixFamily, PAPER_SIZES, PAPER_TRIALS, QUICK_SIZES, RAW_TOEPLITZ_MAX_COND,
 };
 use amc_linalg::{lu, metrics};
-use blockamc::engine::{CircuitEngine, CircuitEngineConfig};
+use blockamc::engine::{CircuitEngine, CircuitEngineConfig, EngineRegistry};
 use blockamc::solver::{BlockAmcSolver, Stages};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -147,10 +147,6 @@ fn main() {
         engines(&opts);
         ran_any = true;
     }
-    if run("simd") {
-        simd(&opts);
-        ran_any = true;
-    }
     if run("serve-bench") {
         serve_bench(&opts);
         ran_any = true;
@@ -182,7 +178,7 @@ fn main() {
             "unknown command '{cmd}'. usage: repro [--quick] [--trials N] [--seed N] \
              [--addr HOST:PORT] [--metrics] [--workers N] \
              <fig6|fig7|fig8|fig9|fig10|headline|scaling|ablation|transient|yield|parallel\
-             |scenarios|engines|simd|serve|serve-bench|lifetime|trace\
+             |scenarios|engines|serve|serve-bench|lifetime|trace\
              |run <campaign.json>|export-campaigns|all>"
         );
         std::process::exit(2);
@@ -195,7 +191,6 @@ fn main() {
 /// its worker count; the report is bit-identical to the file's in-code
 /// twin at any worker count.
 fn run_file(opts: &RunOpts, path: Option<&str>) {
-    use amc_scenario::campaigns::extended_registry;
     use amc_scenario::CampaignFile;
 
     banner("Run — a campaign loaded from a file");
@@ -211,7 +206,7 @@ fn run_file(opts: &RunOpts, path: Option<&str>) {
         }
     };
     let spec = file.select(opts.quick);
-    let campaign = match spec.lower(extended_registry()) {
+    let campaign = match spec.lower(EngineRegistry::builtin()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -261,11 +256,10 @@ fn export_campaigns() {
 
     banner("Export — the shipped campaigns as files");
     type Ctor = fn(bool) -> amc_scenario::Result<amc_scenario::Campaign>;
-    let shipped: [(&str, Ctor); 4] = [
+    let shipped: [(&str, Ctor); 3] = [
         ("depth_sweep", campaigns::depth_sweep),
         ("split_rule", campaigns::split_rule_study),
         ("engine_ladder", campaigns::engine_ladder),
-        ("simd_scaling", campaigns::simd_scaling),
     ];
     if let Err(e) = std::fs::create_dir_all("campaigns") {
         eprintln!("could not create campaigns/: {e}");
@@ -292,8 +286,8 @@ fn export_campaigns() {
 }
 
 /// Runs the solver service on a TCP listener until a client sends
-/// `Shutdown`. All engine backends of the extended registry (including
-/// `simd`) are addressable by name over the wire.
+/// `Shutdown`. Every backend of the builtin registry is addressable by
+/// name over the wire.
 fn serve(opts: &RunOpts) {
     use amc_serve::server::{Server, ServerConfig};
 
@@ -305,10 +299,7 @@ fn serve(opts: &RunOpts) {
             std::process::exit(1);
         }
     };
-    let server = Server::new(
-        ServerConfig::default(),
-        amc_scenario::campaigns::extended_registry(),
-    );
+    let server = Server::new(ServerConfig::default(), EngineRegistry::builtin());
     println!(
         "listening on {} (send a Shutdown request to stop)",
         listener
@@ -372,10 +363,7 @@ fn serve_bench(opts: &RunOpts) {
         // More matrices than cache slots: every miss is an eviction.
         ("churn", cache_capacity * 2),
     ] {
-        let server = Server::new(
-            server_config.clone(),
-            amc_scenario::campaigns::extended_registry(),
-        );
+        let server = Server::new(server_config.clone(), EngineRegistry::builtin());
         let cfg = LoadGenConfig {
             distinct_matrices: distinct,
             ..base.clone()
@@ -589,7 +577,7 @@ fn trace(opts: &RunOpts) {
             aging: None,
             trace: Some(serve_session.clone()),
         },
-        amc_scenario::campaigns::extended_registry(),
+        EngineRegistry::builtin(),
     );
     let load = LoadGenConfig {
         clients: opts.pick(2, 4),
@@ -711,286 +699,6 @@ fn trace(opts: &RunOpts) {
         "-> spans record only at phase boundaries (two clock reads each), \
          so tracing is safe to leave on; the guarantee that matters is \
          bit-identity, checked above at every worker count."
-    );
-}
-
-/// The simd-backend performance study, written to `BENCH_simd.json`:
-/// factorize+solve and amortized-solve timings of the registered
-/// micro-tiled backend against the exact digital engine, sparse-aware
-/// vs dense Schur complements on PDN matrices, the parallel-prepare
-/// worker sweep, and the large-`n` scaling campaign.
-fn simd(opts: &RunOpts) {
-    use amc_scenario::campaigns;
-    use amc_scenario::workload::{WorkloadFamily, WorkloadSpec};
-    use blockamc::partition::BlockPartition;
-    use blockamc::solver::SolverConfig;
-    use std::time::Instant;
-
-    banner("SIMD — micro-tiled backend, sparse Schur, parallel prepare");
-    let registry = campaigns::extended_registry();
-    println!(
-        "registered backends: {}",
-        registry.names().collect::<Vec<_>>().join(", ")
-    );
-    let reps = opts.pick(2, 3);
-    let backends = ["numeric", "simd"];
-
-    // --- Factorize + solve: one programming, one INV (which runs the
-    // lazy factorization), per backend and size.
-    let sizes: &[usize] = opts.pick(&[128, 256, 512][..], &[256, 512, 1024, 2048][..]);
-    let mut fs_json = Vec::new();
-    let mut fs_table = TextTable::new(["n", "engine", "factorize+solve", "vs numeric"]);
-    let mut amortized_json = Vec::new();
-    let mut amortized_table = TextTable::new(["n", "engine", "per solve (amortized)"]);
-    for &n in sizes {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x51D0 + n as u64);
-        let a =
-            amc_linalg::generate::diagonally_dominant(n, 1.5, &mut rng).expect("workload matrix");
-        let b = amc_linalg::generate::random_vector(n, &mut rng);
-        let mut numeric_s = 0.0;
-        for name in backends {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let mut engine = registry.build(name, 0).expect("registered backend");
-                let mut out = Vec::new();
-                let start = Instant::now();
-                let mut op = engine.program(&a).expect("program");
-                engine.inv_into(&mut op, &b, &mut out).expect("inv");
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            if name == "numeric" {
-                numeric_s = best;
-            }
-            fs_table.row([
-                n.to_string(),
-                name.to_string(),
-                format!("{:.3} ms", best * 1e3),
-                format!("{:.2}x", numeric_s / best),
-            ]);
-            fs_json.push(Json::obj([
-                ("n", n.into()),
-                ("engine", name.into()),
-                ("wall_s", best.into()),
-                ("speedup_vs_numeric", (numeric_s / best).into()),
-            ]));
-
-            // Amortized: factorization already installed in the
-            // operand, stream further solves through inv_into.
-            let mut engine = registry.build(name, 0).expect("registered backend");
-            let mut op = engine.program(&a).expect("program");
-            let mut out = Vec::new();
-            engine.inv_into(&mut op, &b, &mut out).expect("warm-up inv");
-            let solves = opts.pick(8, 16);
-            let start = Instant::now();
-            for _ in 0..solves {
-                engine.inv_into(&mut op, &b, &mut out).expect("inv");
-            }
-            let per_solve = start.elapsed().as_secs_f64() / solves as f64;
-            amortized_table.row([
-                n.to_string(),
-                name.to_string(),
-                format!("{:.1} us", per_solve * 1e6),
-            ]);
-            amortized_json.push(Json::obj([
-                ("n", n.into()),
-                ("engine", name.into()),
-                ("per_solve_s", per_solve.into()),
-            ]));
-        }
-    }
-    println!("\nfactorize + first solve (diagonally dominant, best of {reps}):\n");
-    print!("{}", fs_table.render());
-    println!("\namortized solves on a warm factorization:\n");
-    print!("{}", amortized_table.render());
-
-    // --- Sparse-aware vs dense Schur complement on PDN matrices.
-    let schur_sizes: &[usize] = opts.pick(&[256, 1024][..], &[256, 512, 1024, 2048][..]);
-    let mut schur_json = Vec::new();
-    let mut schur_table = TextTable::new(["n", "coupling nnz", "dense", "sparse", "speedup"]);
-    for &n in schur_sizes {
-        let inst = WorkloadSpec::new("pdn", WorkloadFamily::Pdn, n, 0x9D9)
-            .instantiate(1)
-            .expect("PDN workload");
-        let p = BlockPartition::halves(&inst.matrix).expect("partition");
-        let density = p.coupling_density();
-        let time_best = |f: &dyn Fn() -> amc_linalg::Matrix| {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let out = f();
-                best = best.min(start.elapsed().as_secs_f64());
-                std::hint::black_box(out);
-            }
-            best
-        };
-        let dense_s = time_best(&|| p.schur_complement_dense().expect("dense schur"));
-        let sparse_s = time_best(&|| p.schur_complement_sparse().expect("sparse schur"));
-        let agree = {
-            let d = p.schur_complement_dense().expect("dense schur");
-            let s = p.schur_complement_sparse().expect("sparse schur");
-            d.approx_eq(&s, 1e-9 * d.max_abs().max(1.0))
-        };
-        schur_table.row([
-            n.to_string(),
-            format!("{:.1}%", density * 100.0),
-            format!("{:.3} ms", dense_s * 1e3),
-            format!("{:.3} ms", sparse_s * 1e3),
-            format!("{:.2}x", dense_s / sparse_s),
-        ]);
-        schur_json.push(Json::obj([
-            ("n", n.into()),
-            ("coupling_density", density.into()),
-            ("dense_s", dense_s.into()),
-            ("sparse_s", sparse_s.into()),
-            ("speedup", (dense_s / sparse_s).into()),
-            ("agree", agree.into()),
-        ]));
-    }
-    println!("\nSchur complement on PDN (halves split, best of {reps}):\n");
-    print!("{}", schur_table.render());
-
-    // --- Parallel prepare: depth-4 tree, worker sweep, bit-identity.
-    let prep_n = opts.pick(256, 512);
-    let depth = 4usize;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x9EE9);
-    let (a, b) = make_workload(MatrixFamily::Wishart, prep_n, &mut rng);
-    let config = SolverConfig::builder()
-        .stages(Stages::Multi(depth))
-        .capture_trace(false)
-        .finish()
-        .expect("valid config");
-    let x_serial = {
-        let mut solver = BlockAmcSolver::from_config(
-            registry.build("numeric", 0).expect("numeric"),
-            config.clone(),
-        );
-        let mut prepared = solver.prepare(&a).expect("serial prepare");
-        prepared.solve(&b).expect("solve").x
-    };
-    println!(
-        "\nparallel prepare, {prep_n}x{prep_n} Wishart at depth {depth} \
-         (host has {} worker(s); wall speedup needs a multi-core host):\n",
-        amc_par::available_workers()
-    );
-    let mut prep_json = Vec::new();
-    let mut serial_s = 0.0;
-    let mut bit_identical = true;
-    for workers in [1usize, 2, 4, 8] {
-        let mut best = f64::INFINITY;
-        let mut x = Vec::new();
-        for _ in 0..reps {
-            let mut solver = BlockAmcSolver::from_config(
-                registry.build("numeric", 0).expect("numeric"),
-                config.clone(),
-            );
-            let start = Instant::now();
-            let mut prepared = solver.prepare_with_workers(&a, workers).expect("prepare");
-            best = best.min(start.elapsed().as_secs_f64());
-            x = prepared.solve(&b).expect("solve").x;
-        }
-        if workers == 1 {
-            serial_s = best;
-        }
-        bit_identical &= x == x_serial;
-        println!(
-            "  workers {workers:>2}: {:>9.3} ms wall ({:>5.2}x vs 1)",
-            best * 1e3,
-            serial_s / best
-        );
-        prep_json.push(Json::obj([
-            ("workers", workers.into()),
-            ("wall_s", best.into()),
-            ("speedup_vs_1", (serial_s / best).into()),
-        ]));
-    }
-    println!(
-        "  bit-identical to serial prepare: {}",
-        if bit_identical { "yes" } else { "no" }
-    );
-
-    // --- Large-n scaling campaign (quick-mode guarded sizes).
-    let mut scaling_json = Json::Null;
-    match campaigns::simd_scaling(opts.quick).and_then(|c| {
-        println!(
-            "\n[{}] {} cells x {} trial(s)",
-            c.name(),
-            c.cell_count(),
-            c.trials()
-        );
-        c.run()
-    }) {
-        Ok(report) => {
-            let mut table =
-                TextTable::new(["workload", "n", "engine", "ok", "median err", "mean err"]);
-            for c in &report.cells {
-                table.row([
-                    c.workload.clone(),
-                    c.n.to_string(),
-                    c.engine.to_string(),
-                    format!("{}/{}", c.completed, c.trials),
-                    format!("{:.3e}", c.errors.median),
-                    format!("{:.3e}", c.errors.mean),
-                ]);
-            }
-            print!("{}", table.render());
-            scaling_json = Json::obj([
-                ("name", report.name.clone().into()),
-                ("trials", report.trials.into()),
-                (
-                    "cells",
-                    Json::Arr(
-                        report
-                            .cells
-                            .iter()
-                            .map(|c| {
-                                Json::obj([
-                                    ("workload", c.workload.clone().into()),
-                                    ("n", c.n.into()),
-                                    ("engine", c.engine.into()),
-                                    ("completed", c.completed.into()),
-                                    ("trials", c.trials.into()),
-                                    ("err_median", c.errors.median.into()),
-                                    ("err_mean", c.errors.mean.into()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]);
-        }
-        Err(e) => println!("simd-scaling campaign failed: {e}"),
-    }
-
-    let json = Json::obj([
-        ("bench", "simd".into()),
-        ("quick", opts.quick.into()),
-        ("host_workers", amc_par::available_workers().into()),
-        (
-            "backends",
-            Json::Arr(registry.names().map(|n| n.into()).collect()),
-        ),
-        ("factorize_solve", Json::Arr(fs_json)),
-        ("amortized_inv", Json::Arr(amortized_json)),
-        ("schur_pdn", Json::Arr(schur_json)),
-        (
-            "parallel_prepare",
-            Json::obj([
-                ("n", prep_n.into()),
-                ("depth", depth.into()),
-                ("timings", Json::Arr(prep_json)),
-                ("bit_identical", bit_identical.into()),
-            ]),
-        ),
-        ("scaling_campaign", scaling_json),
-    ]);
-    match report::write_json("BENCH_simd.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_simd.json"),
-        Err(e) => println!("\ncould not write BENCH_simd.json: {e}"),
-    }
-    println!(
-        "-> the simd backend is pure registry data: core never names it, the \
-         ladder runs it by name, and the tiled kernels win wherever the \
-         trailing update dominates."
     );
 }
 

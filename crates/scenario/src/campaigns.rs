@@ -14,31 +14,17 @@
 //!    [`run_worker_sweep`](crate::campaign::run_worker_sweep) to
 //!    demonstrate wall-clock scaling with bit-identical output.
 //! 4. [`engine_ladder`] — the backend axis: the same workloads and
-//!    architecture solved by every shipped engine backend plus the
-//!    registered `amc-engine-simd` backend, selected purely as
-//!    [`EngineSpec`]/registry-name data (the ROADMAP's "multi-backend
+//!    architecture solved by every shipped engine backend, selected
+//!    purely as [`EngineSpec`] data (the ROADMAP's "multi-backend
 //!    engines").
-//! 5. [`simd_scaling`] — the large-`n` scaling campaign: simd vs exact
-//!    numeric on dense and structured-sparse workloads at
-//!    `n = 2^8..2^12` (quick mode runs scaled-down sizes).
 
 use blockamc::converter::IoConfig;
-use blockamc::engine::{CircuitEngineConfig, EngineRegistry, EngineSpec};
+use blockamc::engine::{CircuitEngineConfig, EngineSpec};
 use blockamc::solver::{SignalPlan, SolverConfig, SplitRule, SplitSearchOptions, Stages};
 
 use crate::campaign::{Campaign, Nonideality};
 use crate::workload::{WorkloadFamily, WorkloadSpec};
 use crate::Result;
-
-/// The shipped registry plus every out-of-core backend this crate
-/// links: currently `amc-engine-simd` under its registered name
-/// (`"simd"`). Campaigns carrying [`Nonideality::registered`] rungs
-/// resolve against this.
-pub fn extended_registry() -> EngineRegistry {
-    let mut registry = EngineRegistry::builtin();
-    amc_engine_simd::register(&mut registry);
-    registry
-}
 
 /// Campaign 1: depth `d = 1..4` with the paper's per-level signal plan
 /// (bus hops above one macro level) against an all-bus plan, on a
@@ -208,13 +194,10 @@ pub fn worker_scaling(quick: bool) -> Result<Campaign> {
 
 /// Campaign 4: the engine ladder — every shipped backend (exact
 /// numeric, 6- and 10-bit fixed point, full analog with 5 % variation)
-/// plus the micro-tiled `amc-engine-simd` backend, on a
-/// well-conditioned, a structured, and an
-/// ill-conditioned registry family, one- and two-stage. The rungs are
-/// pure data — [`EngineSpec`]s or registry names: adding a backend to
-/// the comparison is one more ladder entry, never a code path. The
-/// simd rung in particular is run purely by its registered name; core
-/// never learns the type.
+/// on a well-conditioned, a structured, and an ill-conditioned
+/// registry family, one- and two-stage. The rungs are pure data —
+/// [`EngineSpec`]s or registry names: adding a backend to the
+/// comparison is one more ladder entry, never a code path.
 ///
 /// # Errors
 ///
@@ -256,10 +239,6 @@ pub fn engine_ladder(quick: bool) -> Result<Campaign> {
     }
     builder
         .nonideality(Nonideality::spec("numeric", EngineSpec::Numeric))
-        .nonideality(Nonideality::registered(
-            "simd",
-            amc_engine_simd::ENGINE_NAME,
-        ))
         .nonideality(Nonideality::spec(
             "fixed-point-6b",
             EngineSpec::FixedPoint { bits: 6 },
@@ -272,61 +251,6 @@ pub fn engine_ladder(quick: bool) -> Result<Campaign> {
             "circuit-variation",
             CircuitEngineConfig::paper_variation(),
         ))
-        .registry(extended_registry())
-        .finish()
-}
-
-/// Campaign 5: large-`n` scaling — simd vs exact numeric at
-/// `n = 2^8..2^12` on a dense SPD family (Wishart) and the sparse
-/// structured families the sparse-aware Schur path targets (2-D
-/// Poisson, PDN), solved at depth 3. Quick mode runs the same ladder
-/// at `n = 64/128` so smoke runs stay cheap; full mode is the
-/// `BENCH_simd.json` scaling row source.
-///
-/// # Errors
-///
-/// Propagates configuration-building failures (none for the shipped
-/// parameters).
-pub fn simd_scaling(quick: bool) -> Result<Campaign> {
-    let sizes: &[usize] = if quick {
-        &[64, 128]
-    } else {
-        &[256, 512, 1024, 2048]
-    };
-    let trials = if quick { 1 } else { 2 };
-    let mut builder = Campaign::builder("simd-scaling")
-        .trials(trials)
-        .rhs_per_trial(2)
-        .seed(0x51D_5CA1);
-    for (i, &n) in sizes.iter().enumerate() {
-        builder = builder
-            .workload(WorkloadSpec::new(
-                format!("wishart-{n}"),
-                WorkloadFamily::Wishart,
-                n,
-                0xF0 + i as u64,
-            ))
-            .workload(WorkloadSpec::new(
-                format!("poisson2d-{n}"),
-                WorkloadFamily::Poisson2d,
-                n,
-                0xF8 + i as u64,
-            ));
-    }
-    builder
-        .solver(
-            "d3",
-            SolverConfig::builder()
-                .stages(Stages::Multi(3))
-                .capture_trace(false)
-                .finish()?,
-        )
-        .nonideality(Nonideality::spec("numeric", EngineSpec::Numeric))
-        .nonideality(Nonideality::registered(
-            "simd",
-            amc_engine_simd::ENGINE_NAME,
-        ))
-        .registry(extended_registry())
         .finish()
 }
 
@@ -346,22 +270,8 @@ mod tests {
             let w = worker_scaling(quick).unwrap();
             assert_eq!(w.cell_count(), 4);
             let e = engine_ladder(quick).unwrap();
-            assert_eq!(e.ladder().len(), 5, "four backends + 2nd fp depth");
-            assert_eq!(e.cell_count(), 3 * 2 * 5);
-            assert!(e.registry().contains("simd"));
-            let sc = simd_scaling(quick).unwrap();
-            assert_eq!(sc.ladder().len(), 2, "numeric vs simd");
-            assert_eq!(sc.cell_count(), sc.workloads().len() * 2);
-        }
-        // Full-mode scaling covers the 2^8..2^12 ladder.
-        let sizes: Vec<usize> = simd_scaling(false)
-            .unwrap()
-            .workloads()
-            .iter()
-            .map(|w| w.n)
-            .collect();
-        for n in [256, 512, 1024, 2048] {
-            assert!(sizes.contains(&n), "missing n={n}");
+            assert_eq!(e.ladder().len(), 4, "three backends + 2nd fp depth");
+            assert_eq!(e.cell_count(), 3 * 2 * 4);
         }
     }
 
@@ -379,14 +289,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing cell {engine}/{nonideality}"))
         };
         let numeric = cell("numeric", "numeric");
-        let simd = cell("simd", "simd");
         let fp6 = cell("fixed-point", "fixed-point-6b");
         let fp10 = cell("fixed-point", "fixed-point-10b");
         let circuit = cell("circuit", "circuit-variation");
-        // The simd backend is bounded against numeric, not bitwise.
         assert!(numeric.errors.max < 1e-9);
-        assert!(simd.errors.max < 1e-9);
-        assert_eq!(simd.completed, simd.trials);
         // Quantization coarsens monotonically between the digital rungs.
         assert!(fp10.errors.mean < fp6.errors.mean);
         assert!(fp6.errors.mean > numeric.errors.max);
@@ -394,25 +300,9 @@ mod tests {
         // latency.
         assert!(circuit.analog_time_per_solve_s > 0.0);
         assert!(circuit.model_latency_s.is_some());
-        for digital in [numeric, simd, fp6, fp10] {
+        for digital in [numeric, fp6, fp10] {
             assert_eq!(digital.analog_time_per_solve_s, 0.0);
             assert!(digital.model_latency_s.is_none());
-        }
-    }
-
-    #[test]
-    fn quick_simd_scaling_runs_and_simd_stays_exact() {
-        let report = simd_scaling(true).unwrap().run().unwrap();
-        assert!(!report.cells.is_empty());
-        for cell in &report.cells {
-            assert_eq!(cell.completed, cell.trials, "{}", cell.workload);
-            assert!(
-                cell.errors.max < 1e-7,
-                "{}/{}: {}",
-                cell.workload,
-                cell.engine,
-                cell.errors.max
-            );
         }
     }
 

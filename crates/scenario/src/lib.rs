@@ -27,9 +27,7 @@
 //! * [`campaigns`] — the shipped studies `repro scenarios` runs:
 //!   depth sweep with per-level bus placement, `Searched` vs `Halves`
 //!   splits on ill-conditioned families, the worker-scaling campaign,
-//!   the engine ladder comparing every shipped backend (plus the
-//!   registered `amc-engine-simd` backend, run purely by name), and
-//!   the large-`n` simd scaling campaign.
+//!   and the engine ladder comparing every shipped backend.
 //! * [`spec`] — campaigns as *files*: [`CampaignSpec`] is the pure-data
 //!   mirror of a built [`Campaign`] (serialized with `amc-config`'s
 //!   strict JSON), [`CampaignFile`] pairs a `quick` and a `full`

@@ -48,7 +48,7 @@ pub struct SolverSpec {
 pub enum EngineSelSpec {
     /// An inline backend specification.
     Spec(EngineSpec),
-    /// A backend resolved by registry name (e.g. `"simd"`).
+    /// A backend resolved by registry name.
     Registered(String),
 }
 
@@ -272,7 +272,7 @@ mod tests {
         for quick in [false, true] {
             let campaign = campaigns::engine_ladder(quick).unwrap();
             let spec = CampaignSpec::from_campaign(&campaign);
-            let lowered = spec.lower(campaigns::extended_registry()).unwrap();
+            let lowered = spec.lower(EngineRegistry::builtin()).unwrap();
             assert_eq!(lowered, campaign);
         }
     }

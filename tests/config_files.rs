@@ -17,7 +17,7 @@ use amc_scenario::spec::{CampaignFile, CampaignSpec, EngineSelSpec, RungSpec, So
 use amc_scenario::workload::{WorkloadFamily, WorkloadSpec};
 use amc_scenario::Campaign;
 use blockamc::converter::IoConfig;
-use blockamc::engine::EngineSpec;
+use blockamc::engine::{EngineRegistry, EngineSpec};
 use blockamc::solver::{SolverConfig, SplitRule, SplitSearchOptions, Stages};
 use proptest::prelude::*;
 use serde::{FromConfig, Json, ToConfig};
@@ -174,7 +174,7 @@ proptest! {
     fn campaign_specs_lower_losslessly(spec in campaign_spec_strategy()) {
         // lower() then from_campaign() must capture the identical spec
         // (the builder adds nothing and drops nothing).
-        let campaign = spec.lower(blockamc::engine::EngineRegistry::builtin()).unwrap();
+        let campaign = spec.lower(EngineRegistry::builtin()).unwrap();
         prop_assert_eq!(CampaignSpec::from_campaign(&campaign), spec);
     }
 }
@@ -200,14 +200,13 @@ fn retired_blocked_engine_spec_is_an_unknown_variant() {
 /// An in-code campaign constructor taking the `quick` flag.
 type CampaignCtor = fn(bool) -> amc_scenario::Result<Campaign>;
 
-/// The four shipped campaign files paired with their in-code
+/// The three shipped campaign files paired with their in-code
 /// constructors.
-fn shipped() -> [(&'static str, CampaignCtor); 4] {
+fn shipped() -> [(&'static str, CampaignCtor); 3] {
     [
         ("depth_sweep", campaigns::depth_sweep),
         ("split_rule", campaigns::split_rule_study),
         ("engine_ladder", campaigns::engine_ladder),
-        ("simd_scaling", campaigns::simd_scaling),
     ]
 }
 
@@ -220,14 +219,10 @@ fn shipped_campaign_files_match_their_in_code_twins() {
     for (name, ctor) in shipped() {
         let file = CampaignFile::load(campaign_path(name)).expect(name);
         for quick in [true, false] {
-            // Campaign equality compares registries by name set, so lower
-            // against the registry the in-code twin was built with.
-            let registry = if matches!(name, "engine_ladder" | "simd_scaling") {
-                campaigns::extended_registry()
-            } else {
-                blockamc::engine::EngineRegistry::builtin()
-            };
-            let from_file = file.select(quick).lower(registry).expect(name);
+            let from_file = file
+                .select(quick)
+                .lower(EngineRegistry::builtin())
+                .expect(name);
             let in_code = ctor(quick).expect(name);
             assert_eq!(from_file, in_code, "{name} (quick: {quick})");
         }
@@ -257,7 +252,7 @@ fn file_loaded_campaign_reports_are_bit_identical() {
     let file = CampaignFile::load(campaign_path("engine_ladder")).expect("load");
     let campaign = file
         .select(true)
-        .lower(campaigns::extended_registry())
+        .lower(EngineRegistry::builtin())
         .expect("lower");
     for workers in [1usize, 3] {
         let report = campaign.run_with_workers(workers).expect("file-loaded run");
