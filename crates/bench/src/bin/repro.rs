@@ -28,7 +28,7 @@ struct RunOpts {
     trials: usize,
     /// The "showcase" size for Figs. 6 and 8 (256 in the paper).
     showcase_n: usize,
-    /// Base seed of seed-taking commands (`serve-bench`).
+    /// Base seed of seed-taking commands (`lifetime`, `trace`).
     seed: u64,
     /// Listen address of `repro serve`.
     addr: String,
@@ -135,22 +135,6 @@ fn main() {
         yield_report(&opts);
         ran_any = true;
     }
-    if run("parallel") {
-        parallel(&opts);
-        ran_any = true;
-    }
-    if run("scenarios") {
-        scenarios(&opts);
-        ran_any = true;
-    }
-    if run("engines") {
-        engines(&opts);
-        ran_any = true;
-    }
-    if run("serve-bench") {
-        serve_bench(&opts);
-        ran_any = true;
-    }
     if run("lifetime") {
         lifetime(&opts);
         ran_any = true;
@@ -177,9 +161,8 @@ fn main() {
         eprintln!(
             "unknown command '{cmd}'. usage: repro [--quick] [--trials N] [--seed N] \
              [--addr HOST:PORT] [--metrics] [--workers N] \
-             <fig6|fig7|fig8|fig9|fig10|headline|scaling|ablation|transient|yield|parallel\
-             |scenarios|engines|serve|serve-bench|lifetime|trace\
-             |run <campaign.json>|export-campaigns|all>"
+             <fig6|fig7|fig8|fig9|fig10|headline|scaling|ablation|transient|yield\
+             |serve|lifetime|trace|run <campaign.json>|export-campaigns|all>"
         );
         std::process::exit(2);
     }
@@ -323,155 +306,20 @@ fn serve(opts: &RunOpts) {
     }
 }
 
-/// Closed-loop load generation against an in-process server, written to
-/// `BENCH_server.json`: a *hot* phase (matrix pool fits the cache) and a
-/// *churn* phase (pool overflows it, forcing evictions and re-prepares).
-fn serve_bench(opts: &RunOpts) {
-    use amc_serve::loadgen::{self, LoadGenConfig};
-    use amc_serve::server::{Server, ServerConfig};
-    use amc_serve::wire::EngineRef;
-
-    banner("Serve-bench — multi-client load against the solver service");
-    let cache_capacity = 4;
-    let server_config = ServerConfig {
-        cache_capacity,
-        solver_workers: amc_par::available_workers().clamp(2, 4),
-        batch_workers: opts.pick(1, 2),
-        queue_capacity: 64,
-        ..ServerConfig::default()
-    };
-    let base = LoadGenConfig {
-        clients: opts.pick(4, 8),
-        requests_per_client: opts.pick(32, 128),
-        distinct_matrices: cache_capacity.min(3),
-        n: opts.pick(32, 64),
-        engine: EngineRef::new("numeric", 0),
-        seed: opts.seed,
-        ..LoadGenConfig::default()
-    };
-    println!(
-        "cache capacity {cache_capacity}, {} dispatch worker(s), {} clients x {} requests, n = {}\n",
-        server_config.solver_workers, base.clients, base.requests_per_client, base.n
-    );
-
-    let mut table = TextTable::new([
-        "phase", "rps", "p50", "p95", "p99", "hit-rate", "coalesce", "busy",
-    ]);
-    let mut phases_json = Vec::new();
-    for (phase, distinct) in [
-        ("hot", base.distinct_matrices),
-        // More matrices than cache slots: every miss is an eviction.
-        ("churn", cache_capacity * 2),
-    ] {
-        let server = Server::new(server_config.clone(), EngineRegistry::builtin());
-        let cfg = LoadGenConfig {
-            distinct_matrices: distinct,
-            ..base.clone()
-        };
-        let r = match loadgen::run(&server, &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("load generation failed ({phase}): {e}");
-                continue;
-            }
-        };
-        server.shutdown();
-        table.row([
-            phase.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            format!("{:.3} ms", r.p50_ms),
-            format!("{:.3} ms", r.p95_ms),
-            format!("{:.3} ms", r.p99_ms),
-            format!("{:.1}%", r.hit_rate * 100.0),
-            format!("{:.2}", r.coalescing_factor),
-            r.busy_rejections.to_string(),
-        ]);
-        phases_json.push(Json::obj([
-            ("phase", phase.into()),
-            ("distinct_matrices", distinct.into()),
-            ("requests", Json::Int(r.requests as i64)),
-            ("solved", Json::Int(r.solved as i64)),
-            ("busy_rejections", Json::Int(r.busy_rejections as i64)),
-            ("busy_giveups", Json::Int(r.busy_giveups as i64)),
-            ("elapsed_s", r.elapsed_s.into()),
-            ("throughput_rps", r.throughput_rps.into()),
-            ("p50_ms", r.p50_ms.into()),
-            ("p95_ms", r.p95_ms.into()),
-            ("p99_ms", r.p99_ms.into()),
-            ("hit_rate", r.hit_rate.into()),
-            ("coalescing_factor", r.coalescing_factor.into()),
-            (
-                "server",
-                Json::obj([
-                    ("hits", Json::Int(r.server.hits as i64)),
-                    ("misses", Json::Int(r.server.misses as i64)),
-                    ("evictions", Json::Int(r.server.evictions as i64)),
-                    ("insertions", Json::Int(r.server.insertions as i64)),
-                    ("entries", Json::Int(r.server.entries as i64)),
-                    ("capacity", Json::Int(r.server.capacity as i64)),
-                    ("requests", Json::Int(r.server.requests as i64)),
-                    ("solved_rhs", Json::Int(r.server.solved_rhs as i64)),
-                    (
-                        "dispatch_batches",
-                        Json::Int(r.server.dispatch_batches as i64),
-                    ),
-                    (
-                        "coalesced_requests",
-                        Json::Int(r.server.coalesced_requests as i64),
-                    ),
-                ]),
-            ),
-        ]));
-    }
-    print!("{}", table.render());
-
-    let json = Json::obj([
-        ("bench", "server".into()),
-        ("quick", opts.quick.into()),
-        ("host_workers", amc_par::available_workers().into()),
-        ("cache_capacity", cache_capacity.into()),
-        ("solver_workers", server_config.solver_workers.into()),
-        ("batch_workers", server_config.batch_workers.into()),
-        ("queue_capacity", server_config.queue_capacity.into()),
-        ("clients", base.clients.into()),
-        ("requests_per_client", base.requests_per_client.into()),
-        ("n", base.n.into()),
-        ("engine", base.engine.name.clone().into()),
-        ("seed", Json::Int(base.seed as i64)),
-        ("phases", Json::Arr(phases_json)),
-    ]);
-    match report::write_json("BENCH_server.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_server.json"),
-        Err(e) => println!("\ncould not write BENCH_server.json: {e}"),
-    }
-    println!(
-        "-> the hot phase shows what a resident prepared solver buys (pure \
-         cache hits, coalesced batches); the churn phase prices eviction: \
-         every re-prepare pays the programming cost the cache amortizes."
-    );
-}
-
-/// The observability study, written to `BENCH_obs.json` plus a Chrome
-/// trace-event artifact (`BENCH_obs_trace.json`, loadable in Perfetto
-/// or `chrome://tracing`):
-///
-/// 1. traces one prepare + solve on the circuit engine and breaks the
-///    wall time down per phase from the recorded span tree;
-/// 2. proves the tracing contract — tracing **on** is bit-identical to
-///    tracing **off**, for single solves and for parallel batches at
-///    1/2/4 workers (the command exits nonzero if this ever fails);
-/// 3. measures the disabled-recorder overhead ratio (the no-op guard;
-///    reported, not asserted — wall clocks are machine noise);
-/// 4. runs a traced loopback serve burst and reports the serve latency
-///    histograms (`serve.dispatch_us`, `serve.wait_us`,
-///    `loadgen.latency_us`) with exact p50/p95/p99.
+/// Writes `BENCH_obs_trace.json`, a Chrome trace-event file (load it in
+/// Perfetto or `chrome://tracing`): one traced two-stage circuit
+/// prepare, solve and 2-worker batch, then a short sequential run of
+/// served solves on their own lanes. Prints the solve's flame tree.
+/// Tracing never changes an output bit; `tests/obs_trace.rs` proves it.
 fn trace(opts: &RunOpts) {
-    use amc_obs::{MetricValue, MetricsSnapshot, Recorder, Trace, TraceSession};
-    use amc_serve::loadgen::{self, LoadGenConfig};
+    use amc_obs::{Trace, TraceSession};
+    use amc_serve::client::Client;
+    use amc_serve::loadgen::{workload_matrix, workload_rhs};
     use amc_serve::server::{Server, ServerConfig};
-    use amc_serve::wire::EngineRef;
+    use amc_serve::wire::{EngineRef, MatrixRef};
+    use blockamc::solver::SolverConfig;
 
-    banner("Trace — spans, metrics, and the bit-identity guarantee");
+    banner("Trace — a Chrome trace of the solve and serve paths");
     let n = opts.pick(64, 256);
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
     let (a, b) = make_workload(MatrixFamily::Wishart, n, &mut rng);
@@ -479,149 +327,67 @@ fn trace(opts: &RunOpts) {
         .map(|i| b.iter().map(|v| v * (1.0 + i as f64 * 0.01)).collect())
         .collect();
 
-    // One prepare + solve + batch under `recorder`; the returned
-    // numbers must not depend on whether the recorder records.
-    let run_solves = |recorder: Recorder, workers: usize| -> (Vec<u64>, Vec<Vec<u64>>) {
+    let session = TraceSession::new();
+    {
+        // Recorders flush their lanes on drop: the solver, the prepared
+        // solver and the replica must all be gone before the drain.
         let mut solver = BlockAmcSolver::new(
             CircuitEngine::new(CircuitEngineConfig::paper_variation(), opts.seed),
             Stages::Two,
         );
-        solver.set_recorder(recorder);
+        solver.set_recorder(session.recorder());
         let mut prepared = solver.prepare(&a).expect("prepare");
-        let x = prepared.solve(&b).expect("solve").x;
+        prepared.solve(&b).expect("solve");
         let mut replica = prepared.replicate(1).remove(0);
-        let xs = replica
-            .solve_batch_parallel(&batch, workers)
+        replica
+            .solve_batch_parallel(&batch, 2)
             .expect("batch solve");
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
-        (bits(&x), xs.iter().map(|x| bits(x)).collect())
-    };
-
-    // --- Bit identity: tracing off vs on, at 1/2/4 batch workers. ---
-    let mut bit_identical = true;
-    let reference = run_solves(Recorder::disabled(), 1);
-    for workers in [1usize, 2, 4] {
-        let session = TraceSession::new();
-        let traced = run_solves(session.recorder(), workers);
-        let trace = session.drain();
-        if traced != reference {
-            bit_identical = false;
-            println!("BIT-IDENTITY VIOLATION: tracing on, {workers} worker(s)");
-        }
-        println!(
-            "tracing on, {workers} worker(s): {} span(s) recorded, outputs {}",
-            trace.events().len(),
-            if traced == reference {
-                "bit-identical to tracing off"
-            } else {
-                "DIVERGED"
-            }
-        );
     }
-
-    // --- The traced run kept for the artifact + phase breakdown. ---
-    let session = TraceSession::new();
-    let solve_t0 = std::time::Instant::now();
-    run_solves(session.recorder(), 2);
-    let traced_s = solve_t0.elapsed().as_secs_f64();
     let solve_trace = session.drain();
-    let noop_t0 = std::time::Instant::now();
-    run_solves(Recorder::disabled(), 2);
-    let disabled_s = noop_t0.elapsed().as_secs_f64();
-    let overhead_ratio = if disabled_s > 0.0 {
-        traced_s / disabled_s
-    } else {
-        1.0
-    };
-    println!(
-        "\nno-op guard: traced {traced_s:.4}s vs disabled {disabled_s:.4}s \
-         (ratio {overhead_ratio:.3})\n"
-    );
     print!("{}", solve_trace.flame_tree());
 
-    let phase_cell = |trace: &Trace, name: &'static str| -> Json {
-        let calls = trace.events().iter().filter(|e| e.name == name).count();
-        Json::obj([
-            ("span", name.into()),
-            ("calls", calls.into()),
-            ("total_ns", Json::Int(trace.total_ns(name) as i64)),
-        ])
-    };
-    let phases: Vec<Json> = [
-        "prepare",
-        "prepare.partition",
-        "prepare.schur",
-        "prepare.program",
-        "prepare.program_mvm",
-        "solve",
-        "cascade.inv1",
-        "cascade.mvm2",
-        "cascade.inv3",
-        "cascade.mvm4",
-        "cascade.inv5",
-        "engine.inv",
-        "batch",
-    ]
-    .iter()
-    .map(|name| phase_cell(&solve_trace, name))
-    .collect();
-
-    // --- A traced serve burst for the latency histograms. ---
     let serve_session = TraceSession::new();
-    let server = Server::new(
-        ServerConfig {
-            cache_capacity: 4,
-            solver_workers: 2,
-            batch_workers: 2,
-            queue_capacity: 64,
-            aging: None,
-            trace: Some(serve_session.clone()),
-        },
-        EngineRegistry::builtin(),
-    );
-    let load = LoadGenConfig {
-        clients: opts.pick(2, 4),
-        requests_per_client: opts.pick(16, 64),
-        distinct_matrices: 3,
-        n: 32,
-        engine: EngineRef::new("numeric", 0),
-        seed: opts.seed,
-        ..LoadGenConfig::default()
-    };
-    let (serve_metrics, load_report) = match loadgen::run(&server, &load) {
-        Ok(r) => (server.metrics(), Some(r)),
-        Err(e) => {
-            println!("serve burst failed: {e}");
-            (server.metrics(), None)
+    let server = Server::with_builtin_engines(ServerConfig {
+        trace: Some(serve_session.clone()),
+        ..ServerConfig::default()
+    });
+    {
+        let config = SolverConfig::builder()
+            .capture_trace(false)
+            .finish()
+            .expect("valid config");
+        let engine = EngineRef::new("numeric", 0);
+        let serve_n = 32;
+        let mut client = Client::new(server.loopback());
+        let fingerprints: Vec<u64> = (0..3)
+            .map(|i| {
+                let m = workload_matrix(serve_n, opts.seed + i);
+                client
+                    .prepare(&m, &config, &engine)
+                    .expect("served prepare")
+                    .0
+            })
+            .collect();
+        for request in 0..opts.pick(32, 128) {
+            let fp = fingerprints[request % fingerprints.len()];
+            let rhs = workload_rhs(serve_n, opts.seed, request as u64);
+            client
+                .solve(MatrixRef::Cached(fp), &config, &engine, &rhs)
+                .expect("served solve");
         }
-    };
+        // Dropping the client closes the loopback, letting the
+        // connection loop exit and flush its lane.
+    }
     server.shutdown();
-    // Every worker and connection lane must flush before the drain.
     server.join_connections();
     let serve_trace = serve_session.drain();
     println!(
-        "\nserve burst: {} span(s) recorded",
+        "\n{} solve span(s), {} serve span(s) recorded",
+        solve_trace.events().len(),
         serve_trace.events().len()
     );
-    print!("{}", serve_metrics.render());
 
-    let hist_cell = |m: &MetricsSnapshot, name: &str| -> Json {
-        match m.get(name) {
-            Some(MetricValue::Histogram(h)) => Json::obj([
-                ("count", Json::Int(h.count as i64)),
-                ("min_us", Json::Int(h.min as i64)),
-                ("p50_us", Json::Int(h.p50 as i64)),
-                ("p95_us", Json::Int(h.p95 as i64)),
-                ("p99_us", Json::Int(h.p99 as i64)),
-                ("max_us", Json::Int(h.max as i64)),
-                ("mean_us", h.mean.into()),
-            ]),
-            _ => Json::Null,
-        }
-    };
-    let load_metrics = load_report.as_ref().map(|r| r.metrics.clone());
-
-    // --- The Chrome trace artifact: solve + serve lanes, one file. ---
+    // One file: the serve lanes follow the solve lanes.
     let lane_offset = solve_trace
         .events()
         .iter()
@@ -635,377 +401,9 @@ fn trace(opts: &RunOpts) {
     }));
     let combined = Trace::from_events(events);
     match std::fs::write("BENCH_obs_trace.json", combined.chrome_trace_json()) {
-        Ok(()) => println!("\nwrote BENCH_obs_trace.json (open in Perfetto / chrome://tracing)"),
-        Err(e) => println!("\ncould not write BENCH_obs_trace.json: {e}"),
+        Ok(()) => println!("wrote BENCH_obs_trace.json (open in Perfetto / chrome://tracing)"),
+        Err(e) => println!("could not write BENCH_obs_trace.json: {e}"),
     }
-
-    let json = Json::obj([
-        ("bench", "obs".into()),
-        ("quick", opts.quick.into()),
-        ("n", n.into()),
-        ("seed", Json::Int(opts.seed as i64)),
-        ("bit_identical", bit_identical.into()),
-        ("solve_spans", solve_trace.events().len().into()),
-        ("serve_spans", serve_trace.events().len().into()),
-        (
-            "dropped_spans",
-            Json::Int((solve_trace.dropped() + serve_trace.dropped()) as i64),
-        ),
-        ("disabled_overhead_ratio", overhead_ratio.into()),
-        ("phases", Json::Arr(phases)),
-        (
-            "serve",
-            Json::obj([
-                (
-                    "dispatch_us",
-                    hist_cell(&serve_metrics, "serve.dispatch_us"),
-                ),
-                ("wait_us", hist_cell(&serve_metrics, "serve.wait_us")),
-                ("batch_rhs", hist_cell(&serve_metrics, "serve.batch_rhs")),
-                (
-                    "latency_us",
-                    load_metrics
-                        .as_ref()
-                        .map_or(Json::Null, |m| hist_cell(m, "loadgen.latency_us")),
-                ),
-                (
-                    "busy_rejections",
-                    Json::Int(serve_metrics.counter("serve.busy_rejections") as i64),
-                ),
-                (
-                    "busy_retries",
-                    load_metrics.as_ref().map_or(Json::Null, |m| {
-                        Json::Int(m.counter("loadgen.busy_retries") as i64)
-                    }),
-                ),
-                (
-                    "busy_giveups",
-                    load_metrics.as_ref().map_or(Json::Null, |m| {
-                        Json::Int(m.counter("loadgen.busy_giveups") as i64)
-                    }),
-                ),
-            ]),
-        ),
-    ]);
-    match report::write_json("BENCH_obs.json", &json) {
-        Ok(()) => println!("wrote BENCH_obs.json"),
-        Err(e) => println!("could not write BENCH_obs.json: {e}"),
-    }
-    if !bit_identical {
-        eprintln!("tracing changed the numbers — the read-only contract is broken");
-        std::process::exit(1);
-    }
-    println!(
-        "-> spans record only at phase boundaries (two clock reads each), \
-         so tracing is safe to leave on; the guarantee that matters is \
-         bit-identity, checked above at every worker count."
-    );
-}
-
-/// Scenario campaigns: the workload registry crossed with solver grids
-/// and nonideality ladders, executed by the `amc-scenario` engine and
-/// written to `BENCH_scenarios.json`.
-fn scenarios(opts: &RunOpts) {
-    use amc_scenario::campaign::run_worker_sweep;
-    use amc_scenario::{campaigns, workload};
-
-    banner("Scenarios — declarative campaigns over the workload registry");
-    let n = opts.pick(32, 64);
-    let yn = |b: bool| if b { "yes" } else { "no" };
-
-    // The registry itself: one instance per family, with measured
-    // metadata.
-    let mut registry_table = TextTable::new(["workload", "n", "cond est", "sym", "dom", "spd"]);
-    let mut registry_json = Vec::new();
-    for spec in workload::default_registry(n, 0xC0FFEE) {
-        match spec.instantiate(1) {
-            Ok(inst) => {
-                let m = inst.meta;
-                registry_table.row([
-                    spec.name.clone(),
-                    spec.n.to_string(),
-                    format!("{:.2e}", m.cond_estimate),
-                    yn(m.symmetric).to_string(),
-                    yn(m.diagonally_dominant).to_string(),
-                    yn(m.spd).to_string(),
-                ]);
-                registry_json.push(Json::obj([
-                    ("name", spec.name.clone().into()),
-                    ("family", spec.family.key().into()),
-                    ("n", spec.n.into()),
-                    ("seed", Json::Int(spec.seed as i64)),
-                    ("cond_estimate", m.cond_estimate.into()),
-                    ("symmetric", m.symmetric.into()),
-                    ("diagonally_dominant", m.diagonally_dominant.into()),
-                    ("spd", m.spd.into()),
-                ]));
-            }
-            Err(e) => {
-                registry_table.row([
-                    spec.name.clone(),
-                    spec.n.to_string(),
-                    format!("failed: {e}"),
-                ]);
-                // Keep the machine-readable registry complete: a family
-                // that fails to instantiate appears as an error record,
-                // not as a silently missing entry.
-                registry_json.push(Json::obj([
-                    ("name", spec.name.clone().into()),
-                    ("family", spec.family.key().into()),
-                    ("n", spec.n.into()),
-                    ("seed", Json::Int(spec.seed as i64)),
-                    ("error", e.to_string().into()),
-                ]));
-            }
-        }
-    }
-    println!("workload registry at n = {n}:\n");
-    print!("{}", registry_table.render());
-
-    let render_cells = render_campaign_cells;
-    let campaign_json = campaign_report_json;
-
-    let mut campaigns_json = Vec::new();
-
-    // Campaigns 1, 2, and 4: depth sweep, split-rule study, and the
-    // engine ladder (every shipped backend selected as EngineSpec data).
-    for built in [
-        campaigns::depth_sweep(opts.quick),
-        campaigns::split_rule_study(opts.quick),
-        campaigns::engine_ladder(opts.quick),
-    ] {
-        let campaign = match built {
-            Ok(c) => c,
-            Err(e) => {
-                println!("\ncampaign failed to build: {e}");
-                continue;
-            }
-        };
-        println!(
-            "\n[{}] {} cells x {} trial(s)",
-            campaign.name(),
-            campaign.cell_count(),
-            campaign.trials()
-        );
-        match campaign.run() {
-            Ok(report) => {
-                print!("{}", render_cells(&report));
-                campaigns_json.push(campaign_json(&report));
-            }
-            Err(e) => println!("campaign '{}' failed: {e}", campaign.name()),
-        }
-    }
-
-    // Campaign 3: worker scaling with bit-identity verification.
-    let mut worker_json = Json::Null;
-    match campaigns::worker_scaling(opts.quick).and_then(|c| run_worker_sweep(&c, &[1, 2, 4, 8])) {
-        Ok(sweep) => {
-            println!(
-                "\n[worker-scaling] {} cells x {} trial(s), {} host core(s)",
-                sweep.report.cells.len(),
-                sweep.report.trials,
-                amc_par::available_workers()
-            );
-            print!("{}", render_cells(&sweep.report));
-            let serial = sweep.timings.first().map_or(0.0, |&(_, s)| s);
-            for &(workers, wall) in &sweep.timings {
-                println!(
-                    "  workers {workers:>2}: {:>9.3} ms wall ({:>5.2}x vs 1)",
-                    wall * 1e3,
-                    if wall > 0.0 { serial / wall } else { 1.0 }
-                );
-            }
-            println!(
-                "  bit-identical across worker counts: {}",
-                yn(sweep.bit_identical)
-            );
-            worker_json = Json::obj([
-                (
-                    "timings",
-                    Json::Arr(
-                        sweep
-                            .timings
-                            .iter()
-                            .map(|&(w, s)| Json::obj([("workers", w.into()), ("wall_s", s.into())]))
-                            .collect(),
-                    ),
-                ),
-                ("bit_identical", sweep.bit_identical.into()),
-            ]);
-            campaigns_json.push(campaign_json(&sweep.report));
-        }
-        Err(e) => println!("\nworker-scaling campaign failed: {e}"),
-    }
-
-    let json = Json::obj([
-        ("bench", "scenarios".into()),
-        ("quick", opts.quick.into()),
-        ("host_workers", amc_par::available_workers().into()),
-        ("registry", Json::Arr(registry_json)),
-        ("campaigns", Json::Arr(campaigns_json)),
-        ("worker_scaling", worker_json),
-    ]);
-    match report::write_json("BENCH_scenarios.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_scenarios.json"),
-        Err(e) => println!("\ncould not write BENCH_scenarios.json: {e}"),
-    }
-    println!(
-        "-> every study above is a Campaign value, not bespoke code: the \
-         workload registry x solver grid x nonideality ladder executes on \
-         one engine, sharded over workers with bit-identical output."
-    );
-}
-
-/// Engine-backend smoke study: the registry listing plus the
-/// engine-ladder campaign — every shipped backend on the same cells,
-/// selected purely as `EngineSpec` data.
-fn engines(opts: &RunOpts) {
-    use amc_scenario::campaigns;
-    use blockamc::engine::EngineRegistry;
-
-    banner("Engines — the open backend registry and the engine ladder");
-    let registry = EngineRegistry::builtin();
-    println!(
-        "registered backends: {}",
-        registry.names().collect::<Vec<_>>().join(", ")
-    );
-    let campaign = match campaigns::engine_ladder(opts.quick) {
-        Ok(c) => c,
-        Err(e) => {
-            println!("engine-ladder campaign failed to build: {e}");
-            return;
-        }
-    };
-    println!(
-        "\n[{}] {} cells x {} trial(s)",
-        campaign.name(),
-        campaign.cell_count(),
-        campaign.trials()
-    );
-    match campaign.run() {
-        Ok(report) => {
-            let mut table = TextTable::new([
-                "workload",
-                "solver",
-                "engine",
-                "nonideality",
-                "ok",
-                "median err",
-                "mean err",
-                "analog t/solve",
-            ]);
-            for c in &report.cells {
-                table.row([
-                    c.workload.clone(),
-                    c.solver.clone(),
-                    c.engine.to_string(),
-                    c.nonideality.to_string(),
-                    format!("{}/{}", c.completed, c.trials),
-                    format!("{:.3e}", c.errors.median),
-                    format!("{:.3e}", c.errors.mean),
-                    if c.analog_time_per_solve_s > 0.0 {
-                        format!("{:.2e} s", c.analog_time_per_solve_s)
-                    } else {
-                        "-".to_string()
-                    },
-                ]);
-            }
-            print!("{}", table.render());
-        }
-        Err(e) => println!("engine-ladder campaign failed: {e}"),
-    }
-    println!(
-        "-> every rung above is an EngineSel — an inline EngineSpec or a \
-         registry name — resolved at trial time behind Box<dyn AmcEngine>; \
-         adding a backend is a registry entry, not a code path."
-    );
-}
-
-/// Parallel execution sweep: wall-clock of the sharded batch solver
-/// across worker counts × batch sizes × depths, written to
-/// `BENCH_parallel.json` to seed the performance trajectory.
-fn parallel(opts: &RunOpts) {
-    use amc_circuit::opamp::OpAmpSpec;
-    use blockamc::batch;
-    use std::time::Instant;
-
-    banner("Parallel — sharded batch solving across macro replicas");
-    let n = opts.pick(32, 64);
-    let host_workers = amc_par::available_workers();
-    let worker_counts: &[usize] = &[1, 2, 4, 8];
-    let batch_sizes: &[usize] = opts.pick(&[16, 64][..], &[16, 64, 256][..]);
-    let depths: &[(&str, Stages)] = &[("one", Stages::One), ("two", Stages::Two)];
-    let reps = opts.trials.clamp(1, 3);
-    let config = CircuitEngineConfig::paper_variation();
-    println!("{n}x{n} Wishart, circuit engine with paper variation, {host_workers} host core(s)\n");
-
-    let mut records = Vec::new();
-    for &(depth_label, stages) in depths {
-        for &k in batch_sizes {
-            let mut rng = ChaCha8Rng::seed_from_u64(0x9A7 + k as u64);
-            let (a, _) = make_workload(MatrixFamily::Wishart, n, &mut rng);
-            let batch: Vec<Vec<f64>> = (0..k)
-                .map(|_| amc_linalg::generate::random_vector(n, &mut rng))
-                .collect();
-            println!("[{depth_label}-stage, {k} RHS]");
-            let mut serial_s = 0.0;
-            for &workers in worker_counts {
-                let mut best = f64::INFINITY;
-                let mut model_s = 0.0;
-                for _ in 0..reps {
-                    let mut solver = BlockAmcSolver::new(CircuitEngine::new(config, 1), stages);
-                    let start = Instant::now();
-                    let out = batch::solve_batch_parallel(
-                        &mut solver,
-                        &a,
-                        &batch,
-                        &OpAmpSpec::ideal(),
-                        0.0,
-                        workers,
-                    )
-                    .expect("parallel batch");
-                    best = best.min(start.elapsed().as_secs_f64());
-                    model_s = out.batch_time_parallel_s(workers);
-                }
-                if workers == 1 {
-                    serial_s = best;
-                }
-                let speedup = serial_s / best;
-                println!(
-                    "  workers {workers:>2}: {:>9.3} ms wall ({speedup:>5.2}x vs 1), \
-                     model {:.3e} s analog",
-                    best * 1e3,
-                    model_s
-                );
-                records.push(Json::obj([
-                    ("depth", depth_label.into()),
-                    ("n", n.into()),
-                    ("batch", k.into()),
-                    ("workers", workers.into()),
-                    ("wall_s", best.into()),
-                    ("speedup_vs_1", speedup.into()),
-                    ("model_analog_s", model_s.into()),
-                ]));
-            }
-        }
-    }
-
-    let record_count = records.len();
-    let json = Json::obj([
-        ("bench", "parallel_batch".into()),
-        ("host_workers", host_workers.into()),
-        ("engine", "circuit/paper_variation".into()),
-        ("records", Json::Arr(records)),
-    ]);
-    match report::write_json("BENCH_parallel.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_parallel.json ({record_count} records)"),
-        Err(e) => println!("\ncould not write BENCH_parallel.json: {e}"),
-    }
-    println!(
-        "-> sharding is bit-identical to serial at every worker count; wall-clock \
-         gains track the host core count while the analog-time model shows the \
-         multi-macro architectural speedup."
-    );
 }
 
 /// Monte-Carlo yield: fraction of manufactured parts (variation draws)
@@ -1541,14 +939,6 @@ fn lifetime(opts: &RunOpts) {
     print!("{}", table.render());
 
     let yn = |b: bool| if b { "yes" } else { "no" };
-    let serial = sweep.timings.first().map_or(0.0, |&(_, s)| s);
-    for &(workers, wall) in &sweep.timings {
-        println!(
-            "  workers {workers:>2}: {:>9.3} ms wall ({:>5.2}x vs 1)",
-            wall * 1e3,
-            if wall > 0.0 { serial / wall } else { 1.0 }
-        );
-    }
     println!(
         "  bit-identical across worker counts: {}",
         yn(sweep.bit_identical)
@@ -1636,16 +1026,6 @@ fn lifetime(opts: &RunOpts) {
         ("seed", Json::Int(opts.seed as i64)),
         ("bit_identical", sweep.bit_identical.into()),
         ("frontier_holds", frontier_holds.into()),
-        (
-            "timings",
-            Json::Arr(
-                sweep
-                    .timings
-                    .iter()
-                    .map(|&(w, s)| Json::obj([("workers", w.into()), ("wall_s", s.into())]))
-                    .collect(),
-            ),
-        ),
         ("cells", Json::Arr(cells_json)),
     ]);
     match report::write_json("BENCH_lifetime.json", &json) {
@@ -1664,9 +1044,7 @@ fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// The shared per-cell text table of campaign reports — `scenarios` and
-/// `run` render through the same function, so a file-loaded campaign's
-/// output is comparable line-for-line with its in-code twin.
+/// The per-cell text table of a campaign report, as `run` prints it.
 fn render_campaign_cells(report: &amc_scenario::CampaignReport) -> String {
     let mut t = TextTable::new([
         "workload",
@@ -1697,9 +1075,8 @@ fn render_campaign_cells(report: &amc_scenario::CampaignReport) -> String {
     t.render()
 }
 
-/// The shared machine-readable form of a campaign report (one entry of
-/// `BENCH_scenarios.json`'s `campaigns` array, and the whole body of
-/// `repro run`'s artifact).
+/// The machine-readable form of a campaign report: the whole body of
+/// `repro run`'s `BENCH_campaign_*.json` artifact.
 fn campaign_report_json(report: &amc_scenario::CampaignReport) -> Json {
     Json::obj([
         ("name", report.name.clone().into()),

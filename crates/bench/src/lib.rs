@@ -1,10 +1,9 @@
 //! Shared experiment harness for the BlockAMC reproduction.
 //!
-//! Both the `repro` binary (which regenerates every figure of the paper)
-//! and the criterion benches use the sweep machinery in this crate. All
-//! experiments are seeded deterministically: a `(figure, family, size,
-//! trial)` tuple always produces the same matrices, input vectors, and
-//! variation draws.
+//! The `repro` binary (which regenerates every figure of the paper) runs
+//! on the sweep machinery in this crate. All experiments are seeded
+//! deterministically: a `(figure, family, size, trial)` tuple always
+//! produces the same matrices, input vectors, and variation draws.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

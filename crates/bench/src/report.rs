@@ -2,7 +2,7 @@
 //! from `amc-config`) and an aligned text-table builder.
 //!
 //! Every machine-readable artifact the repro binary writes
-//! (`BENCH_parallel.json`, `BENCH_scenarios.json`, …) goes through
+//! (`BENCH_campaign_*.json`, `BENCH_lifetime.json`) goes through
 //! [`Json`] instead of hand-rolled `format!` string concatenation, so
 //! escaping, nesting, and number formatting are implemented once. The
 //! value model used to live here; it is now `amc-config`'s — the same

@@ -7,8 +7,7 @@
 //! [`OperandState`]. The backends shipped in-tree are not enumerated
 //! here — they are registered in [`EngineRegistry::builtin`] and
 //! selectable as data through [`EngineSpec`]; run
-//! `EngineRegistry::builtin().names()` (or `repro engines`) for the
-//! authoritative list.
+//! `EngineRegistry::builtin().names()` for the authoritative list.
 //!
 //! Both analog-style and digital backends honour the AMC *sign
 //! convention*: the negative-feedback circuits produce `−A⁻¹·b` (INV)

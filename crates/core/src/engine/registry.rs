@@ -69,7 +69,7 @@ pub type EngineCtor = Box<dyn Fn(u64) -> Result<Box<dyn AmcEngine>> + Send + Syn
 ///
 /// The registry is the extension point the closed `Operand` enum used
 /// to block: downstream code registers a backend under a name and every
-/// name-driven surface (campaign ladders, `repro engines`, service
+/// name-driven surface (campaign ladders, campaign files, service
 /// configuration) can select it without core ever learning the type.
 ///
 /// # Example

@@ -533,21 +533,18 @@ impl CampaignReport {
     }
 }
 
-/// Result of [`run_worker_sweep`]: the (identical) report plus wall
-/// timings per worker count.
+/// Result of [`run_worker_sweep`]: the (identical) report and whether
+/// every worker count reproduced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSweep {
     /// The campaign report (identical at every worker count).
     pub report: CampaignReport,
-    /// `(workers, wall_seconds)` per sweep point.
-    pub timings: Vec<(usize, f64)>,
     /// Whether every worker count reproduced the serial report bitwise.
     pub bit_identical: bool,
 }
 
-/// Runs `campaign` once per entry of `worker_counts`, recording wall
-/// time and checking the reports agree bitwise — the determinism
-/// contract made measurable.
+/// Runs `campaign` once per entry of `worker_counts`, checking the
+/// reports agree bitwise — the determinism contract, checked.
 ///
 /// # Errors
 ///
@@ -557,19 +554,13 @@ pub fn run_worker_sweep(campaign: &Campaign, worker_counts: &[usize]) -> Result<
     let Some((&first, rest)) = worker_counts.split_first() else {
         return Err(ScenarioError::spec("worker sweep needs at least one count"));
     };
-    let start = std::time::Instant::now();
     let report = campaign.run_with_workers(first)?;
-    let mut timings = vec![(first, start.elapsed().as_secs_f64())];
     let mut bit_identical = true;
     for &workers in rest {
-        let start = std::time::Instant::now();
-        let r = campaign.run_with_workers(workers)?;
-        timings.push((workers, start.elapsed().as_secs_f64()));
-        bit_identical &= r == report;
+        bit_identical &= campaign.run_with_workers(workers)? == report;
     }
     Ok(WorkerSweep {
         report,
-        timings,
         bit_identical,
     })
 }
@@ -720,7 +711,6 @@ mod tests {
         let c = tiny_campaign();
         let sweep = run_worker_sweep(&c, &[1, 2, 4]).unwrap();
         assert!(sweep.bit_identical);
-        assert_eq!(sweep.timings.len(), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The in-repo campaign definitions `repro scenarios` ships.
+//! The in-repo campaign definitions.
 //!
-//! Three studies that previously would each have been another bespoke
-//! ~80-line repro function, now expressed as data against the campaign
-//! engine:
+//! Four studies expressed as data against the campaign engine; the
+//! first two and the fourth are also committed as `campaigns/*.json`
+//! files that `repro run` executes:
 //!
 //! 1. [`depth_sweep`] — how deep can the cascade go, and how many
 //!    ADC/DAC bus hops does it tolerate? (the ROADMAP's "bus/converter
@@ -11,8 +11,8 @@
 //!    midpoint splits on ill-conditioned workloads? (the ROADMAP's
 //!    "adaptive splits in production paths")
 //! 3. [`worker_scaling`] — the trial-sharding campaign used with
-//!    [`run_worker_sweep`](crate::campaign::run_worker_sweep) to
-//!    demonstrate wall-clock scaling with bit-identical output.
+//!    [`run_worker_sweep`](crate::campaign::run_worker_sweep) to check
+//!    bit-identical output at every worker count.
 //! 4. [`engine_ladder`] — the backend axis: the same workloads and
 //!    architecture solved by every shipped engine backend, selected
 //!    purely as [`EngineSpec`] data (the ROADMAP's "multi-backend
@@ -151,7 +151,7 @@ pub fn split_rule_study(quick: bool) -> Result<Campaign> {
 /// and multiple right-hand sides per part across a well-conditioned and
 /// a circuit-shaped (PDN) workload on both paper architectures. Run it
 /// through [`run_worker_sweep`](crate::campaign::run_worker_sweep) to
-/// measure wall clock per worker count and verify bit-identity.
+/// verify bit-identity across worker counts.
 ///
 /// # Errors
 ///

@@ -24,7 +24,7 @@
 //!   [`EngineRegistry`](blockamc::engine::EngineRegistry)
 //!   ([`EngineSel`]); every trial's executor is built behind
 //!   `Box<dyn AmcEngine>` from selection + seed.
-//! * [`campaigns`] — the shipped studies `repro scenarios` runs:
+//! * [`campaigns`] — the shipped studies:
 //!   depth sweep with per-level bus placement, `Searched` vs `Halves`
 //!   splits on ill-conditioned families, the worker-scaling campaign,
 //!   and the engine ladder comparing every shipped backend.

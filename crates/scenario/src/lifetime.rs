@@ -13,7 +13,7 @@
 //! every random stream is keyed on `(campaign seed, cell indices,
 //! tick)`, never on scheduling, so the tick-by-tick report is
 //! **bit-identical at any worker count** —
-//! [`run_lifetime_worker_sweep`] makes the contract measurable.
+//! [`run_lifetime_worker_sweep`] checks it.
 
 use std::sync::Arc;
 
@@ -341,15 +341,13 @@ impl LifetimeReport {
 pub struct LifetimeWorkerSweep {
     /// The report (identical at every worker count).
     pub report: LifetimeReport,
-    /// `(workers, wall_seconds)` per sweep point.
-    pub timings: Vec<(usize, f64)>,
     /// Whether every worker count reproduced the first report bitwise.
     pub bit_identical: bool,
 }
 
 /// Runs `campaign` once per entry of `worker_counts`, checking the
 /// tick-by-tick reports agree bitwise — the lifetime determinism
-/// contract made measurable.
+/// contract, checked.
 ///
 /// # Errors
 ///
@@ -362,19 +360,13 @@ pub fn run_lifetime_worker_sweep(
     let Some((&first, rest)) = worker_counts.split_first() else {
         return Err(ScenarioError::spec("worker sweep needs at least one count"));
     };
-    let start = std::time::Instant::now();
     let report = campaign.run_with_workers(first)?;
-    let mut timings = vec![(first, start.elapsed().as_secs_f64())];
     let mut bit_identical = true;
     for &workers in rest {
-        let start = std::time::Instant::now();
-        let r = campaign.run_with_workers(workers)?;
-        timings.push((workers, start.elapsed().as_secs_f64()));
-        bit_identical &= r == report;
+        bit_identical &= campaign.run_with_workers(workers)? == report;
     }
     Ok(LifetimeWorkerSweep {
         report,
-        timings,
         bit_identical,
     })
 }

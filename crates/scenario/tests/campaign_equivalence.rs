@@ -54,14 +54,9 @@ fn campaign_reports_are_bit_identical_at_1_2_4_workers() {
 }
 
 #[test]
-fn worker_sweep_confirms_identity_and_times_every_count() {
+fn worker_sweep_confirms_identity_at_every_count() {
     let sweep = run_worker_sweep(&small_campaign(), &[1, 2, 4]).unwrap();
     assert!(sweep.bit_identical);
-    assert_eq!(
-        sweep.timings.iter().map(|&(w, _)| w).collect::<Vec<_>>(),
-        vec![1, 2, 4]
-    );
-    assert!(sweep.timings.iter().all(|&(_, s)| s >= 0.0));
 }
 
 #[test]

@@ -21,8 +21,9 @@
 //!   (TCP + in-process loopback), the coalescing dispatcher, and
 //!   backpressure.
 //! * [`client`] — the blocking request/response client.
-//! * [`loadgen`] — the closed-loop multi-client load generator behind
-//!   `repro serve-bench`.
+//! * [`loadgen`] — the deterministic workload generators (diagonally
+//!   dominant matrices and right-hand-side streams) the benchmark and
+//!   `repro trace` drive the server with.
 //!
 //! With [`ServerConfig::aging`](server::ServerConfig::aging) set, every
 //! cached solver additionally ages under a device lifetime model

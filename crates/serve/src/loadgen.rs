@@ -1,116 +1,15 @@
-//! Closed-loop multi-client load generator.
+//! Deterministic workload generators for driving the server.
 //!
-//! Drives a running [`Server`] through in-process loopback connections:
-//! `clients` threads each issue `requests_per_client` solves against a
-//! shared pool of `distinct_matrices` matrices (closed loop — the next
-//! request leaves when the previous response arrives). The pool is
-//! prepared up front, so steady-state traffic measures the served
-//! path: cache fetch, coalescing, dispatch, parallel batch solve.
-//!
-//! Everything is deterministic given the seed **except wall-clock
-//! numbers** (throughput, latency percentiles) — the solutions
-//! themselves are bit-reproducible, which the e2e tests assert
-//! separately.
+//! [`workload_matrix`] and [`workload_rhs`] give seeded matrices and
+//! right-hand sides; the benchmark's `serve_mix` workload and
+//! `repro trace` build their requests from them, so every run sends
+//! the same systems.
 //!
 //! No `rand` dependency: matrices and right-hand sides come from an
 //! inline SplitMix64 stream, diagonally dominant so every generated
 //! system is comfortably solvable at any size.
 
-use std::sync::Mutex;
-use std::time::Instant;
-
 use amc_linalg::Matrix;
-use amc_obs::{MetricsSnapshot, Registry};
-use blockamc::solver::SolverConfig;
-
-use crate::client::Client;
-use crate::error::{Result, ServeError};
-use crate::server::Server;
-use crate::wire::{EngineRef, MatrixRef, ServerStats};
-
-/// Shape of one load-generation run.
-#[derive(Debug, Clone)]
-pub struct LoadGenConfig {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-    /// Size of the shared matrix pool; smaller than the cache keeps
-    /// every request hot, larger forces eviction churn.
-    pub distinct_matrices: usize,
-    /// Problem size `n` of every generated system.
-    pub n: usize,
-    /// Engine the solves run on.
-    pub engine: EngineRef,
-    /// Seed of the matrix/RHS/selection streams.
-    pub seed: u64,
-    /// Maximum `Busy` retries per request before the request is
-    /// abandoned (counted as a give-up, not an error). Bounds the
-    /// formerly unbounded retry loop so a saturated server cannot hang
-    /// the generator.
-    pub busy_retry_cap: u32,
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig {
-            clients: 4,
-            requests_per_client: 64,
-            distinct_matrices: 4,
-            n: 32,
-            engine: EngineRef::new("numeric", 0),
-            seed: 7,
-            busy_retry_cap: 64,
-        }
-    }
-}
-
-/// What one run measured.
-#[derive(Debug, Clone)]
-pub struct LoadGenReport {
-    /// Solve requests attempted (excluding warm-up prepares); exceeds
-    /// `solved` exactly when requests gave up under sustained `Busy`.
-    pub requests: u64,
-    /// Requests answered with a solution.
-    pub solved: u64,
-    /// `Busy` rejections observed (each followed by a backed-off retry
-    /// while under the cap).
-    pub busy_rejections: u64,
-    /// Requests abandoned after [`LoadGenConfig::busy_retry_cap`]
-    /// consecutive `Busy` rejections.
-    pub busy_giveups: u64,
-    /// Wall-clock duration of the measured phase, seconds.
-    pub elapsed_s: f64,
-    /// Solved requests per second.
-    pub throughput_rps: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile request latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Server cache hit-rate over the whole run.
-    pub hit_rate: f64,
-    /// Mean requests folded into one dispatched batch.
-    pub coalescing_factor: f64,
-    /// Full server counter snapshot at the end of the run.
-    pub server: ServerStats,
-    /// Generator-side metrics (`loadgen.busy_retries`,
-    /// `loadgen.busy_giveups`, `loadgen.latency_us`) snapshotted at the
-    /// end of the run.
-    pub metrics: MetricsSnapshot,
-}
-
-/// Backoff before Busy retry `attempt` (0-based): 100 µs doubling per
-/// attempt, capped at ~3.2 ms, plus a seeded jitter of up to the base
-/// drawn from `jitter_state` — deterministic per client stream, and
-/// desynchronized across clients so they don't re-slam the queue in
-/// lockstep.
-fn busy_backoff(attempt: u32, jitter_state: &mut u64) -> std::time::Duration {
-    let base_us = 100u64 << attempt.min(5);
-    let jitter_us = splitmix(jitter_state) % base_us;
-    std::time::Duration::from_micros(base_us + jitter_us)
-}
 
 /// SplitMix64 step — the workspace-standard cheap deterministic stream.
 fn splitmix(state: &mut u64) -> u64 {
@@ -126,7 +25,7 @@ fn unit(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
 }
 
-/// The load generator's `n×n` workload matrix for `seed`: random
+/// The `n×n` workload matrix for `seed`: random
 /// entries in `[-1, 1)` with the diagonal lifted above each row's
 /// absolute sum, so the system is strictly diagonally dominant (hence
 /// nonsingular and well-conditioned) at every size.
@@ -145,151 +44,11 @@ pub fn workload_matrix(n: usize, seed: u64) -> Matrix {
     Matrix::from_vec(n, n, data).expect("n*n data")
 }
 
-/// The load generator's right-hand side stream: entry `k` of the
-/// vector for (`seed`, `request`).
+/// The workload right-hand side for (`seed`, `request`): `n` entries
+/// in `[-1, 1)`.
 pub fn workload_rhs(n: usize, seed: u64, request: u64) -> Vec<f64> {
     let mut state = seed ^ request.wrapping_mul(0xd6e8_feb8_6659_fd93);
     (0..n).map(|_| unit(&mut state)).collect()
-}
-
-/// Runs the closed-loop load against `server` and aggregates the
-/// report. The matrix pool is prepared before the clock starts.
-///
-/// # Errors
-///
-/// Transport or preparation failures; `Busy` rejections are part of
-/// the workload (counted and retried), not errors.
-pub fn run(server: &Server, cfg: &LoadGenConfig) -> Result<LoadGenReport> {
-    let solver_config = SolverConfig::builder()
-        .capture_trace(false)
-        .finish()
-        .map_err(|e| ServeError::Protocol(format!("invalid load-gen solver config: {e}")))?;
-    let matrices: Vec<Matrix> = (0..cfg.distinct_matrices.max(1))
-        .map(|i| workload_matrix(cfg.n, cfg.seed.wrapping_add(i as u64)))
-        .collect();
-
-    // Warm-up: prepare the pool once, outside the measured window.
-    let mut setup = Client::new(server.loopback());
-    let fingerprints: Vec<u64> = matrices
-        .iter()
-        .map(|m| {
-            setup
-                .prepare(m, &solver_config, &cfg.engine)
-                .map(|(fp, _)| fp)
-        })
-        .collect::<Result<_>>()?;
-
-    let metrics = Registry::new();
-    let busy_retries = metrics.counter("loadgen.busy_retries");
-    let busy_giveups = metrics.counter("loadgen.busy_giveups");
-    let latency_us = metrics.histogram("loadgen.latency_us");
-    let latencies = Mutex::new(Vec::new());
-    let started = Instant::now();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for client_idx in 0..cfg.clients.max(1) {
-            let transport = server.loopback();
-            let solver_config = &solver_config;
-            let matrices = &matrices;
-            let fingerprints = &fingerprints;
-            let latencies = &latencies;
-            let busy_retries = &busy_retries;
-            let busy_giveups = &busy_giveups;
-            let latency_us = &latency_us;
-            handles.push(scope.spawn(move || -> Result<()> {
-                let mut client = Client::new(transport);
-                let mut select = cfg.seed ^ (client_idx as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-                let mut jitter = cfg.seed ^ (client_idx as u64).wrapping_mul(0xd6e8_feb8_6659_fd93);
-                let mut my_latencies = Vec::with_capacity(cfg.requests_per_client);
-                for request in 0..cfg.requests_per_client {
-                    let pick = (splitmix(&mut select) % matrices.len() as u64) as usize;
-                    let rhs = workload_rhs(cfg.n, cfg.seed ^ client_idx as u64, request as u64);
-                    let t0 = Instant::now();
-                    let mut inline = false;
-                    let mut busy_attempts = 0u32;
-                    loop {
-                        let result = client.solve(
-                            if inline {
-                                MatrixRef::Inline(matrices[pick].clone())
-                            } else {
-                                MatrixRef::Cached(fingerprints[pick])
-                            },
-                            solver_config,
-                            &cfg.engine,
-                            &rhs,
-                        );
-                        match result {
-                            Ok(_) => {
-                                let elapsed = t0.elapsed();
-                                latency_us.record(elapsed.as_micros() as u64);
-                                my_latencies.push(elapsed.as_secs_f64() * 1e3);
-                                break;
-                            }
-                            // Backpressure: back off (doubling, seeded
-                            // jitter) and retry — up to the cap, past
-                            // which the request is abandoned rather
-                            // than hammering a saturated server
-                            // forever.
-                            Err(ServeError::Busy) => {
-                                if busy_attempts >= cfg.busy_retry_cap {
-                                    busy_giveups.inc();
-                                    break;
-                                }
-                                busy_retries.inc();
-                                std::thread::sleep(busy_backoff(busy_attempts, &mut jitter));
-                                busy_attempts += 1;
-                            }
-                            // Evicted under churn (possibly between
-                            // resolve and dispatch): re-submit inline
-                            // until a dispatch wins the race.
-                            Err(ServeError::NotPrepared { .. }) => inline = true,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(my_latencies);
-                Ok(())
-            }));
-        }
-        for handle in handles {
-            handle.join().expect("load client panicked")?;
-        }
-        Ok(())
-    })?;
-    let elapsed_s = started.elapsed().as_secs_f64();
-
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let server_stats = server.stats();
-    let solved = lat.len() as u64;
-    Ok(LoadGenReport {
-        requests: (cfg.clients.max(1) * cfg.requests_per_client) as u64,
-        solved,
-        busy_rejections: busy_retries.get(),
-        busy_giveups: busy_giveups.get(),
-        elapsed_s,
-        throughput_rps: if elapsed_s > 0.0 {
-            solved as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        p50_ms: percentile(&lat, 50.0),
-        p95_ms: percentile(&lat, 95.0),
-        p99_ms: percentile(&lat, 99.0),
-        hit_rate: server_stats.hit_rate(),
-        coalescing_factor: server_stats.coalescing_factor(),
-        server: server_stats,
-        metrics: metrics.snapshot(),
-    })
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -314,36 +73,5 @@ mod tests {
         // RHS stream is deterministic too.
         assert_eq!(workload_rhs(8, 1, 2), workload_rhs(8, 1, 2));
         assert_ne!(workload_rhs(8, 1, 2), workload_rhs(8, 1, 3));
-    }
-
-    #[test]
-    fn busy_backoff_doubles_caps_and_jitters_deterministically() {
-        let mut jitter = 42u64;
-        let mut prev_base = 0u64;
-        for attempt in 0..8 {
-            let base_us = 100u64 << attempt.min(5);
-            let d = busy_backoff(attempt, &mut jitter);
-            let us = d.as_micros() as u64;
-            assert!(us >= base_us && us < 2 * base_us, "attempt {attempt}: {us}");
-            assert!(base_us >= prev_base, "base must be non-decreasing");
-            prev_base = base_us;
-        }
-        // Capped: attempts past 5 keep the 3.2 ms base.
-        let mut j = 3u64;
-        assert!(busy_backoff(7, &mut j).as_micros() < 6400);
-        // Same stream, same delays.
-        let (mut a, mut b) = (7u64, 7u64);
-        for attempt in 0..6 {
-            assert_eq!(busy_backoff(attempt, &mut a), busy_backoff(attempt, &mut b));
-        }
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 50.0), 3.0); // rank round(1.5) = 2
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

@@ -130,7 +130,7 @@ fn campaign(seed: u64) -> LifetimeCampaign {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The replay determinism acceptance criterion: the same seed must
+    /// The replay determinism contract: the same seed must
     /// produce a bit-identical lifetime report at 1, 2, and 4 workers.
     /// `LifetimeReport` derives `PartialEq` over raw `f64`s, so `==`
     /// here is bitwise on every health probe, residual, and energy sum.

@@ -4,7 +4,7 @@
 //! and circuit engines. Spans and metrics are strictly read-only
 //! observers; these tests are the proof the `amc-obs` docs point at.
 
-use amc_linalg::generate;
+use amc_linalg::{generate, Matrix};
 use amc_obs::{Recorder, TraceSession};
 use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
 use blockamc::solver::{BlockAmcSolver, Stages};
@@ -20,20 +20,43 @@ fn bits(xs: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// One prepare + solve + parallel batch under `recorder`, returning
-/// the solution bits. The workload derives from `seed` only.
-fn run_stack<E: AmcEngine + Clone + Send>(
-    engine: E,
+/// One `run_stack` input, drawn from `seed`: an `n×n` matrix from
+/// `matrix`, one RHS, then `batch` copies of it scaled `step` apart.
+#[derive(Clone, Copy)]
+struct Workload {
+    matrix: fn(usize, &mut ChaCha8Rng) -> Matrix,
     seed: u64,
     n: usize,
+    batch: usize,
+    step: f64,
+}
+
+/// The default workload of these tests: a diagonally dominant system
+/// with 6 RHS scaled 10% apart.
+fn dominant(seed: u64, n: usize) -> Workload {
+    Workload {
+        matrix: |n, rng| generate::diagonally_dominant(n, 1.0, rng).unwrap(),
+        seed,
+        n,
+        batch: 6,
+        step: 0.1,
+    }
+}
+
+/// One prepare + solve + parallel batch under `recorder`, returning
+/// the solution bits.
+fn run_stack<E: AmcEngine + Clone + Send>(
+    engine: E,
+    workload: Workload,
     workers: usize,
     recorder: Recorder,
 ) -> Vec<Vec<u64>> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let a = generate::diagonally_dominant(n, 1.0, &mut rng).unwrap();
+    let (n, step) = (workload.n, workload.step);
+    let mut rng = ChaCha8Rng::seed_from_u64(workload.seed);
+    let a = (workload.matrix)(n, &mut rng);
     let b = generate::random_vector(n, &mut rng);
-    let batch: Vec<Vec<f64>> = (0..6)
-        .map(|i| b.iter().map(|v| v * (1.0 + i as f64 * 0.1)).collect())
+    let batch: Vec<Vec<f64>> = (0..workload.batch)
+        .map(|i| b.iter().map(|v| v * (1.0 + i as f64 * step)).collect())
         .collect();
     let mut solver = BlockAmcSolver::new(engine, Stages::Two);
     solver.set_recorder(recorder);
@@ -50,10 +73,11 @@ fn run_stack<E: AmcEngine + Clone + Send>(
 
 #[test]
 fn tracing_is_bit_identical_on_numeric_engine_at_any_worker_count() {
-    let reference = run_stack(NumericEngine::new(), 11, 24, 1, Recorder::disabled());
+    let workload = dominant(11, 24);
+    let reference = run_stack(NumericEngine::new(), workload, 1, Recorder::disabled());
     for workers in [1usize, 2, 4] {
         let session = TraceSession::new();
-        let traced = run_stack(NumericEngine::new(), 11, 24, workers, session.recorder());
+        let traced = run_stack(NumericEngine::new(), workload, workers, session.recorder());
         assert_eq!(traced, reference, "numeric, {workers} worker(s)");
         let trace = session.drain();
         assert!(
@@ -71,15 +95,26 @@ fn tracing_is_bit_identical_on_numeric_engine_at_any_worker_count() {
 
 #[test]
 fn tracing_is_bit_identical_on_circuit_engine_at_any_worker_count() {
-    let engine = || CircuitEngine::new(CircuitEngineConfig::paper_variation(), 0xC0FFEE);
-    let reference = run_stack(engine(), 13, 24, 1, Recorder::disabled());
-    for workers in [1usize, 2, 4] {
-        let session = TraceSession::new();
-        let traced = run_stack(engine(), 13, 24, workers, session.recorder());
-        assert_eq!(traced, reference, "circuit, {workers} worker(s)");
-        let trace = session.drain();
-        assert!(trace.events().iter().any(|e| e.name == "engine.inv"));
-        assert_eq!(trace.dropped(), 0);
+    // The second case is the run `repro --quick trace` exports.
+    let trace_export = Workload {
+        matrix: |n, rng| generate::wishart_default(n, rng).unwrap(),
+        seed: 7,
+        n: 64,
+        batch: 8,
+        step: 0.01,
+    };
+    for (workload, engine_seed) in [(dominant(13, 24), 0xC0FFEE), (trace_export, 7)] {
+        let engine = || CircuitEngine::new(CircuitEngineConfig::paper_variation(), engine_seed);
+        let reference = run_stack(engine(), workload, 1, Recorder::disabled());
+        for workers in [1usize, 2, 4] {
+            let session = TraceSession::new();
+            let traced = run_stack(engine(), workload, workers, session.recorder());
+            let n = workload.n;
+            assert_eq!(traced, reference, "circuit, n={n}, {workers} worker(s)");
+            let trace = session.drain();
+            assert!(trace.events().iter().any(|e| e.name == "engine.inv"));
+            assert_eq!(trace.dropped(), 0);
+        }
     }
 }
 
@@ -98,7 +133,7 @@ fn tracing_is_invisible_to_campaign_reports() {
     assert!(sweep.bit_identical, "campaign must not depend on workers");
     assert_eq!(
         sweep.report.metrics(),
-        sweep.report.metrics(),
+        campaign.run_with_workers(4).expect("campaign").metrics(),
         "derived metrics are a pure function of the report"
     );
     assert!(sweep.report.metrics().counter("campaign.cells") > 0);
@@ -164,9 +199,9 @@ proptest! {
         n in 8usize..=28,
         workers in 1usize..=4,
     ) {
-        let reference = run_stack(NumericEngine::new(), seed, n, 1, Recorder::disabled());
+        let reference = run_stack(NumericEngine::new(), dominant(seed, n), 1, Recorder::disabled());
         let session = TraceSession::new();
-        let traced = run_stack(NumericEngine::new(), seed, n, workers, session.recorder());
+        let traced = run_stack(NumericEngine::new(), dominant(seed, n), workers, session.recorder());
         prop_assert_eq!(traced, reference);
     }
 }

@@ -38,7 +38,7 @@ fn dyadic_workload(n: usize) -> (Matrix, Vec<f64>) {
 
 #[test]
 fn multi_rhs_workload_programs_each_array_exactly_once() {
-    // Acceptance criterion: many right-hand sides, one programming pass.
+    // The contract: many right-hand sides, one programming pass.
     let (a, _) = workload(16, 1);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let batch: Vec<Vec<f64>> = (0..16)
@@ -127,7 +127,7 @@ fn nonideal_io() -> IoConfig {
 
 #[test]
 fn depth3_cascade_with_bus_entry_at_level1_snapshot() {
-    // Acceptance criterion: a depth-3 cascade whose level-1 boundary
+    // The contract: a depth-3 cascade whose level-1 boundary
     // crosses the data bus runs through the facade. The workload is
     // dyadic and the engine exact, so the solution is pinned to the
     // bit; a dropped or doubled ADC→DAC hop at level 1 moves it.
