@@ -74,7 +74,7 @@ pub fn inv_settle_time(g_hat: &Matrix, opamp: &OpAmpSpec, epsilon: f64) -> Resul
 }
 
 /// Estimates `|λ_min|` of the symmetric part of a square matrix by inverse
-/// power iteration (a handful of LU solves).
+/// power iteration (at most 100 solves against one LU factorisation).
 ///
 /// # Errors
 ///
@@ -92,7 +92,9 @@ pub fn min_eigenvalue_magnitude(a: &Matrix) -> Result<f64> {
     let lu = LuFactor::new(&sym)
         .map_err(|e| CircuitError::no_op_point(format!("singular matrix: {e}")))?;
     // Inverse power iteration converges to the eigenvector of the smallest
-    // |eigenvalue|; 50 iterations is plenty for a timing estimate. This
+    // |eigenvalue|; it stops once the Rayleigh quotient settles to a
+    // relative 1e-12, or after 100 steps, plenty for a timing estimate
+    // (a Wishart leaf usually runs into that cap). This
     // runs for every INV settle-time estimate, so the iteration reuses
     // two scratch buffers through the borrowed linalg kernels instead of
     // allocating three vectors per pass.

@@ -145,16 +145,35 @@ impl LuFactor {
         for (xi, &pi) in x.iter_mut().zip(&self.perm) {
             *xi = b[pi];
         }
-        for i in 1..n {
+        // Row 0 has nothing to subtract. From row 1 on, the rows go in
+        // groups of ROW_GROUP: each row's sum over the group's solved
+        // prefix `x[..i0]` runs in its own accumulator, then continues in
+        // order over the group's earlier rows as they are solved. Every
+        // row sums exactly as `dot(row, solved)` does.
+        const G: usize = vector::ROW_GROUP;
+        let mut i0 = 1;
+        while i0 + G <= n {
+            let (solved, group) = x.split_at_mut(i0);
+            let mut acc = vector::dot_rows::<G>(&lu[i0 * n..], n, solved);
+            for (r, s) in acc.iter_mut().enumerate() {
+                let row = &lu[(i0 + r) * n + i0..(i0 + r) * n + i0 + r];
+                let (done, rest) = group.split_at_mut(r);
+                for (l, y) in row.iter().zip(&*done) {
+                    *s += l * y;
+                }
+                rest[0] -= *s;
+            }
+            i0 += G;
+        }
+        for i in i0..n {
             let (solved, rest) = x.split_at_mut(i);
-            let row = &lu[i * n..i * n + i];
-            rest[0] -= crate::vector::dot(row, solved);
+            rest[0] -= vector::dot(&lu[i * n..i * n + i], solved);
         }
         // Back substitution: U·x = y.
         for i in (0..n).rev() {
             let (head, tail) = x.split_at_mut(i + 1);
             let row = &lu[i * n + i + 1..(i + 1) * n];
-            head[i] = (head[i] - crate::vector::dot(row, tail)) / lu[i * n + i];
+            head[i] = (head[i] - vector::dot(row, tail)) / lu[i * n + i];
         }
         Ok(())
     }
@@ -474,6 +493,7 @@ pub fn inverse(a: &Matrix) -> Result<Matrix> {
 mod tests {
     use super::*;
     use crate::vector;
+    use rand::SeedableRng;
 
     #[test]
     fn solves_known_system() {
@@ -676,5 +696,50 @@ mod tests {
         let b = a.matvec(&x_true).unwrap();
         let x = solve(&a, &b).unwrap();
         assert!(vector::approx_eq(&x, &x_true, 1e-10));
+    }
+
+    /// [`LuFactor::solve_into`] with one `dot` per row in both
+    /// substitutions, as it was before the forward substitution took its
+    /// rows in groups.
+    fn one_dot_per_row_solve(f: &LuFactor, b: &[f64]) -> Vec<f64> {
+        let n = f.dim();
+        let lu = f.lu.as_slice();
+        let mut x: Vec<f64> = f.perm.iter().map(|&p| b[p]).collect();
+        for i in 1..n {
+            let (solved, rest) = x.split_at_mut(i);
+            rest[0] -= vector::dot(&lu[i * n..i * n + i], solved);
+        }
+        for i in (0..n).rev() {
+            let (head, tail) = x.split_at_mut(i + 1);
+            let row = &lu[i * n + i + 1..(i + 1) * n];
+            head[i] = (head[i] - vector::dot(row, tail)) / lu[i * n + i];
+        }
+        x
+    }
+
+    #[test]
+    fn solve_into_matches_one_dot_per_row_bit_for_bit() {
+        // Every n up to 70 covers each remainder of the row groups. The
+        // right-hand sides carry signed zeros (one of them only signed
+        // zeros, whose solution is all zeros of computed sign) and ±∞.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(70);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut x = Vec::new();
+        for n in 1..=70 {
+            let f = LuFactor::new(&crate::generate::gaussian(n, n, &mut rng)).unwrap();
+            let mut random = crate::generate::random_vector(n, &mut rng);
+            random[n / 2] = -0.0;
+            let zeros: Vec<f64> = (0..n)
+                .map(|i| if i % 3 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            let mut infinite = random.clone();
+            infinite[n / 3] = f64::INFINITY;
+            infinite[(2 * n) / 3] = f64::NEG_INFINITY;
+            for b in [random, zeros, infinite] {
+                x.resize(n, f64::NAN);
+                f.solve_into(&b, &mut x).unwrap();
+                assert_eq!(bits(&x), bits(&one_dot_per_row_solve(&f, &b)), "n={n}");
+            }
+        }
     }
 }

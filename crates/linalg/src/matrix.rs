@@ -325,7 +325,16 @@ impl Matrix {
                 rhs: (out.len(), 1),
             });
         }
-        for (i, o) in out.iter_mut().enumerate() {
+        // Rows in groups of ROW_GROUP, one accumulator each; the leftover
+        // rows run `dot` itself. Every row sums exactly as `dot` does.
+        const G: usize = vector::ROW_GROUP;
+        let grouped = self.rows / G * G;
+        let (head, tail) = out.split_at_mut(grouped);
+        for (g, o) in head.chunks_exact_mut(G).enumerate() {
+            let rows = &self.data[g * G * self.cols..];
+            o.copy_from_slice(&vector::dot_rows::<G>(rows, self.cols, x));
+        }
+        for (i, o) in (grouped..).zip(tail) {
             *o = vector::dot(self.row(i), x);
         }
         Ok(())
@@ -474,13 +483,16 @@ impl Matrix {
 
     /// Applies `f(row, col, value)` to every element, returning a new matrix.
     pub fn map_indexed(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> Matrix {
-        let mut out = self.clone();
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[i * self.cols + j] = f(i, j, self.data[i * self.cols + j]);
-            }
+        let mut data = Vec::with_capacity(self.data.len());
+        // `max(1)`: a matrix without columns has no elements to visit.
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            data.extend(row.iter().enumerate().map(|(j, &v)| f(i, j, v)));
         }
-        out
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 
     /// Maximum absolute element value (zero for a matrix of zeros).
@@ -1018,5 +1030,51 @@ mod tests {
     fn map_indexed_sees_coordinates() {
         let m = Matrix::zeros(2, 2).map_indexed(|i, j, _| (i * 10 + j) as f64);
         assert_eq!(m[(1, 1)], 11.0);
+    }
+
+    #[test]
+    fn matvec_into_matches_per_row_dot_bit_for_bit() {
+        // Every shape up to 40×40, so every row count modulo the row
+        // group appears. Each row carries a -0.0; one input is all signed
+        // zeros, and three matrices carry a +∞, a -∞ or a NaN.
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(40);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        for rows in 0..=40 {
+            for cols in 0..=40 {
+                let mut data = crate::generate::random_vector(rows * cols, &mut rng);
+                for (i, row) in data.chunks_exact_mut(cols.max(1)).enumerate() {
+                    row[i % cols] = -0.0;
+                }
+                let random = crate::generate::random_vector(cols, &mut rng);
+                let zeros: Vec<f64> = (0..cols)
+                    .map(|j| if j % 5 == 0 { 0.0 } else { -0.0 })
+                    .collect();
+                let mut cases = vec![(data.clone(), random.clone()), (data.clone(), zeros)];
+                if !data.is_empty() {
+                    for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                        let mut salted = data.clone();
+                        salted[(rows * cols) / 2] = special;
+                        cases.push((salted, random.clone()));
+                    }
+                }
+                for (data, x) in cases {
+                    let m = Matrix::from_vec(rows, cols, data).unwrap();
+                    out.resize(rows, f64::NAN);
+                    m.matvec_into(&x, &mut out).unwrap();
+                    let want: Vec<f64> = (0..rows).map(|i| vector::dot(m.row(i), &x)).collect();
+                    assert_eq!(bits(&out), bits(&want), "{rows}x{cols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn map_indexed_keeps_shape_on_empty_matrices() {
+        for (rows, cols) in [(0, 0), (0, 3), (3, 0)] {
+            let m = Matrix::zeros(rows, cols).map_indexed(|_, _, v| v + 1.0);
+            assert_eq!(m.shape(), (rows, cols));
+        }
     }
 }

@@ -78,6 +78,34 @@ pub(crate) fn dot_group<const W: usize>(
     acc
 }
 
+/// Rows per group of the single-vector kernels ([`Matrix::matvec_into`]
+/// and the forward substitution of [`LuFactor::solve_into`]).
+///
+/// [`Matrix::matvec_into`]: crate::Matrix::matvec_into
+/// [`LuFactor::solve_into`]: crate::lu::LuFactor::solve_into
+pub(crate) const ROW_GROUP: usize = 4;
+
+/// Dot products of `W` rows of a row-major block with `x`: entry `r` is
+/// `Σ_j rows[r·stride + j]·x[j]` over `j < x.len()`, summed in `j` order
+/// from [`SUM_NEUTRAL`] — row for row the arithmetic of [`dot`]. The `W`
+/// sums are independent, so they advance side by side instead of each
+/// waiting on the latency of the previous row's additions.
+///
+/// # Panics
+///
+/// Panics if `rows` is shorter than `(W − 1)·stride + x.len()`.
+#[inline]
+pub(crate) fn dot_rows<const W: usize>(rows: &[f64], stride: usize, x: &[f64]) -> [f64; W] {
+    let rows: [&[f64]; W] = std::array::from_fn(|r| &rows[r * stride..][..x.len()]);
+    let mut acc = [SUM_NEUTRAL; W];
+    for (j, &xj) in x.iter().enumerate() {
+        for (s, row) in acc.iter_mut().zip(&rows) {
+            *s += row[j] * xj;
+        }
+    }
+    acc
+}
+
 /// Copies column `c` of a row-major block of width `k` into `out`
 /// (resized to the block's row count).
 ///

@@ -12,17 +12,33 @@
 //! and aggregates per-cell records: error statistics, engine-measured
 //! analog cost, and `amc-arch` cascade-model scoring.
 //!
+//! ## Execution
+//!
+//! [`Campaign::run_with_workers`] is one `amc-par` pass. Its jobs are the
+//! trials of every cell, plus one arch-model latency job per distinct
+//! (workload, cascade depth, op-amp, settle ε): cells that agree on all
+//! four share that latency. A workload's setup (instantiation, the
+//! solver-size checks, one reference LU and the reference solves) sits
+//! in a `OnceLock` that the first job needing it fills. Jobs are dealt
+//! with the workloads interleaved, so each worker starts on a different
+//! workload's setup; only building the job list and folding the results
+//! run outside the pool. After a failed setup the remaining jobs skip
+//! their work, and the run returns the first error in workload order —
+//! the one a serial setup loop would have met first.
+//!
 //! ## Determinism contract
 //!
-//! Trials shard across `amc-par` workers. A trial's engine seed depends
-//! only on the campaign seed and the cell/trial indices — never on the
-//! worker that runs it — and outcomes are merged back in job order
-//! before any statistic is computed, so a [`CampaignReport`] is
-//! **bit-identical at every worker count** (pinned by
-//! `tests/campaign_equivalence.rs`).
+//! A trial's engine seed depends only on the campaign seed and the
+//! cell/trial indices — never on the worker that runs it. Setups and
+//! latencies are pure functions of the campaign, and every result is
+//! put back in its cell's slot before any statistic is computed, so a
+//! [`CampaignReport`] is **bit-identical at every worker count** (pinned
+//! by `tests/campaign_equivalence.rs`).
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
+use amc_circuit::opamp::OpAmpSpec;
 use amc_circuit::timing;
 use amc_linalg::{lu, metrics, Matrix};
 use blockamc::engine::{AmcEngine, CircuitEngineConfig, EngineRegistry, EngineSpec, EngineStats};
@@ -259,17 +275,17 @@ impl Campaign {
         self.run_with_workers(self.workers)
     }
 
-    /// Runs the campaign with the trials of all cells sharded across
-    /// `workers` work-stealing threads. The report is bit-identical at
-    /// every worker count (see the module docs).
+    /// Runs the campaign — workload setups, trials and latency models —
+    /// in one pass over `workers` work-stealing threads. The report is
+    /// bit-identical at every worker count (see the module docs).
     ///
     /// # Errors
     ///
     /// [`ScenarioError::InvalidSpec`] for `workers == 0` or a solver
-    /// configuration invalid for a workload's size (checked up front so
-    /// a misconfigured cell fails loudly instead of silently producing
-    /// zero completed trials); workload instantiation and
-    /// reference-solve failures. Per-trial analog failures are
+    /// configuration invalid for a workload's size (checked in the
+    /// workload's setup, so a misconfigured cell fails loudly instead of
+    /// silently producing zero completed trials); workload instantiation
+    /// and reference-solve failures. Per-trial analog failures are
     /// *counted*, not propagated. (Empty axes and zero trials cannot
     /// reach here — [`CampaignBuilder::finish`] rejects them.)
     pub fn run_with_workers(&self, workers: usize) -> Result<CampaignReport> {
@@ -290,57 +306,136 @@ impl Campaign {
             })?;
         }
 
-        // Hoisted per-workload state: instance, reference solutions.
-        let mut prepped: Vec<(WorkloadInstance, Vec<Vec<f64>>)> =
-            Vec::with_capacity(self.workloads.len());
-        for spec in &self.workloads {
-            let inst = spec.instantiate(self.rhs_per_trial)?;
-            for cell in &self.solvers {
-                cell.config.validate_for_size(spec.n).map_err(|e| {
-                    ScenarioError::spec(format!(
-                        "solver '{}' cannot run workload '{}' (n = {}): {e}",
-                        cell.label, spec.name, spec.n
-                    ))
-                })?;
-            }
-            // One factorization per workload, shared by every RHS.
-            let lu = lu::LuFactor::new(&inst.matrix)?;
-            let x_refs: std::result::Result<Vec<Vec<f64>>, _> =
-                inst.rhs.iter().map(|b| lu.solve(b)).collect();
-            prepped.push((inst, x_refs?));
-        }
-
-        // One job per (workload, solver, ladder, trial), w-major order.
+        // Cells in w-major order, each with its latency key's index into
+        // `keys` (one entry per distinct key, in first-use order).
         let (s_len, l_len, t_len) = (self.solvers.len(), self.ladder.len(), self.trials);
-        let jobs: Vec<(usize, usize, usize, usize)> = (0..self.workloads.len())
-            .flat_map(|w| {
-                (0..s_len).flat_map(move |s| {
-                    (0..l_len).flat_map(move |l| (0..t_len).map(move |t| (w, s, l, t)))
-                })
+        let cells: Vec<(usize, usize, usize)> = (0..self.workloads.len())
+            .flat_map(|w| (0..s_len).flat_map(move |s| (0..l_len).map(move |l| (w, s, l))))
+            .collect();
+        let mut keys: Vec<LatencyKey> = Vec::new();
+        let cell_keys: Vec<Option<usize>> = cells
+            .iter()
+            .map(|&(w, s, l)| {
+                let key = LatencyKey::of(w, &self.solvers[s].config, &self.ladder[l])?;
+                Some(keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                }))
             })
             .collect();
-        let outcomes: Vec<Option<TrialOutcome>> =
-            amc_par::map_indexed(workers, jobs, |_, (w, s, l, t)| {
-                self.run_trial(&prepped[w], &self.solvers[s], &self.ladder[l], (w, s, l), t)
-            });
 
-        // Aggregate per cell, in job order.
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for (w, (inst, _)) in prepped.iter().enumerate() {
-            for (s, solver) in self.solvers.iter().enumerate() {
-                for (l, rung) in self.ladder.iter().enumerate() {
-                    let base = ((w * s_len + s) * l_len + l) * t_len;
-                    let trials = &outcomes[base..base + t_len];
-                    cells.push(self.aggregate_cell(inst, solver, rung, trials));
-                }
+        // Each workload's jobs — its trials, then its latency keys —
+        // dealt interleaved with the other workloads', so that each
+        // worker starts on a different workload's setup.
+        let mut per_workload: Vec<Vec<Job>> = vec![Vec::new(); self.workloads.len()];
+        for &cell in &cells {
+            per_workload[cell.0].extend((0..t_len).map(|trial| Job::Trial { cell, trial }));
+        }
+        for (k, key) in keys.iter().enumerate() {
+            per_workload[key.workload].push(Job::Latency(k));
+        }
+        let longest = per_workload.iter().map(Vec::len).max().unwrap_or(0);
+        let jobs: Vec<Job> = (0..longest)
+            .flat_map(|i| per_workload.iter().filter_map(move |js| js.get(i).copied()))
+            .collect();
+
+        // A workload's setup runs once, in the first job that needs it.
+        // After a failed setup the run will return an error, so the
+        // remaining jobs skip their work; the flag publishes nothing
+        // else (the `OnceLock`s carry the setups), hence `Relaxed`.
+        let setups: Vec<OnceLock<Result<Setup>>> =
+            self.workloads.iter().map(|_| OnceLock::new()).collect();
+        let failed = AtomicBool::new(false);
+        let setup_of = |w: usize| -> Option<&Setup> {
+            if failed.load(Ordering::Relaxed) {
+                return None;
+            }
+            let setup = setups[w].get_or_init(|| self.setup(&self.workloads[w]));
+            if setup.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            setup.as_ref().ok()
+        };
+        let done = amc_par::map_indexed(workers, jobs, |_, job| match job {
+            Job::Trial { cell, trial } => {
+                let (w, s, l) = cell;
+                let slot = ((w * s_len + s) * l_len + l) * t_len + trial;
+                let outcome = setup_of(w).and_then(|setup| {
+                    self.run_trial(setup, &self.solvers[s], &self.ladder[l], cell, trial)
+                });
+                Done::Trial(slot, outcome)
+            }
+            Job::Latency(k) => {
+                let key = &keys[k];
+                Done::Latency(
+                    k,
+                    setup_of(key.workload).and_then(|(inst, _)| key.latency(&inst.matrix)),
+                )
+            }
+        });
+
+        // The first failing workload, in workload order, decides the
+        // error — the one a serial setup loop would have met first. A
+        // setup skipped after another failed runs here.
+        let setups: Vec<Setup> = setups
+            .into_iter()
+            .zip(&self.workloads)
+            .map(|(setup, spec)| setup.into_inner().unwrap_or_else(|| self.setup(spec)))
+            .collect::<Result<_>>()?;
+
+        let mut outcomes: Vec<Option<TrialOutcome>> = vec![None; cells.len() * t_len];
+        let mut latencies: Vec<Option<f64>> = vec![None; keys.len()];
+        for d in done {
+            match d {
+                Done::Trial(slot, outcome) => outcomes[slot] = outcome,
+                Done::Latency(k, latency) => latencies[k] = latency,
             }
         }
+
+        // Aggregate per cell, in cell order.
+        let records = cells
+            .iter()
+            .zip(&cell_keys)
+            .zip(outcomes.chunks_exact(t_len))
+            .map(|((&(w, s, l), key), trials)| {
+                let latency = key.and_then(|k| latencies[k]);
+                self.aggregate_cell(
+                    &setups[w].0,
+                    &self.solvers[s],
+                    &self.ladder[l],
+                    trials,
+                    latency,
+                )
+            })
+            .collect();
         Ok(CampaignReport {
             name: self.name.clone(),
             trials: self.trials,
             rhs_per_trial: self.rhs_per_trial,
-            cells,
+            cells: records,
         })
+    }
+
+    /// One workload's setup: the instance, every solver checked against
+    /// its size, and the reference solution of each right-hand side
+    /// from one LU factorisation.
+    fn setup(&self, spec: &WorkloadSpec) -> Result<Setup> {
+        let inst = spec.instantiate(self.rhs_per_trial)?;
+        for cell in &self.solvers {
+            cell.config.validate_for_size(spec.n).map_err(|e| {
+                ScenarioError::spec(format!(
+                    "solver '{}' cannot run workload '{}' (n = {}): {e}",
+                    cell.label, spec.name, spec.n
+                ))
+            })?;
+        }
+        let lu = lu::LuFactor::new(&inst.matrix)?;
+        let x_refs = inst
+            .rhs
+            .iter()
+            .map(|b| lu.solve(b))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok((inst, x_refs))
     }
 
     /// Runs one trial: build the rung's engine from spec + seed,
@@ -350,7 +445,7 @@ impl Campaign {
     /// rejected before any trial ran.
     fn run_trial(
         &self,
-        (inst, x_refs): &(WorkloadInstance, Vec<Vec<f64>>),
+        (inst, x_refs): &Setup,
         solver: &SolverCell,
         rung: &Nonideality,
         cell: (usize, usize, usize),
@@ -380,6 +475,7 @@ impl Campaign {
         solver: &SolverCell,
         rung: &Nonideality,
         trials: &[Option<TrialOutcome>],
+        model_latency_s: Option<f64>,
     ) -> CellRecord {
         let completed: Vec<&TrialOutcome> = trials.iter().flatten().collect();
         let errors: Vec<f64> = completed
@@ -407,33 +503,78 @@ impl Campaign {
             mvm_ops: ops.mvm_ops,
             analog_time_per_solve_s: analog_time_s / solves,
             analog_energy_per_solve_j: analog_energy_j / solves,
-            model_latency_s: model_latency(&inst.matrix, &solver.config, rung),
+            model_latency_s,
             meta: inst.meta,
         }
     }
 }
 
-/// Per-cell arch-model latency: the depth-generalized sequential op
-/// count ([`amc_arch::latency::cascade_op_counts`]) priced with settle
-/// times of the cell's leaf-sized arrays under the rung's op-amp.
-/// `None` for digital rungs (no analog settle model applies) or when
-/// the settle model has no answer (e.g. a leaf block whose minimum
-/// eigenvalue estimate fails).
-fn model_latency(a: &Matrix, config: &SolverConfig, rung: &Nonideality) -> Option<f64> {
-    let circuit = rung.engine.circuit()?;
-    let depth = config.stages().depth();
-    let leaf = (a.rows() >> depth).max(1);
-    let block = a.block(0, 0, leaf, leaf).ok()?;
-    let max_abs = block.max_abs();
-    if max_abs <= 0.0 {
-        return None;
+/// One workload's hoisted state: the instance and the reference
+/// solution of each of its right-hand sides.
+type Setup = (WorkloadInstance, Vec<Vec<f64>>);
+
+/// One job of [`Campaign::run_with_workers`]' pool.
+#[derive(Debug, Clone, Copy)]
+enum Job {
+    /// Trial `trial` of cell `(workload, solver, rung)`.
+    Trial {
+        cell: (usize, usize, usize),
+        trial: usize,
+    },
+    /// The arch-model latency of latency key `k`.
+    Latency(usize),
+}
+
+/// A finished [`Job`], carrying where its result goes: the trial's
+/// w-major slot, or the latency key's index.
+enum Done {
+    Trial(usize, Option<TrialOutcome>),
+    Latency(usize, Option<f64>),
+}
+
+/// Everything a cell's arch-model latency depends on: the workload (its
+/// matrix), the cascade depth, and the rung's op-amp and settle
+/// accuracy. Cells sharing a key share one [`LatencyKey::latency`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LatencyKey {
+    workload: usize,
+    depth: usize,
+    opamp: OpAmpSpec,
+    settle_epsilon: f64,
+}
+
+impl LatencyKey {
+    /// The key of a cell of workload `workload`; `None` for rungs with
+    /// no circuit model (digital and registered backends), where no
+    /// analog settle model applies.
+    fn of(workload: usize, config: &SolverConfig, rung: &Nonideality) -> Option<LatencyKey> {
+        let sim = &rung.engine.circuit()?.sim;
+        Some(LatencyKey {
+            workload,
+            depth: config.stages().depth(),
+            opamp: sim.opamp,
+            settle_epsilon: sim.settle_epsilon,
+        })
     }
-    let g_hat = block.scaled(1.0 / max_abs);
-    let opamp = &circuit.sim.opamp;
-    let eps = circuit.sim.settle_epsilon;
-    let inv_s = timing::inv_settle_time(&g_hat, opamp, eps).ok()?;
-    let mvm_s = timing::mvm_settle_time(g_hat.norm_inf(), opamp, eps).ok()?;
-    amc_arch::latency::cascade_latency(depth, inv_s, mvm_s, 0.0).ok()
+
+    /// Arch-model latency of one solve: the depth-generalized sequential
+    /// op count ([`amc_arch::latency::cascade_op_counts`]) priced with
+    /// settle times of the leaf-sized leading block of `a` under the
+    /// key's op-amp. `None` when the settle model has no answer (e.g. a
+    /// leaf block whose minimum eigenvalue estimate fails).
+    fn latency(&self, a: &Matrix) -> Option<f64> {
+        let leaf = (a.rows() >> self.depth).max(1);
+        let block = a.block(0, 0, leaf, leaf).ok()?;
+        let max_abs = block.max_abs();
+        if max_abs <= 0.0 {
+            return None;
+        }
+        let g_hat = block.scaled(1.0 / max_abs);
+        let eps = self.settle_epsilon;
+        let inv_s = timing::inv_settle_time(&g_hat, &self.opamp, eps).ok()?;
+        let mvm_s = timing::mvm_settle_time(g_hat.norm_inf(), &self.opamp, eps).ok()?;
+        amc_arch::latency::cascade_latency(self.depth, inv_s, mvm_s, 0.0).ok()
+    }
 }
 
 /// Deterministic per-trial engine seed: a function of the campaign
@@ -711,6 +852,122 @@ mod tests {
         let c = tiny_campaign();
         let sweep = run_worker_sweep(&c, &[1, 2, 4]).unwrap();
         assert!(sweep.bit_identical);
+        // Two workloads, whose setups and latency jobs share the pool
+        // with the trials.
+        let sweep = run_worker_sweep(&two_workload_campaign(&[]), &[1, 2, 3, 5]).unwrap();
+        assert!(sweep.bit_identical);
+        assert_eq!(sweep.report.cells.len(), 12);
+        assert!(sweep.report.cells.iter().all(|cell| cell.completed == 2));
+    }
+
+    /// Wishart + Poisson2d at n = 16, Original and Two-stage, the
+    /// paper ladder plus `extra` rungs: two trials of two RHS per cell.
+    fn two_workload_campaign(extra: &[Nonideality]) -> Campaign {
+        let solver = |stages| {
+            SolverConfig::builder()
+                .stages(stages)
+                .capture_trace(false)
+                .finish()
+                .unwrap()
+        };
+        Campaign::builder("two-workloads")
+            .workload(WorkloadSpec::new("wishart", WorkloadFamily::Wishart, 16, 3))
+            .workload(WorkloadSpec::new(
+                "poisson",
+                WorkloadFamily::Poisson2d,
+                16,
+                4,
+            ))
+            .solver("original", solver(Stages::Original))
+            .solver("two-stage", solver(Stages::Two))
+            .ladder(Nonideality::paper_ladder())
+            .ladder(extra.iter().copied())
+            .trials(2)
+            .rhs_per_trial(2)
+            .seed(11)
+            .finish()
+            .unwrap()
+    }
+
+    #[test]
+    fn cells_get_the_latency_of_their_own_key() {
+        let c = two_workload_campaign(&[Nonideality::spec("exact", EngineSpec::Numeric)]);
+        let report = c.run_with_workers(2).unwrap();
+        let cells = c
+            .workloads()
+            .iter()
+            .enumerate()
+            .flat_map(|(w, spec)| c.solvers().iter().map(move |s| (w, spec, s)))
+            .flat_map(|(w, spec, s)| c.ladder().iter().map(move |l| (w, spec, s, l)));
+        let mut keys = Vec::new();
+        for ((w, spec, solver, rung), cell) in cells.zip(&report.cells) {
+            assert_eq!(
+                (cell.solver.as_str(), cell.nonideality),
+                (solver.label.as_str(), rung.label)
+            );
+            let key = LatencyKey::of(w, &solver.config, rung);
+            let matrix = spec.instantiate(c.rhs_per_trial()).unwrap().matrix;
+            let direct = key.and_then(|k| k.latency(&matrix));
+            assert_eq!(
+                cell.model_latency_s.map(f64::to_bits),
+                direct.map(f64::to_bits)
+            );
+            assert_eq!(
+                cell.model_latency_s.is_some(),
+                rung.label != "exact",
+                "{}",
+                rung.label
+            );
+            if let Some(key) = key {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        // Per workload and depth: the finite-gain `ideal-mapping` rung
+        // and the two ideal-op-amp rungs, which share a key.
+        assert_eq!(keys.len(), 2 * 2 * 2);
+        let key = |l: usize| LatencyKey::of(0, &c.solvers()[0].config, &c.ladder()[l]);
+        assert_ne!(
+            key(0),
+            key(1),
+            "finite-gain and ideal op-amps must not share a key"
+        );
+        assert_eq!(key(1), key(2));
+    }
+
+    #[test]
+    fn a_failing_workload_setup_errors_at_every_worker_count() {
+        let c = Campaign::builder("ring")
+            .workload(WorkloadSpec::new("wishart", WorkloadFamily::Wishart, 16, 3))
+            .workload(WorkloadSpec::new(
+                "ring",
+                WorkloadFamily::RingLaplacian { ground: 0.0 },
+                16,
+                4,
+            ))
+            .solver(
+                "one",
+                SolverConfig::builder()
+                    .stages(Stages::One)
+                    .capture_trace(false)
+                    .finish()
+                    .unwrap(),
+            )
+            .ladder(Nonideality::paper_ladder())
+            .trials(3)
+            .finish()
+            .unwrap();
+        let want = ScenarioError::Linalg(amc_linalg::LinalgError::invalid(
+            "grounding conductance must be positive and finite",
+        ));
+        for workers in [1, 2, 3, 5] {
+            assert_eq!(
+                c.run_with_workers(workers).unwrap_err(),
+                want,
+                "workers = {workers}"
+            );
+        }
     }
 
     #[test]
