@@ -133,15 +133,15 @@ impl BlockPartition {
         stored as f64 / total.max(1) as f64
     }
 
-    /// The dense fused Schur kernel: streams `A1⁻¹·A2` one column at a
-    /// time into the `A4` copy instead of materializing two intermediate
-    /// matrices (see [`LuFactor::schur_update_into`]). Public so the
-    /// repro harness can time it against the sparse path.
+    /// The dense Schur kernel: one fused pass per column group of `A2`
+    /// (solve the group in a packed panel, multiply by `A3`, subtract
+    /// from the `A4` copy), with no `A1⁻¹·A2` or `A3·A1⁻¹·A2`
+    /// intermediate (see [`LuFactor::schur_update_into`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
-    pub fn schur_complement_dense(&self) -> Result<Matrix> {
+    fn schur_complement_dense(&self) -> Result<Matrix> {
         let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_into(&self.a2, &self.a3, &mut a4s)?;
@@ -150,13 +150,12 @@ impl BlockPartition {
 
     /// The sparse Schur kernel: converts the coupling blocks to CSR and
     /// runs [`LuFactor::schur_update_sparse_into`], skipping the zero
-    /// columns that dominate Laplacian/PDN partitions. Public so the
-    /// repro harness can time it against the dense path.
+    /// columns that dominate Laplacian/PDN partitions.
     ///
     /// # Errors
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
-    pub fn schur_complement_sparse(&self) -> Result<Matrix> {
+    fn schur_complement_sparse(&self) -> Result<Matrix> {
         let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_sparse_into(
@@ -293,11 +292,14 @@ mod tests {
             .approx_eq(&p.schur_complement().unwrap(), 1e-12));
     }
 
-    /// `Matrix::fingerprint` of `halves(a).schur_complement()`, recorded
-    /// while the Schur LU still ran a panel-tiled trailing update: two
-    /// seeded Wisharts on the dense route (A1 fits one 32-column panel
-    /// at n=40 and spans three at n=150) and a 16×16 PDN grid on the
-    /// sparse route.
+    /// `Matrix::fingerprint` of `halves(a).schur_complement()`: three
+    /// seeded Wisharts on the dense route and a 16×16 PDN grid on the
+    /// sparse route. A1 fits one 32-column LU panel at n=40 and spans
+    /// three at n=150 (both recorded while an earlier LU tiled its
+    /// trailing update). At n=300, A1 spans five panels and `A2`'s 150
+    /// columns make 18 groups of 8, one of 4 and two single columns;
+    /// that value was recorded with the unblocked LU and the strided
+    /// block kernels, before either was packed.
     #[test]
     fn schur_complement_matches_recorded_fingerprints() {
         use amc_circuit::pdn::{pdn_matrix, PdnSpec};
@@ -311,6 +313,7 @@ mod tests {
         let cases = [
             (wishart(40, 1), false, 0x82f3_5758_932e_f7fe_u64),
             (wishart(150, 2), false, 0xcaf4_44fd_7476_bc07),
+            (wishart(300, 3), false, 0xcd79_0188_9a3c_558d),
             (pdn, true, 0x60e4_345b_67d6_b417),
         ];
         for (a, sparse, golden) in cases {

@@ -5,6 +5,8 @@
 //! step (the Schur complement `A4s = A4 − A3·A1⁻¹·A2` is computed digitally)
 //! and by the dense modified-nodal-analysis path in `amc-circuit`.
 
+use std::ops::Range;
+
 use crate::sparse::CsrMatrix;
 use crate::{vector, LinalgError, Matrix, Result};
 
@@ -59,41 +61,17 @@ impl LuFactor {
         let mut perm: Vec<usize> = (0..n).collect();
         let mut swaps = 0;
         let scale = a.max_abs().max(1.0);
-
-        for k in 0..n {
-            // Find the pivot row.
-            let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
+        let data = lu.as_mut_slice();
+        for k0 in (0..n).step_by(PANEL) {
+            let k1 = (k0 + PANEL).min(n);
+            swaps += factor_panel(data, n, k0..k1, scale, &mut perm)?;
+            // The panel's rows beyond its columns, in row order, so each
+            // U row is finished before a later row subtracts it.
+            for i in k0 + 1..k1 {
+                let (done, rest) = data.split_at_mut(i * n);
+                subtract_panel(&mut rest[..n], &done[k0 * n..], n, k0..k1);
             }
-            if pmax <= SINGULARITY_RTOL * scale {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if p != k {
-                perm.swap(p, k);
-                swaps += 1;
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        let ukj = lu[(k, j)];
-                        lu[(i, j)] -= factor * ukj;
-                    }
-                }
-            }
+            update_trailing(data, n, k0..k1);
         }
         Ok(LuFactor { lu, perm, swaps })
     }
@@ -184,10 +162,12 @@ impl LuFactor {
     /// of right-hand side `c` at `[i*k + c]` (a [`Matrix`] with `k`
     /// columns has exactly this layout). Every column of `x` is
     /// **bit-identical** to [`LuFactor::solve_into`] on that column: the
-    /// triangular solves walk the columns in groups of 8, then 4, keeping
-    /// one register accumulator per column that sums over the row in
-    /// index order from [`crate::vector::SUM_NEUTRAL`]. Leftover columns
-    /// (and `k = 1`) run [`LuFactor::solve_into`] itself.
+    /// columns go in groups of 8, then 4, then 1, each copied with its
+    /// rows permuted into a contiguous `n×W` panel (a block of exactly 8
+    /// or 4 columns is its own panel), solved there with one register
+    /// accumulator per column that sums over the row in index order from
+    /// [`crate::vector::SUM_NEUTRAL`], and copied back. `k = 1` runs
+    /// [`LuFactor::solve_into`] itself.
     ///
     /// # Errors
     ///
@@ -209,51 +189,62 @@ impl LuFactor {
                 rhs: (x.len(), k),
             });
         }
-        match k {
-            0 => return Ok(()),
-            1 => return self.solve_into(b, x),
-            _ => {}
+        if k == 1 {
+            return self.solve_into(b, x);
         }
-        // Permute every column's rows at once: X = P·B.
-        for (x_row, &pi) in x.chunks_exact_mut(k).zip(&self.perm) {
-            x_row.copy_from_slice(&b[pi * k..(pi + 1) * k]);
-        }
-        let (mut col, mut res) = (Vec::new(), Vec::new());
+        let mut panel = Vec::new();
         for (c0, width) in vector::column_groups(k) {
             match width {
-                vector::WIDE => self.solve_group::<{ vector::WIDE }>(x, k, c0),
-                vector::NARROW => self.solve_group::<{ vector::NARROW }>(x, k, c0),
-                _ => {
-                    vector::gather_column(b, k, c0, &mut col);
-                    res.resize(n, 0.0);
-                    self.solve_into(&col, &mut res)?;
-                    vector::scatter_column(&res, k, c0, x);
-                }
+                vector::WIDE => self.solve_group::<{ vector::WIDE }>(b, k, c0, x, &mut panel),
+                vector::NARROW => self.solve_group::<{ vector::NARROW }>(b, k, c0, x, &mut panel),
+                _ => self.solve_group::<1>(b, k, c0, x, &mut panel),
             }
         }
         Ok(())
     }
 
-    /// One column group of [`LuFactor::solve_block_into`]: the forward
-    /// and back substitutions of [`LuFactor::solve_into`] on columns
-    /// `c0..c0 + W` of the already-permuted block `x`.
-    fn solve_group<const W: usize>(&self, x: &mut [f64], k: usize, c0: usize) {
+    /// Columns `c0..c0 + W` of [`LuFactor::solve_block_into`]: permutes
+    /// them into a panel (`x` itself when the block is `W` wide), solves
+    /// it and copies it back.
+    fn solve_group<const W: usize>(
+        &self,
+        b: &[f64],
+        k: usize,
+        c0: usize,
+        x: &mut [f64],
+        panel: &mut Vec<f64>,
+    ) {
+        if k == W {
+            for (x_row, &pi) in x.chunks_exact_mut(k).zip(&self.perm) {
+                x_row.copy_from_slice(&b[pi * k..(pi + 1) * k]);
+            }
+            self.solve_panel::<W>(x);
+        } else {
+            vector::pack_columns(b, k, c0, W, self.perm.iter().copied(), panel);
+            self.solve_panel::<W>(panel);
+            vector::unpack_columns(panel, W, x, k, c0);
+        }
+    }
+
+    /// The forward and back substitutions of [`LuFactor::solve_into`] on
+    /// the `W` columns of a contiguous `n×W` panel of permuted rows.
+    fn solve_panel<const W: usize>(&self, panel: &mut [f64]) {
         let n = self.dim();
         let lu = self.lu.as_slice();
         // Forward substitution: L·Y = P·B.
         for i in 1..n {
-            let (solved, rest) = x.split_at_mut(i * k);
-            let acc = vector::dot_group::<W>(&lu[i * n..i * n + i], solved, k, c0);
-            for (xi, s) in rest[c0..c0 + W].iter_mut().zip(acc) {
+            let (solved, rest) = panel.split_at_mut(i * W);
+            let [acc] = vector::dot_panel::<1, W>([&lu[i * n..i * n + i]], solved);
+            for (xi, s) in rest[..W].iter_mut().zip(acc) {
                 *xi -= s;
             }
         }
         // Back substitution: U·X = Y.
         for i in (0..n).rev() {
-            let (head, tail) = x.split_at_mut((i + 1) * k);
-            let acc = vector::dot_group::<W>(&lu[i * n + i + 1..(i + 1) * n], tail, k, c0);
+            let (head, tail) = panel.split_at_mut((i + 1) * W);
+            let [acc] = vector::dot_panel::<1, W>([&lu[i * n + i + 1..(i + 1) * n]], tail);
             let pivot = lu[i * n + i];
-            for (xi, s) in head[i * k + c0..i * k + c0 + W].iter_mut().zip(acc) {
+            for (xi, s) in head[i * W..].iter_mut().zip(acc) {
                 *xi = (*xi - s) / pivot;
             }
         }
@@ -284,14 +275,14 @@ impl LuFactor {
     /// `A4` — the fused pre-processing kernel of the BlockAMC partition
     /// (paper eq. 3).
     ///
-    /// `A2` is already a row-major `n×k` block, so the update is two
-    /// multi-column kernel calls and a subtraction: `Y = A1⁻¹·A2` through
-    /// [`LuFactor::solve_block_into`] into an `n×k` scratch, then
-    /// `A3·Y` through [`Matrix::matvec_block_into`] into an `m×k`
-    /// scratch, subtracted from `out`. Those two buffers are the only
-    /// allocations. Every entry is bit-identical to the column-at-a-time
-    /// form — solve column `j` of `A2` with [`LuFactor::solve_into`],
-    /// then subtract `dot(A3[i, :], y)` from `out[i, j]`.
+    /// One pass per column group of `A2` (8, then 4, then 1 wide): the
+    /// group's columns are copied with their rows permuted into an
+    /// `n×W` panel, solved there as in [`LuFactor::solve_block_into`],
+    /// multiplied by `A3` as in [`Matrix::matvec_block_into`], and each
+    /// product subtracted from `out`. The panel is the only allocation.
+    /// Every entry is bit-identical to the column-at-a-time form — solve
+    /// column `j` of `A2` with [`LuFactor::solve_into`], then subtract
+    /// `dot(A3[i, :], y)` from `out[i, j]`.
     ///
     /// # Errors
     ///
@@ -314,15 +305,37 @@ impl LuFactor {
                 rhs: out.shape(),
             });
         }
-        let k = a2.cols();
-        let mut y = vec![0.0; n * k];
-        self.solve_block_into(a2.as_slice(), k, &mut y)?;
-        let mut product = vec![0.0; out.rows() * k];
-        a3.matvec_block_into(&y, k, &mut product)?;
-        for (o, p) in out.as_mut_slice().iter_mut().zip(&product) {
-            *o -= p;
+        let mut panel = Vec::new();
+        for (c0, width) in vector::column_groups(a2.cols()) {
+            match width {
+                vector::WIDE => self.schur_group::<{ vector::WIDE }>(a2, a3, c0, out, &mut panel),
+                vector::NARROW => {
+                    self.schur_group::<{ vector::NARROW }>(a2, a3, c0, out, &mut panel)
+                }
+                _ => self.schur_group::<1>(a2, a3, c0, out, &mut panel),
+            }
         }
         Ok(())
+    }
+
+    /// Columns `c0..c0 + W` of [`LuFactor::schur_update_into`].
+    fn schur_group<const W: usize>(
+        &self,
+        a2: &Matrix,
+        a3: &Matrix,
+        c0: usize,
+        out: &mut Matrix,
+        panel: &mut Vec<f64>,
+    ) {
+        let k = a2.cols();
+        vector::pack_columns(a2.as_slice(), k, c0, W, self.perm.iter().copied(), panel);
+        self.solve_panel::<W>(panel);
+        let out = out.as_mut_slice();
+        a3.matvec_panel::<W>(panel, |i, acc| {
+            for (o, s) in out[i * k + c0..i * k + c0 + W].iter_mut().zip(acc) {
+                *o -= s;
+            }
+        });
     }
 
     /// Sparse-aware variant of [`LuFactor::schur_update_into`]: `A2` and
@@ -457,6 +470,140 @@ impl LuFactor {
         }
         est * norm_one_a
     }
+}
+
+/// Columns per panel of the blocked elimination in [`LuFactor::new`].
+const PANEL: usize = 32;
+
+/// Eliminates the pivots `panel` of the `n×n` row-major `lu`: per pivot
+/// `k`, the pivot search down column `k`, the full-row swap, the
+/// multipliers of column `k`, and their update limited to the panel's
+/// columns. Returns the number of swaps.
+///
+/// Together with [`subtract_panel`] and [`update_trailing`] this is the
+/// unblocked right-looking elimination reordered by panels: every entry
+/// still subtracts `l_ik·u_kj` for its pivots `k` in increasing order,
+/// skipping each `k` whose multiplier `l_ik` is zero, so the factors
+/// are the same bits.
+fn factor_panel(
+    lu: &mut [f64],
+    n: usize,
+    panel: Range<usize>,
+    scale: f64,
+    perm: &mut [usize],
+) -> Result<usize> {
+    let mut swaps = 0;
+    for k in panel.clone() {
+        let mut p = k;
+        let mut pmax = lu[k * n + k].abs();
+        for (i, row) in lu.chunks_exact(n).enumerate().skip(k + 1) {
+            let v = row[k].abs();
+            if v > pmax {
+                pmax = v;
+                p = i;
+            }
+        }
+        if pmax <= SINGULARITY_RTOL * scale {
+            return Err(LinalgError::Singular { pivot: k });
+        }
+        if p != k {
+            perm.swap(p, k);
+            swaps += 1;
+            let (head, tail) = lu.split_at_mut(p * n);
+            head[k * n..(k + 1) * n].swap_with_slice(&mut tail[..n]);
+        }
+        let (head, tail) = lu.split_at_mut((k + 1) * n);
+        let pivot_row = &head[k * n..];
+        let pivot = pivot_row[k];
+        let u = &pivot_row[k + 1..panel.end];
+        for row in tail.chunks_exact_mut(n) {
+            let factor = row[k] / pivot;
+            row[k] = factor;
+            if factor != 0.0 {
+                for (x, &ukj) in row[k + 1..panel.end].iter_mut().zip(u) {
+                    *x -= factor * ukj;
+                }
+            }
+        }
+    }
+    Ok(swaps)
+}
+
+/// Subtracts `l_ik·u_k` from the part of `row` beyond the panel for the
+/// panel's pivots `k` in order, skipping each zero multiplier. `u`
+/// holds the U rows of those pivots, from the panel's first on; a
+/// panel row passes only the rows above it.
+fn subtract_panel(row: &mut [f64], u: &[f64], n: usize, panel: Range<usize>) {
+    let (l, tail) = row.split_at_mut(panel.end);
+    for (&lk, u_row) in l[panel.start..].iter().zip(u.chunks_exact(n)) {
+        if lk != 0.0 {
+            for (x, &ukj) in tail.iter_mut().zip(&u_row[panel.end..]) {
+                *x -= lk * ukj;
+            }
+        }
+    }
+}
+
+/// The trailing update after `panel`: every row below the panel
+/// subtracts the panel's pivots from its columns beyond the panel. Rows
+/// go in pairs through [`trailing_tile`] when all the pair's multipliers
+/// are nonzero, and through the skipping [`subtract_panel`] otherwise.
+fn update_trailing(lu: &mut [f64], n: usize, panel: Range<usize>) {
+    let (top, bottom) = lu.split_at_mut(panel.end * n);
+    let u = &top[panel.start * n..];
+    let mut pairs = bottom.chunks_exact_mut(2 * n);
+    for pair in &mut pairs {
+        let (r0, r1) = pair.split_at_mut(n);
+        let (l0, l1) = (&r0[panel.clone()], &r1[panel.clone()]);
+        if l0.iter().chain(l1).any(|&l| l == 0.0) {
+            subtract_panel(r0, u, n, panel.clone());
+            subtract_panel(r1, u, n, panel.clone());
+            continue;
+        }
+        let (l0, a0) = r0.split_at_mut(panel.end);
+        let (l1, a1) = r1.split_at_mut(panel.end);
+        let l = (&l0[panel.start..], &l1[panel.start..]);
+        for (c, width) in vector::column_groups(a0.len()) {
+            let tile = (&mut a0[c..c + width], &mut a1[c..c + width]);
+            let c = panel.end + c;
+            match width {
+                vector::WIDE => trailing_tile::<{ vector::WIDE }>(l, u, n, c, tile),
+                vector::NARROW => trailing_tile::<{ vector::NARROW }>(l, u, n, c, tile),
+                _ => trailing_tile::<1>(l, u, n, c, tile),
+            }
+        }
+    }
+    let last = pairs.into_remainder();
+    if !last.is_empty() {
+        subtract_panel(last, u, n, panel);
+    }
+}
+
+/// A 2×`W` register tile of the trailing update at columns `c..c + W`:
+/// each entry starts from itself and subtracts `l_ik·u_kj` for the
+/// panel's pivots in order, with no skip (the caller checked that
+/// every multiplier in `l` is nonzero).
+#[inline]
+fn trailing_tile<const W: usize>(
+    l: (&[f64], &[f64]),
+    u: &[f64],
+    n: usize,
+    c: usize,
+    tile: (&mut [f64], &mut [f64]),
+) {
+    let mut acc0: [f64; W] = (&*tile.0).try_into().expect("tile is W wide");
+    let mut acc1: [f64; W] = (&*tile.1).try_into().expect("tile is W wide");
+    for ((&a, &b), u_row) in l.0.iter().zip(l.1).zip(u.chunks_exact(n)) {
+        let u_row: &[f64; W] = u_row[c..c + W]
+            .try_into()
+            .expect("tile lies inside the row");
+        for ((x0, x1), &ukj) in acc0.iter_mut().zip(&mut acc1).zip(u_row) {
+            *x0 -= a * ukj;
+            *x1 -= b * ukj;
+        }
+    }
+    tile.0.copy_from_slice(&acc0);
+    tile.1.copy_from_slice(&acc1);
 }
 
 /// Convenience one-shot solve of `A·x = b`.
@@ -696,6 +843,131 @@ mod tests {
         let b = a.matvec(&x_true).unwrap();
         let x = solve(&a, &b).unwrap();
         assert!(vector::approx_eq(&x, &x_true, 1e-10));
+    }
+
+    /// [`LuFactor::new`]'s elimination as it was before it went by
+    /// panels: one pivot at a time, each updating the whole trailing
+    /// matrix. Returns the factors' bits, the permutation and the swaps.
+    fn unblocked_lu(a: &Matrix) -> Result<(Vec<u64>, Vec<usize>, usize)> {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut swaps = 0;
+        let scale = a.max_abs().max(1.0);
+        for k in 0..n {
+            let mut p = k;
+            let mut pmax = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                let v = lu[(i, k)].abs();
+                if v > pmax {
+                    pmax = v;
+                    p = i;
+                }
+            }
+            if pmax <= SINGULARITY_RTOL * scale {
+                return Err(LinalgError::Singular { pivot: k });
+            }
+            if p != k {
+                perm.swap(p, k);
+                swaps += 1;
+                for j in 0..n {
+                    let tmp = lu[(k, j)];
+                    lu[(k, j)] = lu[(p, j)];
+                    lu[(p, j)] = tmp;
+                }
+            }
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                if factor != 0.0 {
+                    for j in (k + 1)..n {
+                        let ukj = lu[(k, j)];
+                        lu[(i, j)] -= factor * ukj;
+                    }
+                }
+            }
+        }
+        let bits = lu.as_slice().iter().map(|v| v.to_bits()).collect();
+        Ok((bits, perm, swaps))
+    }
+
+    fn assert_same_elimination(a: &Matrix, case: &str) {
+        let blocked = LuFactor::new(a).map(|f| {
+            let bits = f.lu.as_slice().iter().map(|v| v.to_bits()).collect();
+            (bits, f.perm, f.swaps)
+        });
+        assert!(blocked == unblocked_lu(a), "{case}, n={}", a.rows());
+    }
+
+    #[test]
+    fn blocked_elimination_matches_unblocked_bit_for_bit() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
+        // Every size up to 80 covers each panel and tile remainder; the
+        // larger ones straddle 4 and 8 panels. Gaussian matrices swap
+        // rows across panel boundaries at almost every pivot.
+        for n in (1..=80).chain([127, 128, 129, 255, 256, 257]) {
+            assert_same_elimination(&crate::generate::gaussian(n, n, &mut rng), "gaussian");
+        }
+        // Row-reversed dominance: pivot k is row n−1−k, so every swap
+        // reaches across the panels below.
+        let n = 100;
+        let reversed = Matrix::from_fn(n, n, |i, j| {
+            let v = ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5;
+            if i + j == n - 1 {
+                v + n as f64
+            } else {
+                v
+            }
+        });
+        assert_same_elimination(&reversed, "reversed");
+        // Exact zero multipliers: every third row below 40 is zero in
+        // the first 36 columns (a skip that crosses the first panel),
+        // and the rest of the matrix carries signed zeros.
+        let mut sparse = crate::generate::gaussian(n, n, &mut rng);
+        for (i, row) in sparse.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            if i > 40 && i % 3 == 0 {
+                row[..36].fill(0.0);
+            }
+            row[(i * 5) % n] = -0.0;
+            row[(i * 11 + 3) % n] = 0.0;
+        }
+        assert_same_elimination(&sparse, "zero multipliers");
+        // Upper triangular: every multiplier is zero, so the U entries
+        // keep their -0.0 only because each update is skipped (without
+        // the skip, `-0.0 - 0.0·u` is +0.0 for a negative `u`).
+        let upper = Matrix::from_fn(n, n, |i, j| match (i, j) {
+            _ if i > j => 0.0,
+            _ if i == j => 4.0 + (i % 3) as f64,
+            _ if (i + j) % 4 == 0 => -0.0,
+            _ => -1.0 - ((i * j) % 5) as f64,
+        });
+        assert_same_elimination(&upper, "upper triangular");
+        let kept = LuFactor::new(&upper).unwrap().lu;
+        assert!(kept
+            .as_slice()
+            .iter()
+            .any(|v| *v == 0.0 && v.is_sign_negative()));
+        // Infinite and NaN entries flow through every path.
+        for (r, c, v) in [
+            (5, 50, f64::INFINITY),
+            (60, 3, f64::NEG_INFINITY),
+            (40, 40, f64::NAN),
+        ] {
+            let mut a = crate::generate::gaussian(70, 70, &mut rng);
+            a[(r, c)] = v;
+            assert_same_elimination(&a, "non-finite");
+        }
+        // A zero column past the first panel leaves an exact zero pivot.
+        let mut singular = crate::generate::gaussian(70, 70, &mut rng);
+        for i in 0..70 {
+            singular[(i, 40)] = 0.0;
+        }
+        assert_same_elimination(&singular, "singular");
+        assert_eq!(
+            LuFactor::new(&singular).unwrap_err(),
+            LinalgError::Singular { pivot: 40 }
+        );
     }
 
     /// [`LuFactor::solve_into`] with one `dot` per row in both

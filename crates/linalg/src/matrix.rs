@@ -345,10 +345,12 @@ impl Matrix {
     /// Blocks are stored row-major: `x` is `cols×k` and `out` is
     /// `rows×k`, with entry `i` of column `c` at `[i*k + c]`. Every
     /// column of `out` is **bit-identical** to [`Matrix::matvec_into`]
-    /// on that column: the kernel walks the columns in groups of 8, then
-    /// 4, keeping one register accumulator per column that sums over the
-    /// row in index order from [`vector::SUM_NEUTRAL`]. Leftover columns
-    /// (and `k = 1`) run [`Matrix::matvec_into`] itself.
+    /// on that column: the columns go in groups of 8, then 4, then 1,
+    /// each copied into a contiguous `cols×W` panel (a block of exactly
+    /// 8 or 4 columns is its own panel) and multiplied two rows at a
+    /// time, with one register accumulator per row and column that sums
+    /// over the row in index order from [`vector::SUM_NEUTRAL`]. `k = 1`
+    /// runs [`Matrix::matvec_into`] itself.
     ///
     /// # Errors
     ///
@@ -372,28 +374,59 @@ impl Matrix {
         if k == 1 {
             return self.matvec_into(x, out);
         }
-        let (mut col, mut res) = (Vec::new(), Vec::new());
+        let mut panel = Vec::new();
         for (c0, width) in vector::column_groups(k) {
             match width {
-                vector::WIDE => self.matvec_group::<{ vector::WIDE }>(x, k, c0, out),
-                vector::NARROW => self.matvec_group::<{ vector::NARROW }>(x, k, c0, out),
-                _ => {
-                    vector::gather_column(x, k, c0, &mut col);
-                    res.resize(self.rows, 0.0);
-                    self.matvec_into(&col, &mut res)?;
-                    vector::scatter_column(&res, k, c0, out);
+                vector::WIDE => self.matvec_group::<{ vector::WIDE }>(x, k, c0, out, &mut panel),
+                vector::NARROW => {
+                    self.matvec_group::<{ vector::NARROW }>(x, k, c0, out, &mut panel)
                 }
+                _ => self.matvec_group::<1>(x, k, c0, out, &mut panel),
             }
         }
         Ok(())
     }
 
-    /// One column group of [`Matrix::matvec_block_into`]: columns
-    /// `c0..c0 + W` of `out = self · x`.
-    fn matvec_group<const W: usize>(&self, x: &[f64], k: usize, c0: usize, out: &mut [f64]) {
-        for i in 0..self.rows {
-            let acc = vector::dot_group::<W>(self.row(i), x, k, c0);
+    /// Columns `c0..c0 + W` of [`Matrix::matvec_block_into`], through a
+    /// packed panel unless the block is `W` wide.
+    fn matvec_group<const W: usize>(
+        &self,
+        x: &[f64],
+        k: usize,
+        c0: usize,
+        out: &mut [f64],
+        panel: &mut Vec<f64>,
+    ) {
+        let x = if k == W {
+            x
+        } else {
+            vector::pack_columns(x, k, c0, W, 0..self.cols, panel);
+            panel
+        };
+        self.matvec_panel::<W>(x, |i, acc| {
             out[i * k + c0..i * k + c0 + W].copy_from_slice(&acc);
+        });
+    }
+
+    /// `self · P` for a contiguous `cols×W` panel `P`, two rows at a
+    /// time: hands each row index and its `W` dot products — each summed
+    /// as [`vector::dot`] sums it — to `emit`, in row order.
+    pub(crate) fn matvec_panel<const W: usize>(
+        &self,
+        panel: &[f64],
+        mut emit: impl FnMut(usize, [f64; W]),
+    ) {
+        let paired = self.rows / 2 * 2;
+        for i in (0..paired).step_by(2) {
+            let [acc0, acc1] = vector::dot_panel::<2, W>([self.row(i), self.row(i + 1)], panel);
+            emit(i, acc0);
+            emit(i + 1, acc1);
+        }
+        if paired < self.rows {
+            emit(
+                paired,
+                vector::dot_panel::<1, W>([self.row(paired)], panel)[0],
+            );
         }
     }
 

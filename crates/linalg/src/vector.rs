@@ -30,7 +30,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(SUM_NEUTRAL, |acc, (x, y)| acc + x * y)
 }
 
-/// Width of the wide column groups of the multi-column kernels.
+/// Width of the wide column groups (and packed panels) of the
+/// multi-column kernels.
 pub(crate) const WIDE: usize = 8;
 /// Width of the narrow column group of the multi-column kernels.
 pub(crate) const NARROW: usize = 4;
@@ -49,33 +50,63 @@ pub(crate) fn column_groups(k: usize) -> impl Iterator<Item = (usize, usize)> {
         .chain((narrow_end..k).map(|c| (c, 1)))
 }
 
-/// Dot products of `row` with `W` adjacent columns of a row-major block
-/// of width `k`: entry `c` is `Σ_j row[j]·block[j·k + c0 + c]`, summed in
-/// `j` order from [`SUM_NEUTRAL`] — column for column the arithmetic of
-/// [`dot`], so the compiler can vectorize across the group without
-/// changing a bit. Only the first `row.len()` rows of `block` are read.
+/// Dot products of `R` rows with each column of a contiguous row-major
+/// panel of width `W`: entry `[r][c]` is `Σ_j rows[r][j]·panel[j·W + c]`,
+/// summed in `j` order from [`SUM_NEUTRAL`] — column for column the
+/// arithmetic of [`dot`], so the compiler can vectorize across the
+/// panel's columns and interleave the rows without changing a bit. Only
+/// the first `rows[0].len()` panel rows are read.
 ///
 /// # Panics
 ///
-/// Panics if `c0 + W > k` or `block` has fewer than `row.len()` rows.
+/// Panics if a row is shorter than `rows[0]` or the panel has fewer
+/// than `rows[0].len()` rows.
 #[inline]
-pub(crate) fn dot_group<const W: usize>(
-    row: &[f64],
-    block: &[f64],
-    k: usize,
-    c0: usize,
-) -> [f64; W] {
-    debug_assert!(block.len() >= row.len() * k, "dot_group: block too short");
-    let mut acc = [SUM_NEUTRAL; W];
-    for (&a, block_row) in row.iter().zip(block.chunks_exact(k)) {
-        let group: &[f64; W] = block_row[c0..c0 + W]
-            .try_into()
-            .expect("column group lies inside the block");
-        for (s, &v) in acc.iter_mut().zip(group) {
-            *s += a * v;
+pub(crate) fn dot_panel<const R: usize, const W: usize>(
+    rows: [&[f64]; R],
+    panel: &[f64],
+) -> [[f64; W]; R] {
+    let len = rows[0].len();
+    let rows = rows.map(|r| &r[..len]);
+    let mut acc = [[SUM_NEUTRAL; W]; R];
+    for (j, panel_row) in panel[..len * W].chunks_exact(W).enumerate() {
+        let panel_row: &[f64; W] = panel_row.try_into().expect("chunks are W wide");
+        for (acc_r, row) in acc.iter_mut().zip(&rows) {
+            let a = row[j];
+            for (s, &v) in acc_r.iter_mut().zip(panel_row) {
+                *s += a * v;
+            }
         }
     }
     acc
+}
+
+/// Copies columns `c0..c0 + w` of a row-major block of width `k` into
+/// `panel` as a contiguous row-major block of width `w`, taking the
+/// block's rows in the order `rows` yields them (a permutation for the
+/// triangular solves, `0..rows` for the matvec).
+pub(crate) fn pack_columns(
+    block: &[f64],
+    k: usize,
+    c0: usize,
+    w: usize,
+    rows: impl ExactSizeIterator<Item = usize>,
+    panel: &mut Vec<f64>,
+) {
+    panel.clear();
+    panel.reserve(rows.len() * w);
+    for i in rows {
+        panel.extend_from_slice(&block[i * k + c0..i * k + c0 + w]);
+    }
+}
+
+/// Writes a contiguous panel of width `w` back into columns
+/// `c0..c0 + w` of a row-major block of width `k` — the inverse of
+/// [`pack_columns`] over the rows in order.
+pub(crate) fn unpack_columns(panel: &[f64], w: usize, block: &mut [f64], k: usize, c0: usize) {
+    for (block_row, panel_row) in block.chunks_exact_mut(k).zip(panel.chunks_exact(w)) {
+        block_row[c0..c0 + w].copy_from_slice(panel_row);
+    }
 }
 
 /// Rows per group of the single-vector kernels ([`Matrix::matvec_into`]
@@ -289,6 +320,17 @@ mod tests {
         let mut out = [0.0; 6];
         scatter_column(&col, 3, 2, &mut out);
         assert_eq!(out, [0.0, 0.0, 2.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn pack_and_unpack_round_trip() {
+        let block = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]; // 3x3
+        let mut panel = vec![9.0; 1];
+        pack_columns(&block, 3, 1, 2, [2, 0, 1].into_iter(), &mut panel);
+        assert_eq!(panel, vec![8.0, 9.0, 2.0, 3.0, 5.0, 6.0]);
+        let mut out = [0.0; 9];
+        unpack_columns(&panel, 2, &mut out, 3, 0);
+        assert_eq!(out, [8.0, 9.0, 0.0, 2.0, 3.0, 0.0, 5.0, 6.0, 0.0]);
     }
 
     #[test]

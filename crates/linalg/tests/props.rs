@@ -13,6 +13,15 @@ fn dd_matrix() -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Diagonally dominant matrices up to n = 40, so the LU's 32-column
+/// panels and trailing tiles are reached.
+fn block_dd_matrix() -> impl Strategy<Value = Matrix> {
+    (1usize..=40, any::<u64>()).prop_map(|(n, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        generate::diagonally_dominant(n, 1.0, &mut rng).unwrap()
+    })
+}
+
 fn spd_matrix() -> impl Strategy<Value = Matrix> {
     (2usize..=9, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -188,15 +197,16 @@ proptest! {
 
     #[test]
     fn solve_block_matches_solve_into_bit_for_bit(
-        a in dd_matrix(),
+        a in block_dd_matrix(),
         seed in any::<u64>(),
         inf in any::<bool>(),
     ) {
-        // Every k up to 17 covers each 8/4/1 column-group remainder.
+        // Every k up to 33 covers each 8/4/1 column-group remainder,
+        // the one-panel blocks k = 4 and k = 8, and 8+4+1 at k = 13.
         let n = a.rows();
         let factor = lu::LuFactor::new(&a).unwrap();
         let mut col = vec![0.0; n];
-        for k in 1..=17 {
+        for k in 1..=33 {
             let b = edge_block(n, k, seed ^ k as u64, inf);
             let mut x = vec![f64::NAN; n * k];
             factor.solve_block_into(&b, k, &mut x).unwrap();
@@ -210,15 +220,16 @@ proptest! {
 
     #[test]
     fn matvec_block_matches_matvec_into_bit_for_bit(
-        rows in 1usize..=9,
-        cols in 1usize..=9,
+        rows in 1usize..=40,
+        cols in 1usize..=40,
         seed in any::<u64>(),
         inf in any::<bool>(),
     ) {
-        // Square and rectangular shapes; the matrix carries -0.0 too.
+        // Square and rectangular shapes, odd row counts (the panel
+        // matvec takes rows in pairs); the matrix carries -0.0 too.
         let m = Matrix::from_vec(rows, cols, edge_block(rows, cols, seed, false)).unwrap();
         let mut col = vec![0.0; rows];
-        for k in 1..=17 {
+        for k in 1..=33 {
             let x = edge_block(cols, k, seed ^ ((k as u64) << 8), inf);
             let mut out = vec![f64::NAN; rows * k];
             m.matvec_block_into(&x, k, &mut out).unwrap();
@@ -232,22 +243,23 @@ proptest! {
 
     #[test]
     fn schur_update_matches_column_reference_bit_for_bit(
-        a1 in dd_matrix(),
-        m in 1usize..=7,
-        k in 1usize..=17,
+        a1 in block_dd_matrix(),
+        m in 1usize..=40,
         seed in any::<u64>(),
     ) {
         // Rectangular A2 (n×k) and A3 (m×n) with m ≠ k in general.
         let n = a1.rows();
         let factor = lu::LuFactor::new(&a1).unwrap();
-        let a2 = Matrix::from_vec(n, k, edge_block(n, k, seed, false)).unwrap();
         let a3 = Matrix::from_vec(m, n, edge_block(m, n, seed ^ 1, false)).unwrap();
-        let a4 = Matrix::from_vec(m, k, edge_block(m, k, seed ^ 2, false)).unwrap();
-        let mut got = a4.clone();
-        factor.schur_update_into(&a2, &a3, &mut got).unwrap();
-        let mut want = a4;
-        schur_reference(&factor, &a2, &a3, &mut want);
-        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        for k in 1..=33 {
+            let a2 = Matrix::from_vec(n, k, edge_block(n, k, seed ^ k as u64, false)).unwrap();
+            let a4 = Matrix::from_vec(m, k, edge_block(m, k, seed ^ 2, false)).unwrap();
+            let mut got = a4.clone();
+            factor.schur_update_into(&a2, &a3, &mut got).unwrap();
+            let mut want = a4;
+            schur_reference(&factor, &a2, &a3, &mut want);
+            prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "k={}", k);
+        }
     }
 }
 
