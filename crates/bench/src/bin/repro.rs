@@ -294,11 +294,12 @@ fn serve(opts: &RunOpts) {
         std::process::exit(1);
     }
     let stats = server.stats();
+    let fetches = (stats.hits + stats.misses).max(1);
     println!(
         "served {} request(s), {} RHS solved, hit-rate {:.1}%",
         stats.requests,
         stats.solved_rhs,
-        stats.hit_rate() * 100.0
+        stats.hits as f64 / fetches as f64 * 100.0
     );
     if opts.metrics {
         println!("\nmetrics registry at shutdown:");

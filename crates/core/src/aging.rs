@@ -458,10 +458,17 @@ impl<E: AmcEngine> AgedSolver<E> {
         self.stuck.iter().map(Vec::len).sum()
     }
 
-    /// Borrows the (possibly degraded) inner replica — e.g. to clone it
-    /// for off-thread serving.
+    /// Borrows the (possibly degraded) inner replica.
     pub fn replica(&self) -> &SolverReplica<E> {
         &self.replica
+    }
+
+    /// Mutably borrows the inner replica — to serve batches from the
+    /// current (aged) array state in place. Solving through it is the
+    /// same as [`AgedSolver::solve`]: it reads the arrays and only fills
+    /// in what the engine caches per array.
+    pub fn replica_mut(&mut self) -> &mut SolverReplica<E> {
+        &mut self.replica
     }
 
     /// Solves against the current (aged) array state.

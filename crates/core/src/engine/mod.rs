@@ -48,6 +48,7 @@ use std::any::Any;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+use amc_linalg::lu::LuFactor;
 use amc_linalg::Matrix;
 
 use crate::{BlockAmcError, Result};
@@ -60,6 +61,8 @@ mod registry;
 pub use circuit::{CircuitEngine, CircuitEngineConfig};
 pub use fixed_point::FixedPointEngine;
 pub use numeric::NumericEngine;
+#[cfg(test)]
+pub(crate) use numeric::NumericOperand;
 pub use registry::{EngineRegistry, EngineSpec};
 
 /// The backend-owned state of a programmed matrix.
@@ -267,6 +270,25 @@ pub trait AmcEngine: fmt::Debug + Send {
     /// Propagates mapping/factorization failures.
     fn program(&mut self, a: &Matrix) -> Result<Operand>;
 
+    /// [`AmcEngine::program`] for a matrix whose LU factorisation the
+    /// caller already holds — the partitioner hands over the `A1` factor
+    /// its Schur complement computed when `A1` becomes a leaf array.
+    /// `lu` must be exactly `LuFactor::new(a)`.
+    ///
+    /// The default ignores the factor and calls `program`; backends that
+    /// factorise their operands (the numeric engine) keep it instead of
+    /// factorising the same matrix again at the first INV. Overrides
+    /// must be bit-identical to `program` in every later INV and MVM and
+    /// count one `program` op.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`AmcEngine::program`].
+    fn program_factored(&mut self, a: &Matrix, lu: LuFactor) -> Result<Operand> {
+        drop(lu);
+        self.program(a)
+    }
+
     /// Executes an INV operation: returns `−A⁻¹·b`.
     ///
     /// # Errors
@@ -425,6 +447,10 @@ fn per_column(
 impl AmcEngine for Box<dyn AmcEngine> {
     fn program(&mut self, a: &Matrix) -> Result<Operand> {
         (**self).program(a)
+    }
+
+    fn program_factored(&mut self, a: &Matrix, lu: LuFactor) -> Result<Operand> {
+        (**self).program_factored(a, lu)
     }
 
     fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> Result<Vec<f64>> {
@@ -666,6 +692,42 @@ mod tests {
         // Cloning a boxed engine clones the concrete backend behind it.
         let cloned = boxed.clone();
         assert_eq!(cloned.stats(), boxed.stats());
+    }
+
+    #[test]
+    fn registry_engine_keeps_a_handed_over_factor() {
+        let a = sample();
+        let b = [0.3, -0.2];
+        let mut boxed = EngineRegistry::builtin().build("numeric", 0).unwrap();
+        let lu = amc_linalg::lu::LuFactor::new(&a).unwrap();
+        let mut handed = boxed.program_factored(&a, lu).unwrap();
+        let state = handed.downcast_ref::<NumericOperand>().unwrap();
+        assert!(state.lu.is_some(), "the box forwards the factor");
+        assert_eq!(boxed.stats().program_ops, 1);
+        // The same bits as an operand that factorises at its first INV.
+        let mut lazy = boxed.program(&a).unwrap();
+        assert!(lazy.downcast_ref::<NumericOperand>().unwrap().lu.is_none());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let x = boxed.inv(&mut handed, &b).unwrap();
+        let y = boxed.inv(&mut lazy, &b).unwrap();
+        assert_eq!(bits(x), bits(y));
+        assert_eq!(boxed.stats().program_ops, 2);
+    }
+
+    #[test]
+    fn program_factored_defaults_to_program() {
+        let a = sample();
+        let lu = amc_linalg::lu::LuFactor::new(&a).unwrap();
+        let mut cir = CircuitEngine::new(CircuitEngineConfig::ideal(), 5);
+        let mut twin = cir.clone();
+        let mut handed = cir.program_factored(&a, lu).unwrap();
+        let mut plain = twin.program(&a).unwrap();
+        assert_eq!(cir.stats().program_ops, 1);
+        let b = [0.1, 0.2];
+        assert_eq!(
+            cir.inv(&mut handed, &b).unwrap(),
+            twin.inv(&mut plain, &b).unwrap()
+        );
     }
 
     #[test]

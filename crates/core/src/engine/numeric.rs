@@ -7,8 +7,10 @@ use amc_linalg::{lu::LuFactor, Matrix};
 use super::{check_block, AmcEngine, EngineStats, Operand, OperandState};
 use crate::Result;
 
-/// Operand state of [`NumericEngine`]: the exact matrix with a cached
-/// LU factorization (built lazily on the first INV).
+/// Operand state of [`NumericEngine`]: the exact matrix with its cached
+/// LU factorization — handed over at programming time by
+/// [`AmcEngine::program_factored`] (a Schur step's `A1` leaf), otherwise
+/// built on the first INV and kept from then on.
 #[derive(Debug, Clone)]
 pub(crate) struct NumericOperand {
     pub(crate) a: Matrix,
@@ -67,8 +69,8 @@ impl NumericEngine {
     }
 }
 
-/// The operand's LU factorization, computed on its first INV and cached
-/// in the operand from then on.
+/// The operand's LU factorization: the one handed over at programming
+/// time, or else computed on the first INV and cached in the operand.
 fn factorization(operand: &mut Operand) -> Result<&LuFactor> {
     let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
     if state.lu.is_none() {
@@ -83,6 +85,15 @@ impl AmcEngine for NumericEngine {
         Ok(Operand::new(NumericOperand {
             a: a.clone(),
             lu: None,
+        }))
+    }
+
+    fn program_factored(&mut self, a: &Matrix, lu: LuFactor) -> Result<Operand> {
+        debug_assert_eq!(lu.dim(), a.rows(), "factor of a different matrix");
+        self.stats.count_program();
+        Ok(Operand::new(NumericOperand {
+            a: a.clone(),
+            lu: Some(lu),
         }))
     }
 

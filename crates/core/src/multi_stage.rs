@@ -33,7 +33,7 @@
 //! recursion studied here); [`PartitionPlan::paper`] reproduces the
 //! paper's two-stage layout instead, tiling them into quadrants.
 
-use amc_linalg::{vector, Matrix};
+use amc_linalg::{lu::LuFactor, vector, Matrix};
 use amc_obs::Recorder;
 
 use crate::converter::IoConfig;
@@ -956,18 +956,39 @@ fn prepare_mvm_tile<E: AmcEngine + ?Sized>(
     }))
 }
 
+/// Whether a block at `depth` is programmed whole on one array (depth
+/// exhausted, or nothing left to split).
+fn is_leaf(a: &Matrix, depth: usize) -> bool {
+    depth == 0 || a.rows() < 2
+}
+
+/// Programs a leaf array, handing the engine `lu` — the factor of `a`
+/// that a Schur step already computed — when there is one.
+fn program_leaf<E: AmcEngine + ?Sized>(
+    engine: &mut E,
+    a: &Matrix,
+    lu: Option<LuFactor>,
+    rec: &mut Recorder,
+) -> Result<Node> {
+    let span = rec.enter("prepare.program");
+    let op = match lu {
+        Some(lu) => engine.program_factored(a, lu)?,
+        None => engine.program(a)?,
+    };
+    rec.exit_with(span, &[("n", a.rows() as f64)]);
+    Ok(Node::Leaf(op))
+}
+
 fn prepare_node<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
+    lu: Option<LuFactor>,
     depth: usize,
     plan: &PartitionPlan,
     rec: &mut Recorder,
 ) -> Result<Node> {
-    if depth == 0 || a.rows() < 2 {
-        let span = rec.enter("prepare.program");
-        let op = engine.program(a)?;
-        rec.exit_with(span, &[("n", a.rows() as f64)]);
-        return Ok(Node::Leaf(op));
+    if is_leaf(a, depth) {
+        return program_leaf(engine, a, lu, rec);
     }
     let node_span = rec.enter("prepare.node");
     let span = rec.enter("prepare.partition");
@@ -978,12 +999,14 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     };
     rec.exit(span);
     let span = rec.enter("prepare.schur");
-    let a4s = p.schur_complement()?;
+    let (a4s, a1_lu) = p.schur_complement_with_factor()?;
     rec.exit_with(span, &[("n", a4s.rows() as f64)]);
     // Canonical programming order (A1, A2, A3, A4s): the order in which
     // the engine's variation stream is consumed, which
     // tests/cascade_golden.rs pins for the one- and two-stage layouts.
-    let a1 = prepare_node(engine, &p.a1, depth - 1, plan, rec)?;
+    // A leaf A1 takes over the factor the Schur step computed.
+    let a1_lu = a1_lu.filter(|_| is_leaf(&p.a1, depth - 1));
+    let a1 = prepare_node(engine, &p.a1, a1_lu, depth - 1, plan, rec)?;
     // In the paper layout, MVM blocks tile down to the same size as the
     // INV leaves below them: one quadrant level per remaining INV split
     // (depth 2 ⇒ one level, the two-stage inventory; deeper ⇒ recurse).
@@ -992,7 +1015,7 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     let a2 = prepare_mvm_tile(engine, &p.a2, tile_levels)?;
     let a3 = prepare_mvm_tile(engine, &p.a3, tile_levels)?;
     rec.exit(span);
-    let a4s_node = prepare_node(engine, &a4s, depth - 1, plan, rec)?;
+    let a4s_node = prepare_node(engine, &a4s, None, depth - 1, plan, rec)?;
     rec.exit_with(node_span, &[("n", a.rows() as f64)]);
     Ok(Node::Split {
         split: p.split,
@@ -1028,7 +1051,7 @@ pub(crate) fn prepare_plan<E: AmcEngine + ?Sized>(
         });
     }
     let span = rec.enter("prepare");
-    let root = prepare_node(engine, a, plan.depth, plan, rec)?;
+    let root = prepare_node(engine, a, None, plan.depth, plan, rec)?;
     rec.exit_with(
         span,
         &[("n", a.rows() as f64), ("depth", plan.depth as f64)],
@@ -1054,7 +1077,8 @@ pub(crate) fn prepare_plan<E: AmcEngine + ?Sized>(
 /// prepare at any worker count.
 #[derive(Debug)]
 enum MatrixTree {
-    Leaf(Matrix),
+    /// A leaf block, with the factor its parent's Schur step handed over.
+    Leaf(Matrix, Option<LuFactor>),
     Split {
         split: usize,
         a1: Box<MatrixTree>,
@@ -1069,7 +1093,7 @@ enum MatrixTree {
 /// of one parallel `plan_step`, with children returned separately.
 #[derive(Debug)]
 enum PlannedNode {
-    Leaf(Matrix),
+    Leaf(Matrix, Option<LuFactor>),
     Split {
         split: usize,
         a2: Matrix,
@@ -1078,23 +1102,27 @@ enum PlannedNode {
     },
 }
 
+/// A block waiting to be planned: its matrix, the factor its parent
+/// handed over (leaf `A1` blocks only), and its remaining depth.
+type PlanInput = (Matrix, Option<LuFactor>, usize);
+
 /// Partitions one block (split selection + Schur complement) without
 /// programming anything. Returns the planned node plus the child blocks
 /// (`a1` then `a4s`, each one level shallower) to expand next.
 fn plan_step(
-    a: Matrix,
-    depth: usize,
+    (a, lu, depth): PlanInput,
     plan: &PartitionPlan,
-) -> Result<(PlannedNode, Vec<(Matrix, usize)>)> {
-    if depth == 0 || a.rows() < 2 {
-        return Ok((PlannedNode::Leaf(a), Vec::new()));
+) -> Result<(PlannedNode, Vec<PlanInput>)> {
+    if is_leaf(&a, depth) {
+        return Ok((PlannedNode::Leaf(a, lu), Vec::new()));
     }
     let p = match plan.split {
         SplitRule::Halves => BlockPartition::halves(&a)?,
         SplitRule::Searched(opts) if a.rows() >= 4 => split_search::best_partition(&a, &opts)?,
         SplitRule::Searched(_) => BlockPartition::halves(&a)?,
     };
-    let a4s = p.schur_complement()?;
+    let (a4s, a1_lu) = p.schur_complement_with_factor()?;
+    let a1_lu = a1_lu.filter(|_| is_leaf(&p.a1, depth - 1));
     let tile_levels = if plan.tile_mvm { depth - 1 } else { 0 };
     Ok((
         PlannedNode::Split {
@@ -1103,7 +1131,7 @@ fn plan_step(
             a3: p.a3,
             tile_levels,
         },
-        vec![(p.a1, depth - 1), (a4s, depth - 1)],
+        vec![(p.a1, a1_lu, depth - 1), (a4s, None, depth - 1)],
     ))
 }
 
@@ -1114,9 +1142,9 @@ fn plan_step(
 /// depend on the worker count.
 fn plan_tree(a: &Matrix, plan: &PartitionPlan, workers: usize) -> Result<MatrixTree> {
     let mut levels: Vec<Vec<PlannedNode>> = Vec::new();
-    let mut frontier: Vec<(Matrix, usize)> = vec![(a.clone(), plan.depth)];
+    let mut frontier: Vec<PlanInput> = vec![(a.clone(), None, plan.depth)];
     while !frontier.is_empty() {
-        let results = amc_par::map_indexed(workers, frontier, |_, (m, d)| plan_step(m, d, plan));
+        let results = amc_par::map_indexed(workers, frontier, |_, input| plan_step(input, plan));
         let mut nodes = Vec::with_capacity(results.len());
         let mut next = Vec::new();
         for r in results {
@@ -1136,7 +1164,7 @@ fn plan_tree(a: &Matrix, plan: &PartitionPlan, workers: usize) -> Result<MatrixT
         let mut current = Vec::with_capacity(level.len());
         for node in level {
             current.push(match node {
-                PlannedNode::Leaf(m) => MatrixTree::Leaf(m),
+                PlannedNode::Leaf(m, lu) => MatrixTree::Leaf(m, lu),
                 PlannedNode::Split {
                     split,
                     a2,
@@ -1166,19 +1194,15 @@ fn plan_tree(a: &Matrix, plan: &PartitionPlan, workers: usize) -> Result<MatrixT
 }
 
 /// Phase 2: programs the planned tree serially, in the exact program-call
-/// order of [`prepare_node`] (a1 subtree, a2 tile, a3 tile, a4s subtree).
+/// order of [`prepare_node`] (a1 subtree, a2 tile, a3 tile, a4s subtree),
+/// handing leaves the factors phase 1 carried down.
 fn program_tree<E: AmcEngine + ?Sized>(
     engine: &mut E,
-    tree: &MatrixTree,
+    tree: MatrixTree,
     rec: &mut Recorder,
 ) -> Result<Node> {
     match tree {
-        MatrixTree::Leaf(m) => {
-            let span = rec.enter("prepare.program");
-            let op = engine.program(m)?;
-            rec.exit_with(span, &[("n", m.rows() as f64)]);
-            Ok(Node::Leaf(op))
-        }
+        MatrixTree::Leaf(m, lu) => program_leaf(engine, &m, lu, rec),
         MatrixTree::Split {
             split,
             a1,
@@ -1187,14 +1211,14 @@ fn program_tree<E: AmcEngine + ?Sized>(
             a3,
             tile_levels,
         } => {
-            let a1_node = program_tree(engine, a1, rec)?;
+            let a1_node = program_tree(engine, *a1, rec)?;
             let span = rec.enter("prepare.program_mvm");
-            let a2_block = prepare_mvm_tile(engine, a2, *tile_levels)?;
-            let a3_block = prepare_mvm_tile(engine, a3, *tile_levels)?;
+            let a2_block = prepare_mvm_tile(engine, &a2, tile_levels)?;
+            let a3_block = prepare_mvm_tile(engine, &a3, tile_levels)?;
             rec.exit(span);
-            let a4s_node = program_tree(engine, a4s, rec)?;
+            let a4s_node = program_tree(engine, *a4s, rec)?;
             Ok(Node::Split {
-                split: *split,
+                split,
                 a1: Box::new(a1_node),
                 a4s: Box::new(a4s_node),
                 a2: a2_block,
@@ -1239,7 +1263,7 @@ pub(crate) fn prepare_plan_workers<E: AmcEngine + ?Sized>(
     let plan_span = rec.enter("prepare.plan");
     let tree = plan_tree(a, plan, workers)?;
     rec.exit_with(plan_span, &[("workers", workers as f64)]);
-    let root = program_tree(engine, &tree, rec)?;
+    let root = program_tree(engine, tree, rec)?;
     rec.exit_with(
         span,
         &[("n", a.rows() as f64), ("depth", plan.depth as f64)],
@@ -1305,7 +1329,7 @@ pub(crate) fn solve_with_signal<E: AmcEngine + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CircuitEngine, CircuitEngineConfig, NumericEngine};
+    use crate::engine::{CircuitEngine, CircuitEngineConfig, NumericEngine, NumericOperand};
     use amc_linalg::{generate, lu, metrics};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1492,6 +1516,71 @@ mod tests {
             let mut prep = prepare_plan_workers(&mut engine, &a, &plan, workers).unwrap();
             let x = solve(&mut engine, &mut prep, &b).unwrap();
             assert_eq!(x, x_serial, "circuit diverged at {workers} workers");
+        }
+    }
+
+    /// Whether each leaf `A1` of the tree holds an LU factor, in tree
+    /// order.
+    fn a1_leaf_factors(prep: &PreparedMultiStage) -> Vec<bool> {
+        fn walk(node: &Node, out: &mut Vec<bool>) {
+            if let Node::Split { a1, a4s, .. } = node {
+                if let Node::Leaf(op) = a1.as_ref() {
+                    let state = op
+                        .downcast_ref::<NumericOperand>()
+                        .expect("numeric operand");
+                    out.push(state.lu.is_some());
+                }
+                walk(a1, out);
+                walk(a4s, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&prep.root, &mut out);
+        out
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn schur_factor_is_handed_to_every_a1_leaf() {
+        let (a, b) = workload(16, 12);
+        let rules = [
+            SplitRule::Halves,
+            SplitRule::Searched(SplitSearchOptions::default()),
+        ];
+        for depth in [1, 2] {
+            for rule in rules {
+                let plan = PartitionPlan::depth(depth).with_split_rule(rule);
+                for workers in [None, Some(1), Some(2)] {
+                    let case = format!("depth {depth}, {rule:?}, workers {workers:?}");
+                    let mut engine = NumericEngine::new();
+                    let mut prep = match workers {
+                        None => prepare_plan(&mut engine, &a, &plan),
+                        Some(w) => prepare_plan_workers(&mut engine, &a, &plan, w),
+                    }
+                    .unwrap();
+                    let factors = a1_leaf_factors(&prep);
+                    assert_eq!(factors.len(), 1 << (depth - 1), "{case}");
+                    assert!(factors.iter().all(|&f| f), "{case}: {factors:?}");
+                    // One program op per array, handed a factor or not.
+                    let mut arrays = 0;
+                    prep.for_each_operand(&mut |_, _| arrays += 1);
+                    assert_eq!(engine.stats().program_ops, arrays, "{case}");
+                    // The reference tree factorises every leaf lazily, at
+                    // its first INV.
+                    let mut lazy = prep.clone();
+                    lazy.for_each_operand_mut(&mut |_, op| {
+                        op.downcast_mut::<NumericOperand>().unwrap().lu = None;
+                        Ok(())
+                    })
+                    .unwrap();
+                    let x_lazy = solve(&mut engine, &mut lazy, &b).unwrap();
+                    let x = solve(&mut engine, &mut prep, &b).unwrap();
+                    assert_eq!(bits(&x), bits(&x_lazy), "{case}");
+                }
+            }
         }
     }
 

@@ -114,13 +114,29 @@ impl BlockPartition {
     /// singular (the algorithm requires an invertible `A1`; choose a
     /// different split in that case).
     pub fn schur_complement(&self) -> Result<Matrix> {
+        self.schur_complement_with_factor().map(|(a4s, _)| a4s)
+    }
+
+    /// [`BlockPartition::schur_complement`] together with the LU
+    /// factorisation of `A1` it computed — `None` under the zero-block
+    /// shortcut, which factorises nothing. The factor is exactly
+    /// `LuFactor::new(&self.a1)`, so a caller that programs `A1` on a
+    /// digital array can keep it instead of factorising the same matrix
+    /// a second time.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BlockPartition::schur_complement`].
+    pub fn schur_complement_with_factor(&self) -> Result<(Matrix, Option<LuFactor>)> {
         if self.a2.is_zero() || self.a3.is_zero() {
-            return Ok(self.a4.clone());
+            return Ok((self.a4.clone(), None));
         }
-        if self.coupling_density() <= SPARSE_SCHUR_MAX_DENSITY {
-            return self.schur_complement_sparse();
-        }
-        self.schur_complement_dense()
+        let (a4s, lu) = if self.coupling_density() <= SPARSE_SCHUR_MAX_DENSITY {
+            self.schur_complement_sparse()?
+        } else {
+            self.schur_complement_dense()?
+        };
+        Ok((a4s, Some(lu)))
     }
 
     /// Fraction of structurally nonzero entries across the coupling
@@ -136,26 +152,28 @@ impl BlockPartition {
     /// The dense Schur kernel: one fused pass per column group of `A2`
     /// (solve the group in a packed panel, multiply by `A3`, subtract
     /// from the `A4` copy), with no `A1⁻¹·A2` or `A3·A1⁻¹·A2`
-    /// intermediate (see [`LuFactor::schur_update_into`]).
+    /// intermediate (see [`LuFactor::schur_update_into`]). Returns the
+    /// complement and the `A1` factor.
     ///
     /// # Errors
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
-    fn schur_complement_dense(&self) -> Result<Matrix> {
+    fn schur_complement_dense(&self) -> Result<(Matrix, LuFactor)> {
         let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_into(&self.a2, &self.a3, &mut a4s)?;
-        Ok(a4s)
+        Ok((a4s, lu))
     }
 
     /// The sparse Schur kernel: converts the coupling blocks to CSR and
     /// runs [`LuFactor::schur_update_sparse_into`], skipping the zero
-    /// columns that dominate Laplacian/PDN partitions.
+    /// columns that dominate Laplacian/PDN partitions. Returns the
+    /// complement and the `A1` factor.
     ///
     /// # Errors
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
-    fn schur_complement_sparse(&self) -> Result<Matrix> {
+    fn schur_complement_sparse(&self) -> Result<(Matrix, LuFactor)> {
         let lu = self.factor_a1()?;
         let mut a4s = self.a4.clone();
         lu.schur_update_sparse_into(
@@ -163,7 +181,7 @@ impl BlockPartition {
             &CsrMatrix::from_dense(&self.a3),
             &mut a4s,
         )?;
-        Ok(a4s)
+        Ok((a4s, lu))
     }
 
     /// The LU factorisation of `A1`, with a breakdown reported as
@@ -279,17 +297,15 @@ mod tests {
         let p = BlockPartition::halves(&a).unwrap();
         assert!(p.coupling_density() <= 0.10, "{}", p.coupling_density());
         let sparse = p.schur_complement().unwrap();
-        let dense = p.schur_complement_dense().unwrap();
+        let (dense, _) = p.schur_complement_dense().unwrap();
         assert!(sparse.approx_eq(&dense, 1e-13));
         // A dense sample routes through the dense kernel and both
         // explicit paths still agree.
         let a = sample(10, 9);
         let p = BlockPartition::halves(&a).unwrap();
         assert!(p.coupling_density() > 0.10);
-        assert!(p
-            .schur_complement_sparse()
-            .unwrap()
-            .approx_eq(&p.schur_complement().unwrap(), 1e-12));
+        let (sparse, _) = p.schur_complement_sparse().unwrap();
+        assert!(sparse.approx_eq(&p.schur_complement().unwrap(), 1e-12));
     }
 
     /// `Matrix::fingerprint` of `halves(a).schur_complement()`: three
@@ -348,8 +364,8 @@ mod tests {
             split: 2,
             pivot: 0,
         };
-        assert_eq!(p.schur_complement_dense(), Err(err.clone()));
-        assert_eq!(p.schur_complement_sparse(), Err(err));
+        assert_eq!(p.schur_complement_dense().map(|(s, _)| s), Err(err.clone()));
+        assert_eq!(p.schur_complement_sparse().map(|(s, _)| s), Err(err));
     }
 
     #[test]

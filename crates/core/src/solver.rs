@@ -1035,7 +1035,7 @@ impl<E: AmcEngine> SolverReplica<E> {
 const SHARDS_PER_WORKER: usize = 4;
 
 // Compile-time guarantee that prepared solvers cross threads: the
-// `amc-serve` cache stores replicas behind a mutex and hands clones to
+// `amc-serve` cache stores replicas behind a mutex and lends them to
 // worker threads, so `Send` is a type-checked invariant here, not an
 // assumption. `AmcEngine`'s `Send` supertrait must suffice for *any*
 // engine, including the type-erased one the registry builds.

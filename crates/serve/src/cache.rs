@@ -151,17 +151,10 @@ impl<V> LfuCache<V> {
         self.index.contains_key(key)
     }
 
-    /// Reads the entry under `key` without counting a fetch or bumping
-    /// the frequency — the dispatcher's re-read of a key that a request
-    /// already fetched (and heated) at resolve time.
-    pub fn peek(&self, key: &CacheKey) -> Option<&V> {
-        let idx = *self.index.get(key)?;
-        Some(&self.slab[idx].as_ref().unwrap().value)
-    }
-
-    /// Mutable [`peek`](LfuCache::peek): no counters move, no frequency
-    /// is bumped. Lets the dispatcher write an aged solver's advanced
-    /// clock back into its slot without re-heating the entry.
+    /// Mutably borrows the entry under `key` without counting a fetch or
+    /// bumping the frequency — the dispatcher's access to a key that a
+    /// request already fetched (and heated) at resolve time: it lends
+    /// the solver out of the slot and puts it back.
     pub fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut V> {
         let idx = *self.index.get(key)?;
         Some(&mut self.slab[idx].as_mut().unwrap().value)
@@ -377,15 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_peek_mut_move_no_counters() {
+    fn peek_mut_moves_no_counters() {
         let mut c: LfuCache<i32> = LfuCache::new(2);
         c.insert(key(1), 10);
         let before = c.counters();
-        assert_eq!(c.peek(&key(1)), Some(&10));
+        assert_eq!(c.peek_mut(&key(1)).copied(), Some(10));
         *c.peek_mut(&key(1)).unwrap() = 11;
         assert!(c.peek_mut(&key(2)).is_none());
-        assert_eq!(c.peek(&key(1)), Some(&11));
         assert_eq!(c.counters(), before, "peeks are not fetches");
+        assert_eq!(c.get(&key(1)), Some(&11));
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! * A fixed pool of **solver workers** (spawned at [`Server::new`])
 //!   drains the dispatch queue. Each round, a worker claims *one cache
 //!   key* and takes **every** job queued under it — that is the
-//!   coalescing step — flattens them into a single batch, clones the
-//!   cached replica (a short cache-lock hold; the solve itself runs
-//!   unlocked), and solves through
-//!   [`SolverReplica::solve_batch_parallel`], which shards the batch
-//!   over an `amc-par` work-stealing pool.
+//!   coalescing step — flattens them into a single batch, and solves it
+//!   through [`SolverReplica::solve_batch_parallel`], which shards the
+//!   batch over an `amc-par` work-stealing pool.
+//! * The cached solver is **lent**, not copied: under a short cache-lock
+//!   hold the worker takes the entry out of its slot and leaves a
+//!   placeholder that still answers lookups, `Prepare` hits and LFU
+//!   heat. The solve runs unlocked on the owned solver, which then goes
+//!   back into its slot together with every factor the solve filled in
+//!   — so a key's arrays are factorised once, not once per request. A
+//!   key evicted while lent (by `Evict`, LFU capacity, staleness, or a
+//!   re-insert) stays evicted: the worker finds its placeholder gone and
+//!   drops the solver.
 //! * While a key is **active** (being solved), newly arriving jobs for
 //!   it queue up but the key is not re-enqueued; the worker re-enqueues
 //!   it on release if jobs accumulated. Concurrent requests against a
@@ -30,10 +37,11 @@
 //! ## Determinism
 //!
 //! Cache hits and coalescing are invisible in the numbers: a cached
-//! replica carries the one variation draw taken at prepare time, clones
-//! inherit it bitwise, and batch sharding is bit-identical at any
-//! worker count — so a coalesced, cached, sharded solve returns exactly
-//! the bytes a direct [`PreparedSolver::solve`] would have.
+//! replica carries the one variation draw taken at prepare time, the
+//! factors a solve caches in it are the ones every later solve would
+//! compute, and batch sharding is bit-identical at any worker count —
+//! so a coalesced, cached, sharded solve returns exactly the bytes a
+//! direct [`PreparedSolver::solve`] would have.
 //!
 //! [`Response::Busy`]: crate::wire::Response::Busy
 //! [`PreparedSolver::solve`]: blockamc::solver::PreparedSolver::solve
@@ -61,18 +69,27 @@ use crate::wire::{EngineRef, MatrixRef, Request, Response, ServerStats, MAX_FRAM
 /// How often blocked receives wake up to check for server shutdown.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Why a cache-lock acquisition fails: a thread panicked holding it.
+const CACHE_POISONED: &str = "cache lock poisoned by a panicked thread";
+
 /// A cached prepared solver: an owned replica over a type-erased engine,
-/// cloneable onto worker threads (`Send` is compile-time asserted in
-/// `blockamc::solver`).
+/// lent to one worker thread at a time (`Send` is compile-time asserted
+/// in `blockamc::solver`).
 pub type CachedSolver = SolverReplica<Box<dyn AmcEngine>>;
 
-/// One cache slot: the bare replica on an ageless server, or the aging
+/// One cache slot: the bare replica on an ageless server, the aging
 /// wrapper (replica + virtual clock + pristine snapshots) when
-/// [`ServerConfig::aging`] is set.
-#[derive(Clone)]
+/// [`ServerConfig::aging`] is set, or the placeholder of a solver a
+/// worker has out.
 enum Entry {
     Plain(CachedSolver),
     Aged(Box<AgedSolver<Box<dyn AmcEngine>>>),
+    /// Stands in for a solver lent to a dispatching worker (its key is
+    /// active); knows the problem size, so lookups answer as if the
+    /// solver were home.
+    Lent {
+        n: usize,
+    },
 }
 
 impl Entry {
@@ -80,8 +97,30 @@ impl Entry {
     fn size(&self) -> usize {
         match self {
             Entry::Plain(replica) => replica.size(),
-            Entry::Aged(aged) => aged.replica().size(),
+            Entry::Aged(aged) => aged.size(),
+            Entry::Lent { n } => *n,
         }
+    }
+}
+
+/// Takes the solver under `key` out of its slot for a dispatch, leaving
+/// [`Entry::Lent`] behind. Moves no counters and heats nothing. `None`
+/// when the key is not cached (or, which an active key rules out, is
+/// already lent).
+fn lend(cache: &mut LfuCache<Entry>, key: &CacheKey) -> Option<Entry> {
+    let slot = cache
+        .peek_mut(key)
+        .filter(|slot| !matches!(slot, Entry::Lent { .. }))?;
+    let n = slot.size();
+    Some(std::mem::replace(slot, Entry::Lent { n }))
+}
+
+/// Puts a lent solver back into its slot. If the key was evicted while
+/// the solver was out, the slot is gone or holds a fresh entry, and
+/// `entry` is dropped rather than resurrected.
+fn give_back(cache: &mut LfuCache<Entry>, key: &CacheKey, entry: Entry) {
+    if let Some(slot @ Entry::Lent { .. }) = cache.peek_mut(key) {
+        *slot = entry;
     }
 }
 
@@ -972,17 +1011,25 @@ fn worker_loop(inner: &Inner, rec: &mut Recorder) {
         let dispatch = rec.enter("serve.dispatch");
         let total_rhs: usize = jobs.iter().map(|j| j.rhs.len()).sum();
 
-        // Clone the entry out under a short lock; everything else runs
-        // unlocked so other keys' dispatches and all cache traffic keep
-        // flowing. The dispatch-level fetch is deliberately peek (no
-        // counters, no frequency bump): hits/misses/LFU heat are
-        // counted once per *request* at resolve time, not re-counted
-        // per batch. The key sits in `active`, so no other worker
-        // touches this entry concurrently.
-        let entry = inner.cache.lock().unwrap().peek(&key).cloned();
+        // Borrow the entry out of its slot under a short lock; the solve
+        // runs unlocked so other keys' dispatches and all cache traffic
+        // keep flowing. Lending moves no counters and heats nothing:
+        // hits/misses/LFU heat are counted once per *request* at resolve
+        // time, not re-counted per batch. The key sits in `active`, so no
+        // other worker lends this entry concurrently.
+        let lent = lend(&mut inner.cache.lock().expect(CACHE_POISONED), &key);
 
-        match entry {
-            None => {
+        match lent {
+            Some(Entry::Plain(mut replica)) => {
+                serve_batch(inner, &mut replica, &jobs, false);
+                give_back(
+                    &mut inner.cache.lock().expect(CACHE_POISONED),
+                    &key,
+                    Entry::Plain(replica),
+                );
+            }
+            Some(Entry::Aged(aged)) => dispatch_aged(inner, &key, &jobs, aged),
+            _ => {
                 // Evicted between resolve and dispatch (tiny cache under
                 // churn): the client re-prepares and retries.
                 for job in &jobs {
@@ -990,12 +1037,6 @@ fn worker_loop(inner: &Inner, rec: &mut Recorder) {
                         fingerprint: key.fingerprint,
                     }));
                 }
-            }
-            Some(Entry::Plain(replica)) => {
-                serve_batch(inner, replica, &jobs, false);
-            }
-            Some(Entry::Aged(aged)) => {
-                dispatch_aged(inner, &key, &jobs, *aged);
             }
         }
         rec.exit_with(
@@ -1016,7 +1057,7 @@ fn worker_loop(inner: &Inner, rec: &mut Recorder) {
 
 /// Solves one coalesced batch on `replica` and replies to every job,
 /// flagging the answers `degraded` as instructed.
-fn serve_batch(inner: &Inner, mut replica: CachedSolver, jobs: &[Job], degraded: bool) {
+fn serve_batch(inner: &Inner, replica: &mut CachedSolver, jobs: &[Job], degraded: bool) {
     let batch: Vec<Vec<f64>> = jobs.iter().flat_map(|j| j.rhs.iter().cloned()).collect();
     inner.counters.dispatch_batches.inc();
     inner.counters.coalesced_requests.add(jobs.len() as u64);
@@ -1048,15 +1089,15 @@ fn serve_batch(inner: &Inner, mut replica: CachedSolver, jobs: &[Job], degraded:
     }
 }
 
-/// The aged dispatch round: probe health, decide between serving as-is,
-/// serving degraded (unanimous opt-in), or staleness-evicting and
-/// re-preparing — then serve and advance the entry's clock one tick
-/// (serve-then-age).
+/// The aged dispatch round on a lent entry: probe health, decide
+/// between serving as-is, serving degraded (unanimous opt-in), or
+/// staleness-evicting and re-preparing — then serve, advance the entry's
+/// clock one tick (serve-then-age), and put it back.
 fn dispatch_aged(
     inner: &Inner,
     key: &CacheKey,
     jobs: &[Job],
-    mut aged: AgedSolver<Box<dyn AmcEngine>>,
+    mut aged: Box<AgedSolver<Box<dyn AmcEngine>>>,
 ) {
     let aging = inner
         .cfg
@@ -1070,6 +1111,11 @@ fn dispatch_aged(
             for job in jobs {
                 let _ = job.reply.send(Err(ServeError::Remote(message.clone())));
             }
+            give_back(
+                &mut inner.cache.lock().expect(CACHE_POISONED),
+                key,
+                Entry::Aged(aged),
+            );
             return;
         }
     };
@@ -1080,19 +1126,17 @@ fn dispatch_aged(
             // Every coalesced request opted in: stale-but-fast.
             degraded = true;
         } else {
-            // Staleness eviction: drop the degraded entry (not an LFU
-            // capacity eviction — counted separately) and re-prepare
+            // Staleness eviction: drop the degraded entry's slot (not an
+            // LFU capacity eviction — counted separately) and re-prepare
             // from the retained pristine matrix.
             inner.cache.lock().unwrap().remove(key);
             inner.counters.staleness_evictions.inc();
-            let matrix = aged.matrix().clone();
-            let config = aged.replica().config().clone();
-            match build_entry(inner, &matrix, &config, &key.engine) {
+            match build_entry(inner, aged.matrix(), aged.replica().config(), &key.engine) {
                 Ok(Entry::Aged(fresh)) => {
-                    aged = *fresh;
+                    aged = fresh;
                     reprepared = true;
                 }
-                Ok(Entry::Plain(_)) => unreachable!("aging config produces aged entries"),
+                Ok(_) => unreachable!("aging config produces aged entries"),
                 Err(message) => {
                     for job in jobs {
                         let _ = job.reply.send(Err(ServeError::Remote(message.clone())));
@@ -1102,24 +1146,24 @@ fn dispatch_aged(
             }
         }
     }
-    serve_batch(inner, aged.replica().clone(), jobs, degraded);
+    serve_batch(inner, aged.replica_mut(), jobs, degraded);
     // Serve-then-age: the batch above saw the state the previous round
     // left behind; only now does the clock tick.
-    if aged.advance(1).is_err() {
-        // Aging the arrays failed (engine programming error). Leave the
-        // cache as-is: the entry keeps its pre-advance state and the
-        // next round probes it again.
-        return;
-    }
+    let aged_ok = aged.advance(1).is_ok();
     let mut cache = inner.cache.lock().unwrap();
-    if reprepared {
+    if !aged_ok {
+        // Aging the arrays failed (engine programming error) part way,
+        // so the solver's state is neither this tick's nor the last:
+        // drop it and release its slot, as an eviction would.
+        if let Some(Entry::Lent { .. }) = cache.peek_mut(key) {
+            cache.remove(key);
+        }
+    } else if reprepared {
         // The degraded entry was removed above; install its healthy
         // replacement (racing Evict requests at worst re-insert a fresh
         // solver, same as a prepare racing an evict).
-        cache.insert(key.clone(), Entry::Aged(Box::new(aged)));
-    } else if let Some(Entry::Aged(slot)) = cache.peek_mut(key) {
-        // Write the advanced clock back into the existing slot — unless
-        // an Evict raced us and the entry is gone, which stays gone.
-        **slot = aged;
+        cache.insert(key.clone(), Entry::Aged(aged));
+    } else {
+        give_back(&mut cache, key, Entry::Aged(aged));
     }
 }

@@ -644,29 +644,6 @@ pub struct ServerStats {
     pub degraded_served: u64,
 }
 
-impl ServerStats {
-    /// Fraction of cache fetches served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Mean number of requests folded into one dispatcher round — 1.0
-    /// means no coalescing happened, higher means concurrent requests
-    /// against the same solver shared engine batches.
-    pub fn coalescing_factor(&self) -> f64 {
-        if self.dispatch_batches == 0 {
-            0.0
-        } else {
-            self.coalesced_requests as f64 / self.dispatch_batches as f64
-        }
-    }
-}
-
 fn put_stats(out: &mut Vec<u8>, s: &ServerStats) {
     for v in [
         s.hits,
@@ -1055,21 +1032,5 @@ mod tests {
         let mut lying = vec![PROTOCOL_VERSION, RESP_SOLVED];
         lying.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Response::decode(&lying).is_err());
-    }
-
-    #[test]
-    fn stats_derived_metrics() {
-        let mut s = ServerStats {
-            hits: 3,
-            misses: 1,
-            dispatch_batches: 2,
-            coalesced_requests: 6,
-            ..ServerStats::default()
-        };
-        assert_eq!(s.hit_rate(), 0.75);
-        assert_eq!(s.coalescing_factor(), 3.0);
-        s = ServerStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.coalescing_factor(), 0.0);
     }
 }

@@ -2,6 +2,11 @@
 //! transports (plus one TCP smoke test): protocol, cache behavior,
 //! coalescing, backpressure, and clean shutdown.
 
+use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+use amc_linalg::lu::LuFactor;
 use amc_linalg::Matrix;
 use amc_serve::client::Client;
 use amc_serve::loadgen::{workload_matrix, workload_rhs};
@@ -9,7 +14,10 @@ use amc_serve::server::{ServeAging, Server, ServerConfig};
 use amc_serve::wire::{EngineRef, MatrixRef};
 use amc_serve::ServeError;
 use blockamc::aging::{AgingModel, DriftModel};
-use blockamc::solver::SolverConfig;
+use blockamc::engine::{
+    AmcEngine, EngineRegistry, EngineStats, NumericEngine, Operand, OperandState,
+};
+use blockamc::solver::{BlockAmcSolver, SolverConfig};
 use blockamc::BlockAmcError;
 
 fn quiet_config() -> SolverConfig {
@@ -597,4 +605,282 @@ fn tcp_transport_round_trips_through_a_real_socket() {
     tcp_client.shutdown().unwrap();
     server.shutdown();
     acceptor.join().unwrap().unwrap();
+}
+
+/// A gate INV calls wait at while it is closed, so a test can hold a
+/// dispatch in flight.
+#[derive(Debug, Default)]
+struct Gate {
+    /// (open, INV calls that have reached the gate).
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn open() -> Arc<Gate> {
+        let gate = Gate::default();
+        gate.state.lock().unwrap().0 = true;
+        Arc::new(gate)
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        self.changed.notify_all();
+        while !state.0 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Blocks until some INV waits at the gate.
+    fn await_arrival(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.1 == 0 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().0 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// `numeric` with two test hooks: it counts factorisations by the
+/// numeric engine's own rule (one per operand, either handed over at
+/// programming time or made at the operand's first INV), and every INV
+/// passes a [`Gate`] first.
+#[derive(Debug, Clone)]
+struct WatchedNumeric {
+    inner: NumericEngine,
+    factorisations: Arc<AtomicUsize>,
+    gate: Arc<Gate>,
+}
+
+#[derive(Debug, Clone)]
+struct WatchedOperand {
+    inner: Operand,
+    factored: bool,
+}
+
+impl OperandState for WatchedOperand {
+    fn clone_boxed(&self) -> Box<dyn OperandState> {
+        Box::new(self.clone())
+    }
+    fn shape(&self) -> (usize, usize) {
+        self.inner.shape()
+    }
+    fn effective_matrix(&self) -> Matrix {
+        self.inner.effective_matrix()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+impl WatchedNumeric {
+    /// A registry with this engine under `"watched"`.
+    fn registry(factorisations: &Arc<AtomicUsize>, gate: &Arc<Gate>) -> EngineRegistry {
+        let (factorisations, gate) = (Arc::clone(factorisations), Arc::clone(gate));
+        let mut registry = EngineRegistry::builtin();
+        registry.register("watched", move |_| {
+            Ok(Box::new(WatchedNumeric {
+                inner: NumericEngine::new(),
+                factorisations: Arc::clone(&factorisations),
+                gate: Arc::clone(&gate),
+            }))
+        });
+        registry
+    }
+
+    /// Passes the gate and counts a factorisation if the operand has
+    /// none yet.
+    fn before_inv<'a>(&self, op: &'a mut Operand) -> blockamc::Result<&'a mut Operand> {
+        self.gate.pass();
+        let state = op.expect_state_mut::<WatchedOperand>("watched")?;
+        if !state.factored {
+            state.factored = true;
+            self.factorisations.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(&mut state.inner)
+    }
+}
+
+impl AmcEngine for WatchedNumeric {
+    fn program(&mut self, a: &Matrix) -> blockamc::Result<Operand> {
+        let inner = self.inner.program(a)?;
+        Ok(Operand::new(WatchedOperand {
+            inner,
+            factored: false,
+        }))
+    }
+
+    fn program_factored(&mut self, a: &Matrix, lu: LuFactor) -> blockamc::Result<Operand> {
+        self.factorisations.fetch_add(1, Ordering::SeqCst);
+        let inner = self.inner.program_factored(a, lu)?;
+        Ok(Operand::new(WatchedOperand {
+            inner,
+            factored: true,
+        }))
+    }
+
+    fn inv(&mut self, op: &mut Operand, b: &[f64]) -> blockamc::Result<Vec<f64>> {
+        let inner = self.before_inv(op)?;
+        self.inner.inv(inner, b)
+    }
+
+    fn inv_block_into(
+        &mut self,
+        op: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        let inner = self.before_inv(op)?;
+        self.inner.inv_block_into(inner, b, k, out)
+    }
+
+    fn mvm(&mut self, op: &mut Operand, x: &[f64]) -> blockamc::Result<Vec<f64>> {
+        let state = op.expect_state_mut::<WatchedOperand>("watched")?;
+        self.inner.mvm(&mut state.inner, x)
+    }
+
+    fn mvm_block_into(
+        &mut self,
+        op: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        let state = op.expect_state_mut::<WatchedOperand>("watched")?;
+        self.inner.mvm_block_into(&mut state.inner, x, k, out)
+    }
+
+    fn name(&self) -> &'static str {
+        "watched"
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.inner.stats()
+    }
+
+    fn clone_boxed(&self) -> Box<dyn AmcEngine> {
+        Box::new(self.clone())
+    }
+}
+
+/// The answer a direct `PreparedSolver::solve` gives.
+fn direct_solve(a: &Matrix, config: &SolverConfig, rhs: &[f64]) -> Vec<f64> {
+    let mut solver = BlockAmcSolver::from_config(NumericEngine::new(), config.clone());
+    solver.prepare(a).unwrap().solve(rhs).unwrap().x
+}
+
+#[test]
+fn cached_solvers_factorise_once_however_many_solves_they_serve() {
+    let config = quiet_config();
+    let engine = EngineRef::new("watched", 0);
+    let a = workload_matrix(16, 40);
+    let mut counts = Vec::new();
+    for solves in [1, 8, 64] {
+        let factorisations = Arc::new(AtomicUsize::new(0));
+        let server = Server::new(
+            ServerConfig::default(),
+            WatchedNumeric::registry(&factorisations, &Gate::open()),
+        );
+        let mut client = Client::new(server.loopback());
+        let (fp, _) = client.prepare(&a, &config, &engine).unwrap();
+        for k in 0..solves {
+            let rhs = workload_rhs(16, 40, k);
+            let x = client
+                .solve(MatrixRef::Cached(fp), &config, &engine, &rhs)
+                .unwrap();
+            assert!(x == direct_solve(&a, &config, &rhs), "K={solves}, RHS {k}");
+        }
+        // Shutdown joins the workers, so every lent solver is home.
+        server.shutdown();
+        counts.push(factorisations.load(Ordering::SeqCst));
+    }
+    assert!(counts[0] > 0, "the leaves must factorise at least once");
+    assert_eq!(counts, vec![counts[0]; 3], "factorisations per K=1, 8, 64");
+}
+
+/// Starts a `Cached` solve of `fp` on its own connection; it blocks at
+/// the closed gate inside INV until the gate is released.
+fn solve_in_flight(
+    server: &Server,
+    fp: u64,
+    rhs: Vec<f64>,
+) -> std::thread::JoinHandle<Result<Vec<f64>, ServeError>> {
+    let transport = server.loopback();
+    std::thread::spawn(move || {
+        let engine = EngineRef::new("watched", 0);
+        Client::new(transport).solve(MatrixRef::Cached(fp), &quiet_config(), &engine, &rhs)
+    })
+}
+
+#[test]
+fn a_key_evicted_while_its_solver_is_lent_stays_evicted() {
+    let config = quiet_config();
+    let engine = EngineRef::new("watched", 0);
+    let (a, b) = (workload_matrix(16, 41), workload_matrix(16, 42));
+    let rhs = workload_rhs(16, 41, 0);
+    for capacity_eviction in [false, true] {
+        let gate = Arc::new(Gate::default());
+        let registry = WatchedNumeric::registry(&Arc::new(AtomicUsize::new(0)), &gate);
+        let capacity = if capacity_eviction { 1 } else { 8 };
+        // One solver worker: B's solve below is dispatched only after A's
+        // dispatch has finished and returned (or dropped) its solver.
+        let server = Server::new(
+            ServerConfig {
+                cache_capacity: capacity,
+                solver_workers: 1,
+                ..ServerConfig::default()
+            },
+            registry,
+        );
+        let mut client = Client::new(server.loopback());
+        let entries_within_capacity = |client: &mut Client<_>| {
+            let entries = client.stats().unwrap().entries;
+            assert!(entries <= capacity as u64, "{entries} entries");
+            entries
+        };
+        let (fp_a, _) = client.prepare(&a, &config, &engine).unwrap();
+        let in_flight = solve_in_flight(&server, fp_a, rhs.clone());
+        gate.await_arrival();
+
+        // A's solver is out; the placeholder answers for it until evicted.
+        assert_eq!(entries_within_capacity(&mut client), 1);
+        if capacity_eviction {
+            // Preparing B in a one-slot cache evicts A's slot by LFU.
+            client.prepare(&b, &config, &engine).unwrap();
+            assert_eq!(client.stats().unwrap().evictions, 1);
+            assert_eq!(entries_within_capacity(&mut client), 1);
+        } else {
+            assert!(client.evict(fp_a, &config, &engine).unwrap());
+            assert_eq!(entries_within_capacity(&mut client), 0);
+            client.prepare(&b, &config, &engine).unwrap();
+        }
+        gate.release();
+        let x = in_flight.join().unwrap().unwrap();
+        assert!(x == direct_solve(&a, &config, &rhs), "in-flight answer");
+
+        let rhs_b = workload_rhs(16, 42, 0);
+        let x_b = client
+            .solve(MatrixRef::Cached(b.fingerprint()), &config, &engine, &rhs_b)
+            .unwrap();
+        assert!(x_b == direct_solve(&b, &config, &rhs_b));
+        // A's dispatch is over: its solver was dropped, not put back.
+        assert_eq!(entries_within_capacity(&mut client), 1);
+        let err = client
+            .solve(MatrixRef::Cached(fp_a), &config, &engine, &rhs)
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::NotPrepared { fingerprint } if fingerprint == fp_a),
+            "{err}"
+        );
+        server.shutdown();
+    }
 }
