@@ -701,6 +701,7 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
                 // Recorder clones fork: each replica records on its own
                 // worker lane of the same trace session.
                 recorder: self.recorder.clone(),
+                spares: Spares::default(),
             })
             .collect()
     }
@@ -859,6 +860,10 @@ fn solve_recorded<E: AmcEngine>(
 /// instance programmed to the same effective conductances as the
 /// original (see [`PreparedSolver::replicate`] for the determinism
 /// contract).
+///
+/// A replica that has run [`solve_batch_parallel`](Self::solve_batch_parallel)
+/// keeps the worker clones it made for later calls; cloning the replica
+/// does not copy them.
 #[derive(Debug, Clone)]
 pub struct SolverReplica<E: AmcEngine> {
     engine: E,
@@ -867,6 +872,32 @@ pub struct SolverReplica<E: AmcEngine> {
     // Cloned replicas fork the recorder, so each worker's solves land
     // on a distinct lane of the same trace session.
     recorder: Recorder,
+    spares: Spares<E>,
+}
+
+/// The bitwise clones a replica's parallel batches run on besides the
+/// replica itself, made on first demand and kept across calls. Cloning
+/// yields none, and whatever can change the programmed state or the
+/// recorder drops them (see [`SolverReplica::parts_mut`] and
+/// [`SolverReplica::set_recorder`]).
+struct Spares<E: AmcEngine>(Vec<SolverReplica<E>>);
+
+impl<E: AmcEngine> Default for Spares<E> {
+    fn default() -> Self {
+        Spares(Vec::new())
+    }
+}
+
+impl<E: AmcEngine> Clone for Spares<E> {
+    fn clone(&self) -> Self {
+        Spares::default()
+    }
+}
+
+impl<E: AmcEngine> std::fmt::Debug for Spares<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Spares({})", self.0.len())
+    }
 }
 
 impl<E: AmcEngine> SolverReplica<E> {
@@ -889,16 +920,21 @@ impl<E: AmcEngine> SolverReplica<E> {
     /// Splits the replica into disjoint mutable borrows of its engine,
     /// configuration, and programmed tree — the aging layer rewrites
     /// operands through the engine while walking the tree, which needs
-    /// both halves mutable at once.
+    /// both halves mutable at once. The batch spares no longer match
+    /// what the caller may program, so they are dropped.
     pub(crate) fn parts_mut(&mut self) -> (&mut E, &SolverConfig, &mut PreparedMultiStage) {
+        self.spares = Spares::default();
         (&mut self.engine, &self.config, &mut self.tree)
     }
 
     /// Attaches a span [`Recorder`]: subsequent solves on this replica
     /// record hierarchical solve spans on it. See
     /// [`BlockAmcSolver::set_recorder`] for the bit-identity contract.
+    /// The batch spares recorded on forks of the old recorder, so they
+    /// are dropped; the next parallel batch forks the new one.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
+        self.spares = Spares::default();
     }
 
     /// Borrows the attached recorder (e.g. to flush it mid-run).
@@ -946,7 +982,11 @@ impl<E: AmcEngine> SolverReplica<E> {
 
     /// Shards `batch` over `workers` solving instances — this replica
     /// plus `workers − 1` bitwise clones of it — on an `amc_par`
-    /// work-stealing pool, returning the solutions in input order.
+    /// work-stealing pool, returning the solutions in input order. The
+    /// clones are made on the first call that needs them and kept for
+    /// later ones; the calling thread works this replica. Shards are
+    /// whole multiples of the kernels' panel width
+    /// ([`amc_linalg::vector::WIDE`]) where the batch allows it.
     ///
     /// **Bit-identical to [`solve_batch`](Self::solve_batch) at every
     /// worker count**: clones copy the programmed state (the one
@@ -974,10 +1014,10 @@ impl<E: AmcEngine> SolverReplica<E> {
     /// The one parallel-batch routine behind
     /// [`solve_batch_parallel`](Self::solve_batch_parallel) and
     /// [`crate::batch::solve_batch_parallel`]. Runs inside a `batch`
-    /// span and also returns the engine cost of every solve, summed over
-    /// all workers: each clone starts from this replica's counters, so
-    /// only what it solves on top is added. Each shard runs through the
-    /// cascade as one block.
+    /// span and also returns the engine cost of every solve in this
+    /// call, summed over all workers (each state's counters are read
+    /// before and after). Each shard runs through the cascade as one
+    /// block, and every spare's recorder is flushed before returning.
     pub(crate) fn shard_batch(
         &mut self,
         batch: &[Vec<f64>],
@@ -993,37 +1033,38 @@ impl<E: AmcEngine> SolverReplica<E> {
             ));
         }
         let span = self.recorder.enter("batch");
-        let before = self.engine.stats();
-        let mut clones: Vec<SolverReplica<E>> = if batch.len() == 1 {
-            Vec::new()
-        } else {
-            (1..workers).map(|_| self.clone()).collect()
-        };
-        let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(clones.len() + 1);
+        let len = batch.len();
+        let helpers = if len == 1 { 0 } else { workers - 1 };
+        // Taken out for the call: a panicking shard unwinds past the
+        // put-back below and drops them with it.
+        let mut spares = std::mem::take(&mut self.spares.0);
+        while spares.len() < helpers {
+            spares.push(self.clone());
+        }
+        let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(helpers + 1);
         states.push(&mut *self);
-        states.extend(clones.iter_mut());
-        // Contiguous shards, a few per worker; input order is restored by
-        // the index-preserving pool merge.
-        let shard_len = batch
-            .len()
-            .div_ceil(states.len() * SHARDS_PER_WORKER)
-            .max(1);
-        let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len).collect();
+        states.extend(spares.iter_mut().take(helpers));
+        let before: Vec<EngineStats> = states.iter().map(|s| s.engine.stats()).collect();
+        // Contiguous shards; input order is restored by the
+        // index-preserving pool merge.
+        let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len(len, states.len())).collect();
         let sharded = amc_par::map_with_states(&mut states, shards, |replica, _, shard| {
             replica.solve_shard(shard)
         });
         let mut stats = EngineStats::default();
-        for state in &states {
-            stats += state.engine.stats() - before;
+        for (state, before) in states.iter().zip(&before) {
+            stats += state.engine.stats() - *before;
         }
-        let mut solutions = Vec::with_capacity(batch.len());
+        for spare in &mut spares {
+            spare.recorder.flush();
+        }
+        self.spares.0 = spares;
+        let mut solutions = Vec::with_capacity(len);
         for shard in sharded {
             solutions.extend(shard?);
         }
-        self.recorder.exit_with(
-            span,
-            &[("rhs", batch.len() as f64), ("workers", workers as f64)],
-        );
+        self.recorder
+            .exit_with(span, &[("rhs", len as f64), ("workers", workers as f64)]);
         Ok((solutions, stats))
     }
 }
@@ -1033,6 +1074,20 @@ impl<E: AmcEngine> SolverReplica<E> {
 /// recursion on some shards, OS jitter) without shrinking shards into
 /// scheduling noise.
 const SHARDS_PER_WORKER: usize = 4;
+
+/// Right-hand sides per shard when `len` of them are sharded over
+/// `states` solving instances: [`SHARDS_PER_WORKER`] shards per state,
+/// each rounded up to whole kernel panels ([`vector::WIDE`] columns) as
+/// long as every state still gets a shard. One state solves the batch
+/// as one block.
+fn shard_len(len: usize, states: usize) -> usize {
+    if states == 1 {
+        return len;
+    }
+    len.div_ceil(states * SHARDS_PER_WORKER)
+        .next_multiple_of(vector::WIDE)
+        .min(len.div_ceil(states))
+}
 
 // Compile-time guarantee that prepared solvers cross threads: the
 // `amc-serve` cache stores replicas behind a mutex and lends them to
@@ -1193,6 +1248,71 @@ mod tests {
         }
         assert!(replica.solve_batch_parallel(&[], 2).is_err());
         assert!(replica.solve_batch_parallel(&batch, 0).is_err());
+    }
+
+    #[test]
+    fn shards_follow_the_kernel_panel() {
+        // 32 right-hand sides at 2 workers: four 8-column panels.
+        assert_eq!(shard_len(32, 2), 8);
+        assert_eq!(shard_len(256, 2), 32);
+        // Too few panels to go round: every worker still gets a shard.
+        assert_eq!(shard_len(9, 2), 5);
+        assert_eq!(shard_len(7, 5), 2);
+        // One state: the whole batch is one block.
+        assert_eq!(shard_len(33, 1), 33);
+        assert_eq!(shard_len(1, 1), 1);
+    }
+
+    #[test]
+    fn repeated_parallel_batches_report_per_call_stats() {
+        // The kept spares carry their counters from call to call; the
+        // reported cost must still be this call's alone, as the serial
+        // solve of the same batch counts it.
+        let (a, _) = workload(12, 36);
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let circuit = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 38);
+        let engines: [(Box<dyn AmcEngine>, Stages); 2] = [
+            (Box::new(NumericEngine::new()), Stages::Two),
+            (Box::new(circuit), Stages::One),
+        ];
+        for (engine, stages) in engines {
+            let reference = BlockAmcSolver::new(engine, stages)
+                .prepare(&a)
+                .unwrap()
+                .replicate(1)
+                .remove(0);
+            for k in [1usize, 7, 8, 9, 32, 33] {
+                let batch: Vec<Vec<f64>> = (0..k)
+                    .map(|_| generate::random_vector(12, &mut rng))
+                    .collect();
+                let mut serial = reference.clone();
+                let before = serial.engine().stats();
+                let expected_x = serial.solve_batch(&batch).unwrap();
+                let expected = serial.engine().stats() - before;
+                for workers in [1usize, 2, 3, 5] {
+                    let mut replica = reference.clone();
+                    for call in 0..10 {
+                        let (x, stats) = replica.shard_batch(&batch, workers).unwrap();
+                        let at = format!(
+                            "{} k={k} workers={workers} call {call}",
+                            reference.engine().name()
+                        );
+                        assert_eq!(x, expected_x, "{at}");
+                        assert_eq!(stats.program_ops, expected.program_ops, "{at}");
+                        assert_eq!(stats.inv_ops, expected.inv_ops, "{at}");
+                        assert_eq!(stats.mvm_ops, expected.mvm_ops, "{at}");
+                        // Analog time and energy are sums of f64 terms,
+                        // which sharding regroups.
+                        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
+                        assert!(close(stats.analog_time_s, expected.analog_time_s), "{at}");
+                        assert!(
+                            close(stats.analog_energy_j, expected.analog_energy_j),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

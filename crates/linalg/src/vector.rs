@@ -31,8 +31,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Width of the wide column groups (and packed panels) of the
-/// multi-column kernels.
-pub(crate) const WIDE: usize = 8;
+/// multi-column kernels: a block of `k` columns runs fastest when `k` is
+/// a multiple of it, so callers that cut a batch into column blocks
+/// (the parallel batch solve) cut on multiples of `WIDE`.
+pub const WIDE: usize = 8;
 /// Width of the narrow column group of the multi-column kernels.
 pub(crate) const NARROW: usize = 4;
 

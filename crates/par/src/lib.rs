@@ -162,9 +162,13 @@ where
 /// (e.g. a replicated, independently-programmed solver instance) and
 /// every job it executes, its own or stolen, runs against that state.
 ///
-/// One worker thread is spawned per state; results come back in input
-/// order. With a single state (or zero/one items) everything runs
-/// inline on the calling thread against `states[0]`.
+/// The calling thread works `states[0]` and one scoped thread is
+/// spawned for each further state in use (at most `items.len()` states
+/// are used); results come back in input order. With a single state
+/// (or zero/one items) nothing is spawned and everything runs against
+/// `states[0]`. A panicking job, on the calling thread or a spawned
+/// one, propagates its panic to the caller after every spawned thread
+/// has joined.
 ///
 /// The states are borrowed mutably rather than consumed so callers can
 /// inspect them afterwards (per-worker cost counters, RNG positions).
@@ -196,28 +200,32 @@ where
     let queues = JobQueues::deal(workers, items);
     let f = &f;
     let queues = &queues;
+    let drain = move |w: usize, state: &mut S| {
+        let mut local = Vec::new();
+        while let Some((idx, item)) = queues.next_job(w) {
+            local.push((idx, f(state, idx, item)));
+        }
+        local
+    };
+    let (own, rest) = states[..workers]
+        .split_first_mut()
+        .expect("states is non-empty");
     let collected = std::thread::scope(|scope| {
-        let handles: Vec<_> = states
+        let handles: Vec<_> = rest
             .iter_mut()
-            .take(workers)
             .enumerate()
-            .map(|(w, state)| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some((idx, item)) = queues.next_job(w) {
-                        local.push((idx, f(state, idx, item)));
-                    }
-                    local
-                })
-            })
+            .map(|(w, state)| scope.spawn(move || drain(w + 1, state)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
+        // A panic here unwinds out of the scope, which joins the spawned
+        // workers before it propagates.
+        let mut collected = vec![drain(0, own)];
+        for h in handles {
+            match h.join() {
+                Ok(local) => collected.push(local),
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
+            }
+        }
+        collected
     });
     merge(len, collected)
 }
@@ -290,6 +298,63 @@ mod tests {
         });
         assert_eq!(out, vec![1, 3, 5]);
         assert_eq!(states[0], "xxx");
+    }
+
+    #[test]
+    fn state_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut states: Vec<Vec<std::thread::ThreadId>> = vec![Vec::new(); 3];
+        let out = map_with_states(&mut states, (0..24usize).collect(), |seen, _, x| {
+            seen.push(std::thread::current().id());
+            x
+        });
+        assert_eq!(out, (0..24).collect::<Vec<_>>());
+        assert!(states[0].iter().all(|id| *id == caller));
+        for seen in &states[1..] {
+            assert!(
+                seen.iter().all(|id| *id != caller),
+                "spawned state ran on the caller"
+            );
+        }
+    }
+
+    /// Runs eight jobs on two states where the jobs on state `panicking`
+    /// panic and the others take a while, returning the panic message and
+    /// how many of the other jobs had finished when the caller saw it.
+    fn panic_on_state(panicking: usize) -> (String, usize) {
+        let finished = AtomicUsize::new(0);
+        let mut states = vec![0usize, 1];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_with_states(&mut states, (0..8u32).collect(), |state, _, x| {
+                assert!(*state != panicking, "boom on state {panicking}");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+        }));
+        let payload = result.expect_err("the job panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        (message, finished.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn caller_run_job_panic_propagates_after_the_join() {
+        // State 0 panics on its first job; the spawned worker then drains
+        // every other job (its own and the stolen ones) before the scope
+        // lets the panic out.
+        let (message, finished) = panic_on_state(0);
+        assert_eq!(message, "boom on state 0");
+        assert_eq!(finished, 7);
+    }
+
+    #[test]
+    fn spawned_job_panic_propagates_after_the_join() {
+        let (message, finished) = panic_on_state(1);
+        assert_eq!(message, "boom on state 1");
+        assert_eq!(finished, 7);
     }
 
     #[test]

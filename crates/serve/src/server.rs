@@ -327,6 +327,10 @@ pub struct ServerConfig {
     pub solver_workers: usize,
     /// Worker count each dispatched batch is sharded over
     /// ([`SolverReplica::solve_batch_parallel`]); 1 = serial solves.
+    /// With `batch_workers > 1`, a cached solver that has served a
+    /// multi-RHS batch holds `batch_workers − 1` spare copies of itself
+    /// (engine, programmed arrays and factors) for as long as it stays
+    /// cached, so size `cache_capacity` for that.
     ///
     /// [`SolverReplica::solve_batch_parallel`]: blockamc::solver::SolverReplica::solve_batch_parallel
     pub batch_workers: usize,

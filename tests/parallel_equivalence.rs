@@ -11,14 +11,24 @@
 //!   same programmed variation draw as the serial solver's arrays);
 //! * `montecarlo::yield_analysis_parallel` at 1, 2, and 4 workers
 //!   reproduces the serial `yield_analysis` report exactly (each trial
-//!   owns the ChaCha8 stream `engine_seed + t` wherever it executes).
+//!   owns the ChaCha8 stream `engine_seed + t` wherever it executes);
+//! * ten successive `SolverReplica::solve_batch_parallel` calls on one
+//!   replica — which keeps its worker clones across calls — each equal
+//!   `solve_batch` bit for bit, and the clones are made once, not per
+//!   call.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use amc_circuit::opamp::OpAmpSpec;
+use amc_linalg::lu::LuFactor;
 use amc_linalg::{generate, Matrix};
 use blockamc::batch;
-use blockamc::engine::{CircuitEngine, CircuitEngineConfig, EngineSpec, NumericEngine};
+use blockamc::engine::{
+    AmcEngine, CircuitEngine, CircuitEngineConfig, EngineSpec, EngineStats, NumericEngine, Operand,
+};
 use blockamc::montecarlo;
-use blockamc::solver::{BlockAmcSolver, SolverConfig, Stages};
+use blockamc::solver::{BlockAmcSolver, SolverConfig, SolverReplica, Stages};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -111,5 +121,181 @@ proptest! {
             ).unwrap();
             prop_assert_eq!(&par, &serial, "workers={}", workers);
         }
+    }
+}
+
+/// Worker counts and batch widths of the repeated-call checks: widths
+/// below, at and just past one 8-column panel, and a full and a ragged
+/// 32-column batch.
+const REPEAT_WORKERS: [usize; 4] = [1, 2, 3, 5];
+const REPEAT_WIDTHS: [usize; 6] = [1, 7, 8, 9, 32, 33];
+/// Successive calls made on one replica.
+const CALLS: usize = 10;
+
+fn bits(xs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    xs.iter()
+        .map(|x| x.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// Prepares `a` once and hands out a replica of the prepared solver.
+fn replica_of<E: AmcEngine + Clone>(engine: E, stages: Stages, a: &Matrix) -> SolverReplica<E> {
+    let mut solver = BlockAmcSolver::new(engine, stages);
+    let prepared = solver.prepare(a).unwrap();
+    prepared.replicate(1).remove(0)
+}
+
+/// Runs [`CALLS`] successive parallel batches of every width on one
+/// replica per worker count, checking each call against `solve_batch` on
+/// a fresh clone of the replica. (The per-call `EngineStats` delta is
+/// pinned by the `blockamc` unit suite, which can read it.)
+fn repeated_calls_match_serial<E: AmcEngine + Clone>(engine: E, stages: Stages, seed: u64) {
+    let n = 12;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let a = generate::wishart_default(n, &mut rng).unwrap();
+    let reference = replica_of(engine, stages, &a);
+    let batches: Vec<Vec<Vec<f64>>> = REPEAT_WIDTHS
+        .iter()
+        .map(|&k| {
+            (0..k)
+                .map(|_| generate::random_vector(n, &mut rng))
+                .collect()
+        })
+        .collect();
+    let serial: Vec<Vec<Vec<u64>>> = batches
+        .iter()
+        .map(|batch| bits(&reference.clone().solve_batch(batch).unwrap()))
+        .collect();
+    for workers in REPEAT_WORKERS {
+        let mut replica = reference.clone();
+        for call in 0..CALLS {
+            for (batch, expected) in batches.iter().zip(&serial) {
+                let xs = replica.solve_batch_parallel(batch, workers).unwrap();
+                assert_eq!(
+                    &bits(&xs),
+                    expected,
+                    "{} engine, {workers} workers, k={}, call {call}",
+                    reference.engine().name(),
+                    batch.len()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn repeated_parallel_batches_match_serial_numeric_engine() {
+    for stages in [Stages::One, Stages::Two] {
+        repeated_calls_match_serial(NumericEngine::new(), stages, 51);
+    }
+}
+
+#[test]
+fn repeated_parallel_batches_match_serial_circuit_engine() {
+    // The variation draw makes every programmed array unique, so each
+    // call matching proves the kept clones still carry the draw.
+    let engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 52);
+    repeated_calls_match_serial(engine, Stages::One, 53);
+}
+
+/// A numeric engine whose clones are counted: every `Clone::clone` (and
+/// so every replica copy) bumps the shared counter.
+#[derive(Debug)]
+struct CloneCounting {
+    inner: NumericEngine,
+    clones: Arc<AtomicUsize>,
+}
+
+impl Clone for CloneCounting {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        CloneCounting {
+            inner: self.inner.clone(),
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
+impl AmcEngine for CloneCounting {
+    fn program(&mut self, a: &Matrix) -> blockamc::Result<Operand> {
+        self.inner.program(a)
+    }
+
+    fn program_factored(&mut self, a: &Matrix, lu: LuFactor) -> blockamc::Result<Operand> {
+        self.inner.program_factored(a, lu)
+    }
+
+    fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> blockamc::Result<Vec<f64>> {
+        self.inner.inv(operand, b)
+    }
+
+    fn mvm(&mut self, operand: &mut Operand, x: &[f64]) -> blockamc::Result<Vec<f64>> {
+        self.inner.mvm(operand, x)
+    }
+
+    fn inv_block_into(
+        &mut self,
+        operand: &mut Operand,
+        b: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        self.inner.inv_block_into(operand, b, k, out)
+    }
+
+    fn mvm_block_into(
+        &mut self,
+        operand: &mut Operand,
+        x: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> blockamc::Result<()> {
+        self.inner.mvm_block_into(operand, x, k, out)
+    }
+
+    fn name(&self) -> &'static str {
+        "clone-counting"
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.inner.stats()
+    }
+
+    fn clone_boxed(&self) -> Box<dyn AmcEngine> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn parallel_batches_clone_the_replica_once() {
+    let n = 16;
+    let mut rng = ChaCha8Rng::seed_from_u64(54);
+    let a = generate::wishart_default(n, &mut rng).unwrap();
+    let batch: Vec<Vec<f64>> = (0..32)
+        .map(|_| generate::random_vector(n, &mut rng))
+        .collect();
+    for workers in REPEAT_WORKERS {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let engine = CloneCounting {
+            inner: NumericEngine::new(),
+            clones: Arc::clone(&clones),
+        };
+        let mut replica = replica_of(engine, Stages::Two, &a);
+        let serial = bits(&replica.clone().solve_batch(&batch).unwrap());
+        let before = clones.load(Ordering::SeqCst);
+        for call in 0..CALLS {
+            let xs = replica.solve_batch_parallel(&batch, workers).unwrap();
+            assert_eq!(bits(&xs), serial, "{workers} workers, call {call}");
+        }
+        assert_eq!(
+            clones.load(Ordering::SeqCst) - before,
+            workers - 1,
+            "{workers} workers: the spares are made once, not per call"
+        );
+        // A copy of the replica does not carry the spares along.
+        let mut copy = replica.clone();
+        let before = clones.load(Ordering::SeqCst);
+        copy.solve_batch_parallel(&batch, workers).unwrap();
+        assert_eq!(clones.load(Ordering::SeqCst) - before, workers - 1);
     }
 }
