@@ -23,7 +23,7 @@ pub struct AreaBreakdown {
 
 impl AreaBreakdown {
     /// Total area, mm².
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.opa + self.dac + self.adc + self.rram
     }
 }
@@ -33,7 +33,7 @@ impl AreaBreakdown {
 /// # Errors
 ///
 /// Propagates parameter-validation and inventory errors.
-pub fn area_breakdown(
+pub(crate) fn area_breakdown(
     kind: SolverKind,
     n: usize,
     params: &ComponentParams,
@@ -51,7 +51,7 @@ pub fn area_breakdown(
 }
 
 /// Relative saving of `candidate` versus `baseline` (positive = smaller).
-pub fn area_saving(baseline: &AreaBreakdown, candidate: &AreaBreakdown) -> f64 {
+pub(crate) fn area_saving(baseline: &AreaBreakdown, candidate: &AreaBreakdown) -> f64 {
     1.0 - candidate.total() / baseline.total()
 }
 

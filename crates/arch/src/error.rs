@@ -13,7 +13,7 @@ pub enum ArchError {
 
 impl ArchError {
     /// Shorthand constructor for [`ArchError::InvalidConfig`].
-    pub fn config(message: impl Into<String>) -> Self {
+    pub(crate) fn config(message: impl Into<String>) -> Self {
         ArchError::InvalidConfig {
             message: message.into(),
         }

@@ -22,14 +22,14 @@ pub enum SolverKind {
 
 impl SolverKind {
     /// All architectures, in the paper's comparison order.
-    pub const ALL: [SolverKind; 3] = [
+    pub(crate) const ALL: [SolverKind; 3] = [
         SolverKind::OriginalAmc,
         SolverKind::OneStage,
         SolverKind::TwoStage,
     ];
 
     /// Display label used in reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SolverKind::OriginalAmc => "Original AMC",
             SolverKind::OneStage => "One-stage BlockAMC",

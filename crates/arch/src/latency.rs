@@ -21,13 +21,6 @@ pub struct OpCounts {
     pub mvm: usize,
 }
 
-impl OpCounts {
-    /// Total sequential analog operations.
-    pub fn total(&self) -> usize {
-        self.inv + self.mvm
-    }
-}
-
 /// Sequential operation counts of each architecture.
 ///
 /// * Original: 1 INV.
@@ -53,7 +46,7 @@ pub fn op_counts(kind: SolverKind) -> OpCounts {
 /// close to `inv(d) = 3^d`, `mvm(d) = 3^d − 1`. Depth 0 is the original
 /// single-array solver (1 INV), depth 1 matches
 /// [`SolverKind::OneStage`], depth 2 matches [`SolverKind::TwoStage`].
-pub fn cascade_op_counts(depth: usize) -> OpCounts {
+pub(crate) fn cascade_op_counts(depth: usize) -> OpCounts {
     let pow3 = 3usize.saturating_pow(depth as u32);
     OpCounts {
         inv: pow3,
@@ -61,8 +54,15 @@ pub fn cascade_op_counts(depth: usize) -> OpCounts {
     }
 }
 
-/// [`solve_latency`] generalized to any cascade depth via
-/// [`cascade_op_counts`].
+/// Latency of one solve through a depth-`depth` cascade, given the
+/// per-operation settle times.
+///
+/// `inv_settle_s` / `mvm_settle_s` are the characteristic settle times of
+/// one INV / MVM at the leaf array size (obtain them from
+/// `amc_circuit::timing`); `conversion_s` is added once per digital
+/// boundary crossing (DAC at the start, ADC at the end). The sequential
+/// op counts are those of [`op_counts`], generalized to any depth (depth
+/// 0 is the original single-array solver).
 ///
 /// # Errors
 ///
@@ -85,43 +85,20 @@ pub fn cascade_latency(
     Ok(c.inv as f64 * inv_settle_s + c.mvm as f64 * mvm_settle_s + 2.0 * conversion_s)
 }
 
-/// Latency of one solve given the per-operation settle times.
-///
-/// `inv_settle_s` / `mvm_settle_s` are the characteristic settle times of
-/// one INV / MVM at this architecture's array size (obtain them from
-/// `amc_circuit::timing`); `conversion_s` is added once per digital
-/// boundary crossing (DAC at the start, ADC at the end).
-///
-/// # Errors
-///
-/// Returns [`ArchError::InvalidConfig`] for negative or non-finite times.
-pub fn solve_latency(
-    kind: SolverKind,
-    inv_settle_s: f64,
-    mvm_settle_s: f64,
-    conversion_s: f64,
-) -> Result<f64> {
-    for t in [inv_settle_s, mvm_settle_s, conversion_s] {
-        if !t.is_finite() || t < 0.0 {
-            return Err(ArchError::config(
-                "settle/conversion times must be finite and non-negative",
-            ));
-        }
-    }
-    let c = op_counts(kind);
-    Ok(c.inv as f64 * inv_settle_s + c.mvm as f64 * mvm_settle_s + 2.0 * conversion_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn total(c: OpCounts) -> usize {
+        c.inv + c.mvm
+    }
+
     #[test]
     fn op_counts_match_algorithm() {
-        assert_eq!(op_counts(SolverKind::OriginalAmc).total(), 1);
-        assert_eq!(op_counts(SolverKind::OneStage).total(), 5);
+        assert_eq!(total(op_counts(SolverKind::OriginalAmc)), 1);
+        assert_eq!(total(op_counts(SolverKind::OneStage)), 5);
         assert_eq!(op_counts(SolverKind::OneStage).inv, 3);
-        assert_eq!(op_counts(SolverKind::TwoStage).total(), 17);
+        assert_eq!(total(op_counts(SolverKind::TwoStage)), 17);
     }
 
     #[test]
@@ -130,12 +107,12 @@ mod tests {
         assert_eq!(cascade_op_counts(1), op_counts(SolverKind::OneStage));
         assert_eq!(cascade_op_counts(2), op_counts(SolverKind::TwoStage));
         // Depth 3: 27 INV + 26 MVM = 53 sequential ops.
-        assert_eq!(cascade_op_counts(3).total(), 53);
+        assert_eq!(total(cascade_op_counts(3)), 53);
         // Recurrence: total(d) = 3·total(d−1) + 2.
         for d in 1..6 {
             assert_eq!(
-                cascade_op_counts(d).total(),
-                3 * cascade_op_counts(d - 1).total() + 2
+                total(cascade_op_counts(d)),
+                3 * total(cascade_op_counts(d - 1)) + 2
             );
         }
     }
@@ -148,7 +125,8 @@ mod tests {
             (2, SolverKind::TwoStage),
         ] {
             let a = cascade_latency(d, 2e-6, 1e-6, 0.5e-6).unwrap();
-            let b = solve_latency(kind, 2e-6, 1e-6, 0.5e-6).unwrap();
+            let c = op_counts(kind);
+            let b = c.inv as f64 * 2e-6 + c.mvm as f64 * 1e-6 + 2.0 * 0.5e-6;
             assert!((a - b).abs() < 1e-18, "depth {d}");
         }
         assert!(cascade_latency(3, -1.0, 0.0, 0.0).is_err());
@@ -158,14 +136,14 @@ mod tests {
     #[test]
     fn latency_combines_counts_and_times() {
         // One-stage: 3 INV × 2 µs + 2 MVM × 1 µs + 2 conversions × 0.5 µs.
-        let t = solve_latency(SolverKind::OneStage, 2e-6, 1e-6, 0.5e-6).unwrap();
+        let t = cascade_latency(1, 2e-6, 1e-6, 0.5e-6).unwrap();
         assert!((t - 9e-6).abs() < 1e-18);
     }
 
     #[test]
     fn original_is_lowest_latency_at_equal_settle_times() {
-        let orig = solve_latency(SolverKind::OriginalAmc, 1e-6, 1e-6, 0.0).unwrap();
-        let one = solve_latency(SolverKind::OneStage, 1e-6, 1e-6, 0.0).unwrap();
+        let orig = cascade_latency(0, 1e-6, 1e-6, 0.0).unwrap();
+        let one = cascade_latency(1, 1e-6, 1e-6, 0.0).unwrap();
         assert!(orig < one);
     }
 
@@ -173,14 +151,14 @@ mod tests {
     fn faster_small_arrays_can_beat_the_op_count() {
         // If half-size arrays settle 6x faster (smaller λ_min penalty),
         // one-stage latency beats the original.
-        let orig = solve_latency(SolverKind::OriginalAmc, 6e-6, 6e-6, 0.0).unwrap();
-        let one = solve_latency(SolverKind::OneStage, 1e-6, 0.5e-6, 0.0).unwrap();
+        let orig = cascade_latency(0, 6e-6, 6e-6, 0.0).unwrap();
+        let one = cascade_latency(1, 1e-6, 0.5e-6, 0.0).unwrap();
         assert!(one < orig);
     }
 
     #[test]
     fn invalid_times_rejected() {
-        assert!(solve_latency(SolverKind::OneStage, -1.0, 0.0, 0.0).is_err());
-        assert!(solve_latency(SolverKind::OneStage, f64::NAN, 0.0, 0.0).is_err());
+        assert!(cascade_latency(1, -1.0, 0.0, 0.0).is_err());
+        assert!(cascade_latency(1, f64::NAN, 0.0, 0.0).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Area / power / energy / latency models for AMC solvers.
+//! Area / power / latency models for AMC solvers.
 //!
 //! Reproduces the macro performance analysis of the BlockAMC paper
 //! (§IV.B, Fig. 10): component inventories for the original single-array
@@ -20,15 +20,17 @@
 //! # Example
 //!
 //! ```
-//! use amc_arch::inventory::SolverKind;
 //! use amc_arch::params::ComponentParams;
-//! use amc_arch::area::area_breakdown;
+//! use amc_arch::report::Fig10Report;
 //!
 //! # fn main() -> Result<(), amc_arch::ArchError> {
-//! let p = ComponentParams::calibrated_45nm();
-//! let orig = area_breakdown(SolverKind::OriginalAmc, 512, &p)?;
-//! let one = area_breakdown(SolverKind::OneStage, 512, &p)?;
-//! assert!(one.total() < 0.55 * orig.total()); // ≈48% smaller
+//! let report = Fig10Report::compute(512, &ComponentParams::calibrated_45nm())?;
+//! // Rows are original, one-stage, two-stage.
+//! let area = |i: usize| {
+//!     let a = &report.area[i];
+//!     a.opa + a.dac + a.adc + a.rram
+//! };
+//! assert!(area(1) < 0.55 * area(0)); // one-stage ≈48% smaller
 //! # Ok(())
 //! # }
 //! ```
@@ -36,17 +38,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod area;
-pub mod energy;
+pub(crate) mod area;
 mod error;
 pub mod inventory;
 pub mod latency;
 pub mod params;
-pub mod power;
+pub(crate) mod power;
 pub mod report;
 pub mod scaling;
 
 pub use error::ArchError;
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, ArchError>;
+pub(crate) type Result<T> = std::result::Result<T, ArchError>;

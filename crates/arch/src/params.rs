@@ -69,7 +69,7 @@ impl ComponentParams {
     /// # Errors
     ///
     /// Returns [`crate::ArchError::InvalidConfig`] otherwise.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let vals = [
             self.area_opa_mm2,
             self.area_dac_mm2,

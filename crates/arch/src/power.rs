@@ -23,7 +23,7 @@ pub struct PowerBreakdown {
 
 impl PowerBreakdown {
     /// Total power, W.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.opa + self.dac + self.adc + self.rram
     }
 }
@@ -33,7 +33,7 @@ impl PowerBreakdown {
 /// # Errors
 ///
 /// Propagates parameter-validation and inventory errors.
-pub fn power_breakdown(
+pub(crate) fn power_breakdown(
     kind: SolverKind,
     n: usize,
     params: &ComponentParams,
@@ -51,7 +51,7 @@ pub fn power_breakdown(
 }
 
 /// Relative saving of `candidate` versus `baseline` (positive = lower).
-pub fn power_saving(baseline: &PowerBreakdown, candidate: &PowerBreakdown) -> f64 {
+pub(crate) fn power_saving(baseline: &PowerBreakdown, candidate: &PowerBreakdown) -> f64 {
     1.0 - candidate.total() / baseline.total()
 }
 

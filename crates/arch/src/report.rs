@@ -35,22 +35,22 @@ impl Fig10Report {
     }
 
     /// One-stage area saving vs original (the abstract's 48.83%).
-    pub fn one_stage_area_saving(&self) -> f64 {
+    pub(crate) fn one_stage_area_saving(&self) -> f64 {
         area_saving(&self.area[0], &self.area[1])
     }
 
     /// Two-stage area saving vs original (12.3% in §IV.B).
-    pub fn two_stage_area_saving(&self) -> f64 {
+    pub(crate) fn two_stage_area_saving(&self) -> f64 {
         area_saving(&self.area[0], &self.area[2])
     }
 
     /// One-stage power saving vs original (40%).
-    pub fn one_stage_power_saving(&self) -> f64 {
+    pub(crate) fn one_stage_power_saving(&self) -> f64 {
         power_saving(&self.power[0], &self.power[1])
     }
 
     /// Two-stage power saving vs original (37.4%).
-    pub fn two_stage_power_saving(&self) -> f64 {
+    pub(crate) fn two_stage_power_saving(&self) -> f64 {
         power_saving(&self.power[0], &self.power[2])
     }
 

@@ -14,11 +14,11 @@ use crate::power::power_breakdown;
 use crate::{ArchError, Result};
 
 /// The manufacturable-array ceiling the paper cites (cells per side).
-pub const PAPER_MAX_ARRAY_SIDE: usize = 256;
+pub(crate) const PAPER_MAX_ARRAY_SIDE: usize = 256;
 
 /// Largest single-array side each architecture needs for an `n × n`
 /// problem.
-pub fn required_array_side(kind: SolverKind, n: usize) -> usize {
+pub(crate) fn required_array_side(kind: SolverKind, n: usize) -> usize {
     match kind {
         SolverKind::OriginalAmc => n,
         SolverKind::OneStage => n.div_ceil(2),
@@ -28,7 +28,7 @@ pub fn required_array_side(kind: SolverKind, n: usize) -> usize {
 
 /// Returns `true` if the architecture fits within arrays of
 /// `max_side × max_side` cells.
-pub fn is_feasible(kind: SolverKind, n: usize, max_side: usize) -> bool {
+pub(crate) fn is_feasible(kind: SolverKind, n: usize, max_side: usize) -> bool {
     required_array_side(kind, n) <= max_side
 }
 
@@ -41,7 +41,7 @@ pub struct ScalingPoint {
     pub kind: SolverKind,
     /// Required array side.
     pub array_side: usize,
-    /// Feasible within [`PAPER_MAX_ARRAY_SIDE`]?
+    /// Feasible within `PAPER_MAX_ARRAY_SIDE`?
     pub feasible: bool,
     /// Total area, mm².
     pub area_mm2: f64,

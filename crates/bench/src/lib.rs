@@ -113,7 +113,7 @@ pub struct SweepSolver {
 /// against the exact LU reference, or `None` if the solve failed (e.g. a
 /// singular Schur complement under extreme variation — counted and
 /// reported by the harness rather than aborting the sweep).
-pub fn run_trial(
+pub(crate) fn run_trial(
     a: &Matrix,
     b: &[f64],
     x_ref: &[f64],

@@ -50,7 +50,7 @@ impl CircuitError {
     }
 
     /// Shorthand constructor for [`CircuitError::NoOperatingPoint`].
-    pub fn no_op_point(message: impl Into<String>) -> Self {
+    pub(crate) fn no_op_point(message: impl Into<String>) -> Self {
         CircuitError::NoOperatingPoint {
             message: message.into(),
         }

@@ -61,7 +61,7 @@ impl InterconnectModel {
     /// Returns [`CircuitError::InvalidConfig`] if the segment resistance is
     /// negative or not finite, or zero for the exact grid (a zero-resistance
     /// grid is singular; use [`InterconnectModel::Ideal`] instead).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match *self {
             InterconnectModel::Ideal => Ok(()),
             InterconnectModel::SeriesApprox { r_segment } => {
@@ -87,7 +87,7 @@ impl InterconnectModel {
     }
 
     /// Returns `true` if the model requires the exact grid solver.
-    pub fn is_exact_grid(&self) -> bool {
+    pub(crate) fn is_exact_grid(&self) -> bool {
         matches!(self, InterconnectModel::ExactGrid { .. })
     }
 }

@@ -25,9 +25,9 @@
 //!   op-amp GBWP (Sun et al., T-ED 2020).
 //! * [`power`] — static power of arrays and op-amps at the DC operating
 //!   point.
-//! * [`mna`] / [`pdn`] — general modified nodal analysis for one-off
-//!   netlists, and power-delivery-network grids exported as SPD
-//!   linear-system workloads for the scenario registry.
+//! * [`pdn`] — power-delivery-network grids, assembled as conductance
+//!   netlists and exported as SPD linear-system workloads for the scenario
+//!   registry.
 //! * [`sim`] — the [`sim::AnalogSimulator`] facade combining all of the
 //!   above; this is what the BlockAMC engine drives. Each operation
 //!   splits into an input-independent prepare, done once per programmed
@@ -71,7 +71,7 @@ mod error;
 pub mod grid;
 pub mod interconnect;
 pub mod inv;
-pub mod mna;
+pub(crate) mod mna;
 pub mod mvm;
 pub mod opamp;
 pub mod pdn;
@@ -83,4 +83,4 @@ pub mod transient;
 pub use error::CircuitError;
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, CircuitError>;
+pub(crate) type Result<T> = std::result::Result<T, CircuitError>;

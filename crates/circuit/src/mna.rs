@@ -1,12 +1,12 @@
 //! Modified nodal analysis (MNA) for small analog networks.
 //!
-//! A general-purpose DC netlist solver: conductances, independent voltage
-//! sources, and ideal op-amps (nullor stamps). The analytic MVM/INV
-//! solutions in [`crate::mvm`]/[`crate::inv`] were *derived* from these
-//! node equations; this module lets tests re-derive them numerically from
-//! an explicitly assembled netlist, closing the loop on the circuit
-//! algebra. It is also the building block for one-off topologies (e.g.
-//! the analog summation at the INV input node in BlockAMC's step 3).
+//! A DC netlist of conductances, independent voltage sources, and ideal
+//! op-amps (nullor stamps). The analytic MVM/INV solutions in
+//! [`crate::mvm`]/[`crate::inv`] were *derived* from these node equations;
+//! the test build solves explicitly assembled Fig. 1 netlists and checks
+//! them against those solutions, closing the loop on the circuit algebra.
+//! Outside tests the netlist only assembles resistive grids for
+//! [`crate::pdn`] through [`Netlist::conductance_matrix`].
 //!
 //! Formulation: unknowns are all non-ground node voltages plus one
 //! current per voltage source and per op-amp output. Ideal op-amps are
@@ -14,33 +14,36 @@
 //! draws no current); the output contributes an unknown current that
 //! makes the constraint satisfiable.
 
-use amc_linalg::{lu::LuFactor, Matrix};
+use amc_linalg::Matrix;
 
 use crate::{CircuitError, Result};
 
 /// A node handle. Node 0 is ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Node(usize);
+pub(crate) struct Node(usize);
 
 /// The ground node.
-pub const GROUND: Node = Node(0);
+pub(crate) const GROUND: Node = Node(0);
 
 /// A DC netlist under construction.
 #[derive(Debug, Clone, Default)]
-pub struct Netlist {
+pub(crate) struct Netlist {
     /// Number of nodes including ground.
     node_count: usize,
     /// `(a, b, conductance)` elements.
     conductances: Vec<(usize, usize, f64)>,
     /// `(plus, minus, volts)` independent sources.
+    #[cfg(test)]
     vsources: Vec<(usize, usize, f64)>,
     /// `(v_plus, v_minus, output)` ideal op-amps.
+    #[cfg(test)]
     opamps: Vec<(usize, usize, usize)>,
 }
 
 /// A solved DC operating point.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct OperatingPoint {
+pub(crate) struct OperatingPoint {
     /// Node voltages, index 0 = ground = 0 V.
     pub node_voltages: Vec<f64>,
     /// Currents through the voltage sources (positive flowing from `+`
@@ -53,7 +56,7 @@ pub struct OperatingPoint {
 
 impl Netlist {
     /// Creates an empty netlist (ground pre-allocated).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Netlist {
             node_count: 1,
             ..Default::default()
@@ -61,14 +64,14 @@ impl Netlist {
     }
 
     /// Allocates a new node.
-    pub fn node(&mut self) -> Node {
+    pub(crate) fn node(&mut self) -> Node {
         let n = Node(self.node_count);
         self.node_count += 1;
         n
     }
 
     /// Allocates `k` nodes at once.
-    pub fn nodes(&mut self, k: usize) -> Vec<Node> {
+    pub(crate) fn nodes(&mut self, k: usize) -> Vec<Node> {
         (0..k).map(|_| self.node()).collect()
     }
 
@@ -78,7 +81,7 @@ impl Netlist {
     ///
     /// Returns [`CircuitError::InvalidConfig`] for negative / non-finite
     /// conductance or an unknown node.
-    pub fn conductance(&mut self, a: Node, b: Node, siemens: f64) -> Result<()> {
+    pub(crate) fn conductance(&mut self, a: Node, b: Node, siemens: f64) -> Result<()> {
         self.check_node(a)?;
         self.check_node(b)?;
         if !(siemens.is_finite() && siemens >= 0.0) {
@@ -98,7 +101,8 @@ impl Netlist {
     ///
     /// Returns [`CircuitError::InvalidConfig`] for a non-finite voltage or
     /// an unknown node.
-    pub fn voltage_source(&mut self, plus: Node, minus: Node, volts: f64) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn voltage_source(&mut self, plus: Node, minus: Node, volts: f64) -> Result<()> {
         self.check_node(plus)?;
         self.check_node(minus)?;
         if !volts.is_finite() {
@@ -115,7 +119,8 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidConfig`] for an unknown node.
-    pub fn ideal_opamp(&mut self, v_plus: Node, v_minus: Node, output: Node) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn ideal_opamp(&mut self, v_plus: Node, v_minus: Node, output: Node) -> Result<()> {
         self.check_node(v_plus)?;
         self.check_node(v_minus)?;
         self.check_node(output)?;
@@ -141,7 +146,8 @@ impl Netlist {
     /// Returns [`CircuitError::NoOperatingPoint`] if the MNA system is
     /// singular (floating nodes, contradictory sources, an op-amp with no
     /// feedback path, …).
-    pub fn solve(&self) -> Result<OperatingPoint> {
+    #[cfg(test)]
+    pub(crate) fn solve(&self) -> Result<OperatingPoint> {
         let nn = self.node_count - 1; // unknown node voltages (ground excluded)
         let extra = self.vsources.len() + self.opamps.len();
         let dim = nn + extra;
@@ -198,7 +204,7 @@ impl Netlist {
                 m[(o, row)] += 1.0;
             }
         }
-        let lu = LuFactor::new(&m)
+        let lu = amc_linalg::lu::LuFactor::new(&m)
             .map_err(|e| CircuitError::no_op_point(format!("MNA system is singular: {e}")))?;
         let sol = lu.solve(&rhs)?;
         let mut node_voltages = vec![0.0; self.node_count];
@@ -217,7 +223,8 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the node does not belong to this netlist.
-    pub fn voltage(&self, op: &OperatingPoint, node: Node) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn voltage(&self, op: &OperatingPoint, node: Node) -> f64 {
         op.node_voltages[node.0]
     }
 
@@ -233,13 +240,14 @@ impl Netlist {
     /// networks, grounded resistor meshes) become linear-system
     /// instances for the solver stack. Voltage sources and op-amps are
     /// *not* represented — their MNA rows are constraints, not
-    /// conductances; use [`Netlist::solve`] for netlists that have them.
+    /// conductances; the test-only MNA solver handles netlists that have
+    /// them.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidConfig`] if the netlist has no
     /// non-ground nodes.
-    pub fn conductance_matrix(&self) -> Result<Matrix> {
+    pub(crate) fn conductance_matrix(&self) -> Result<Matrix> {
         let nn = self.node_count - 1;
         if nn == 0 {
             return Err(CircuitError::config(
@@ -277,7 +285,8 @@ impl Netlist {
 /// # Errors
 ///
 /// Netlist and operating-point failures.
-pub fn mvm_netlist(g: &Matrix, g0: f64, v_in: &[f64]) -> Result<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn mvm_netlist(g: &Matrix, g0: f64, v_in: &[f64]) -> Result<Vec<f64>> {
     if v_in.len() != g.cols() {
         return Err(CircuitError::ShapeMismatch {
             op: "mvm_netlist",
@@ -315,7 +324,8 @@ pub fn mvm_netlist(g: &Matrix, g0: f64, v_in: &[f64]) -> Result<Vec<f64>> {
 ///
 /// Netlist and operating-point failures (a singular `g/g0` has no
 /// operating point).
-pub fn inv_netlist(g: &Matrix, g0: f64, v_in: &[f64]) -> Result<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn inv_netlist(g: &Matrix, g0: f64, v_in: &[f64]) -> Result<Vec<f64>> {
     if !g.is_square() || v_in.len() != g.rows() {
         return Err(CircuitError::ShapeMismatch {
             op: "inv_netlist",

@@ -36,7 +36,7 @@ impl GainModel {
     ///
     /// Returns [`CircuitError::InvalidConfig`] if a finite gain is not
     /// strictly positive and finite.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match *self {
             GainModel::Ideal => Ok(()),
             GainModel::Finite { a0 } => {
@@ -53,7 +53,7 @@ impl GainModel {
 
     /// Returns `1/a0`, the defect factor entering the DC equations
     /// (`0.0` for an ideal op-amp).
-    pub fn inverse_gain(&self) -> f64 {
+    pub(crate) fn inverse_gain(&self) -> f64 {
         match *self {
             GainModel::Ideal => 0.0,
             GainModel::Finite { a0 } => 1.0 / a0,
@@ -103,7 +103,7 @@ impl OpAmpSpec {
     ///
     /// Returns [`CircuitError::InvalidConfig`] for non-positive GBWP,
     /// supply, or quiescent current, or an invalid gain model.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         self.gain.validate()?;
         if !(self.gbwp_hz > 0.0 && self.gbwp_hz.is_finite()) {
             return Err(CircuitError::config("GBWP must be positive and finite"));
@@ -120,7 +120,7 @@ impl OpAmpSpec {
     }
 
     /// Static power of one amplifier, `V_s·I_q` (paper eq. 7 with `N = 1`).
-    pub fn static_power_w(&self) -> f64 {
+    pub(crate) fn static_power_w(&self) -> f64 {
         self.supply_v * self.quiescent_a
     }
 
@@ -130,7 +130,7 @@ impl OpAmpSpec {
     ///
     /// Returns [`CircuitError::OutputSaturated`] identifying the first
     /// output beyond `±supply_v`.
-    pub fn check_saturation(&self, outputs: &[f64]) -> Result<()> {
+    pub(crate) fn check_saturation(&self, outputs: &[f64]) -> Result<()> {
         for (i, &v) in outputs.iter().enumerate() {
             if v.abs() > self.supply_v {
                 return Err(CircuitError::OutputSaturated {

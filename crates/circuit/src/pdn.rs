@@ -10,11 +10,10 @@
 //! precisely the kind of repeated same-matrix solve the BlockAMC
 //! architecture amortizes array programming over.
 //!
-//! This module builds such grids with [`crate::mna::Netlist`] and
-//! exports the node equations through
-//! [`Netlist::conductance_matrix`](crate::mna::Netlist::conductance_matrix),
-//! so the scenario registry gets circuit-shaped matrices that are
-//! derived from an actual netlist rather than synthesized directly:
+//! This module builds such grids as a conductance netlist and exports
+//! the netlist's node-conductance matrix, so the scenario registry gets
+//! circuit-shaped matrices that are derived from an actual netlist
+//! rather than synthesized directly:
 //! symmetric, diagonally dominant, SPD (every node leaks to ground),
 //! with the 2-D sparsity structure real PDNs have.
 
@@ -71,7 +70,7 @@ impl PdnSpec {
     /// Returns [`CircuitError::InvalidConfig`] for an empty grid,
     /// non-positive wire/load conductance, negative via conductance, or
     /// jitter outside `[0, 1)`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CircuitError::config("PDN grid must be non-empty"));
         }
@@ -98,7 +97,7 @@ impl PdnSpec {
     }
 
     /// Problem size: one unknown node voltage per grid node.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.rows * self.cols
     }
 }
@@ -111,7 +110,7 @@ impl PdnSpec {
 ///
 /// # Errors
 ///
-/// Parameter validation ([`PdnSpec::validate`]) and netlist failures.
+/// Parameter validation (`PdnSpec::validate`) and netlist failures.
 pub fn pdn_matrix<R: Rng + ?Sized>(spec: &PdnSpec, rng: &mut R) -> Result<Matrix> {
     spec.validate()?;
     let mut net = Netlist::new();

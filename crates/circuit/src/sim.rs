@@ -81,7 +81,7 @@ impl SimConfig {
     /// interconnect parameters, an out-of-range `settle_epsilon`, or the
     /// unsupported combination of exact-grid interconnect with finite-gain
     /// op-amps (the grid solver assumes ideal virtual grounds).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         self.opamp.validate()?;
         self.interconnect.validate()?;
         if !(self.settle_epsilon > 0.0 && self.settle_epsilon < 1.0) {

@@ -26,9 +26,8 @@ pub const DEFAULT_SETTLE_EPSILON: f64 = 1e-3;
 /// Settling-time estimate for an MVM operation.
 ///
 /// `max_row_sum_normalized` is `max_i Σ_j |Ĝ_ij|` — the largest normalized
-/// row-conductance sum of the (combined pos+neg) array, available from
-/// [`amc_device::array::CrossbarArray::max_row_conductance_sum`] divided by
-/// `G₀`.
+/// row-conductance sum of the (combined pos+neg) array, i.e. the largest
+/// row sum of the programmed conductances divided by `G₀`.
 ///
 /// # Errors
 ///

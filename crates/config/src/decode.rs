@@ -53,7 +53,7 @@ pub struct Fields<'a> {
 
 impl Fields<'_> {
     /// The raw value of field `name`, if present.
-    pub fn get(&self, name: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Json> {
         self.pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 

@@ -90,7 +90,7 @@ pub enum ConfigError {
 
 impl ConfigError {
     /// A kind-mismatch error at the current (empty) path.
-    pub fn mismatch(expected: impl Into<String>, found: &Json) -> ConfigError {
+    pub(crate) fn mismatch(expected: impl Into<String>, found: &Json) -> ConfigError {
         ConfigError::Type {
             path: String::new(),
             expected: expected.into(),
@@ -126,7 +126,7 @@ impl ConfigError {
     /// Returns the error with `[index]` prefixed onto its path, for
     /// decoders descending into array elements.
     #[must_use]
-    pub fn at_index(mut self, index: usize) -> ConfigError {
+    pub(crate) fn at_index(mut self, index: usize) -> ConfigError {
         if let Some(path) = self.path_mut() {
             *path = if path.is_empty() {
                 format!("[{index}]")

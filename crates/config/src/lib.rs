@@ -25,13 +25,13 @@
 //! - **numbers** → integers render without a decimal point; `f64`s
 //!   render in shortest-round-trip form (always carrying a `.` or an
 //!   exponent), and parse back to identical bits. Non-finite floats
-//!   render as `null` — construct through [`Json::num`] so the
-//!   in-memory value agrees.
+//!   render as `null`, and the `f64` encoder stores them as
+//!   [`Json::Null`] up front so the in-memory value agrees.
 //!
 //! # Strictness
 //!
 //! [`Json::parse`] rejects duplicate keys, trailing garbage, nesting
-//! past [`Json::MAX_DEPTH`], malformed numbers and escapes — each with
+//! past `Json::MAX_DEPTH`, malformed numbers and escapes — each with
 //! the offending line/column ([`ParseError`]). Decoding rejects
 //! unknown fields, missing fields, and unknown variant tags with
 //! errors that name the offender, list the known alternatives, and

@@ -20,8 +20,8 @@ pub enum Json {
     /// `true` / `false`.
     Bool(bool),
     /// A finite number (non-finite values render as `null`, which keeps
-    /// emitted files standard-compliant; prefer [`Json::num`], which
-    /// normalizes non-finite inputs up front).
+    /// emitted files standard-compliant; the `f64` encoder normalizes
+    /// non-finite inputs to [`Json::Null`] up front).
     Num(f64),
     /// An integer, rendered without a decimal point.
     Int(i64),
@@ -50,7 +50,7 @@ impl Json {
     /// normalizing at construction makes the in-memory value agree with
     /// its rendering, so `parse(render(x)) == x` is total on everything
     /// built through this constructor.
-    pub fn num(x: f64) -> Json {
+    pub(crate) fn num(x: f64) -> Json {
         if x.is_finite() {
             Json::Num(x)
         } else {
@@ -71,7 +71,7 @@ impl Json {
     ///
     /// - duplicate object keys are rejected,
     /// - trailing non-whitespace after the top-level value is rejected,
-    /// - nesting deeper than [`Json::MAX_DEPTH`] levels is rejected,
+    /// - nesting deeper than `Json::MAX_DEPTH` levels is rejected,
     /// - numbers follow the JSON grammar exactly (no leading zeros, no
     ///   bare `.5`, no `Infinity`/`NaN`), and literals that overflow
     ///   `f64` or `u64` are rejected rather than saturated,
@@ -92,10 +92,10 @@ impl Json {
     }
 
     /// Maximum nesting depth [`Json::parse`] accepts.
-    pub const MAX_DEPTH: usize = 128;
+    pub(crate) const MAX_DEPTH: usize = 128;
 
     /// A short name for the value's kind, used in error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "a bool",

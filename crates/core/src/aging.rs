@@ -35,14 +35,13 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use amc_device::faults::FaultState;
+use amc_device::faults::{FaultModel, FaultState};
 use amc_device::program_cost::program_cost;
 use amc_linalg::Matrix;
 
 // Re-exported so downstream crates (e.g. the serving layer) can
 // configure an [`AgingModel`] without depending on `amc-device`.
 pub use amc_device::drift::DriftModel;
-pub use amc_device::faults::FaultModel;
 pub use amc_device::program_cost::ProgramCostModel;
 
 use crate::engine::AmcEngine;
@@ -197,16 +196,6 @@ pub enum RepairPolicy {
 }
 
 impl RepairPolicy {
-    /// A short stable label for reports and tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RepairPolicy::Never => "never",
-            RepairPolicy::Always => "always",
-            RepairPolicy::ResidualThreshold { .. } => "residual-threshold",
-            RepairPolicy::Budgeted { .. } => "budgeted",
-        }
-    }
-
     /// Validates the policy's parameters.
     ///
     /// # Errors
@@ -311,16 +300,6 @@ impl RepairScheduler {
             policy,
             spent_energy_j: 0.0,
         })
-    }
-
-    /// The policy this scheduler enforces.
-    pub fn policy(&self) -> RepairPolicy {
-        self.policy
-    }
-
-    /// Total write-and-verify energy spent so far.
-    pub fn spent_energy_j(&self) -> f64 {
-        self.spent_energy_j
     }
 }
 
@@ -436,16 +415,6 @@ impl<E: AmcEngine> AgedSolver<E> {
     /// Number of programmed arrays aging independently.
     pub fn array_count(&self) -> usize {
         self.pristine.len()
-    }
-
-    /// Global tick counter (0 = freshly prepared).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// The lifetime model.
-    pub fn model(&self) -> &AgingModel {
-        &self.model
     }
 
     /// The pristine system matrix.
@@ -886,7 +855,7 @@ mod tests {
         let rec = aged.run_tick(&mut sched, &[vec![1.0; 8]]).unwrap();
         assert_eq!(rec.action, RepairAction::ReprogramFull);
         assert!(rec.energy_j > 0.0);
-        assert!(sched.spent_energy_j() > 0.0);
+        assert!(sched.spent_energy_j > 0.0);
         let healed = aged.health().unwrap();
         assert!(healed < degraded * 1e-2, "reprogram should heal: {healed}");
     }
@@ -928,7 +897,7 @@ mod tests {
         }
         assert!(repairs >= 1, "budget allows at least one repair");
         assert!(
-            sched.spent_energy_j() <= probe_cost * 1.5,
+            sched.spent_energy_j <= probe_cost * 1.5,
             "budget must bound spending"
         );
     }

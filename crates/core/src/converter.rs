@@ -40,7 +40,7 @@ impl Converter {
 
     /// An 8-bit, ±1 V converter — the RePAST-class interface assumed by
     /// the paper's area/power analysis.
-    pub fn default_8bit() -> Self {
+    pub(crate) fn default_8bit() -> Self {
         Converter {
             bits: 8,
             v_range: 1.0,
@@ -63,7 +63,7 @@ impl Converter {
     }
 
     /// Quantizes one value (clipping outside `±v_range`).
-    pub fn quantize(&self, v: f64) -> f64 {
+    pub(crate) fn quantize(&self, v: f64) -> f64 {
         let clipped = v.clamp(-self.v_range, self.v_range);
         let lsb = self.lsb();
         // Mid-rise rounding can land half an LSB beyond the rail; clamp
@@ -114,7 +114,7 @@ impl IoConfig {
     ///
     /// Returns [`BlockAmcError::InvalidConfig`] if the droop is outside
     /// `[0, 1)`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.sh_droop >= 0.0 && self.sh_droop < 1.0) {
             return Err(BlockAmcError::config(format!(
                 "S&H droop must lie in [0, 1), got {}",
@@ -125,7 +125,7 @@ impl IoConfig {
     }
 
     /// Applies the DAC (if any) to an external input vector.
-    pub fn apply_dac(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_dac(&self, v: &[f64]) -> Vec<f64> {
         match &self.dac {
             Some(c) => c.quantize_vec(v),
             None => v.to_vec(),
@@ -133,7 +133,7 @@ impl IoConfig {
     }
 
     /// Applies the ADC (if any) to a solution output vector.
-    pub fn apply_adc(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_adc(&self, v: &[f64]) -> Vec<f64> {
         match &self.adc {
             Some(c) => c.quantize_vec(v),
             None => v.to_vec(),
@@ -141,7 +141,7 @@ impl IoConfig {
     }
 
     /// Applies one S&H hop to an analog intermediate.
-    pub fn apply_sh(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_sh(&self, v: &[f64]) -> Vec<f64> {
         if self.sh_droop == 0.0 {
             v.to_vec()
         } else {

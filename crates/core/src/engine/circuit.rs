@@ -188,11 +188,6 @@ impl CircuitEngine {
             stats: EngineStats::default(),
         }
     }
-
-    /// Borrows the configuration.
-    pub fn config(&self) -> &CircuitEngineConfig {
-        &self.config
-    }
 }
 
 impl AmcEngine for CircuitEngine {

@@ -82,11 +82,6 @@ impl FixedPointEngine {
         })
     }
 
-    /// The configured word length.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Grid step for a full-scale magnitude `scale` (0 when the data is
     /// all zero — nothing to resolve).
     fn step(&self, scale: f64) -> f64 {
@@ -205,7 +200,7 @@ mod tests {
         assert!(FixedPointEngine::new(1).is_err());
         assert!(FixedPointEngine::new(53).is_err());
         assert!(FixedPointEngine::new(2).is_ok());
-        assert_eq!(FixedPointEngine::new(8).unwrap().bits(), 8);
+        assert_eq!(FixedPointEngine::new(8).unwrap().bits, 8);
     }
 
     #[test]

@@ -71,8 +71,7 @@ pub use registry::{EngineRegistry, EngineSpec};
 /// factorization, a conductance-programmed crossbar pair, a quantized
 /// copy, …) and keeps it **in the backend module** — core neither
 /// enumerates nor constrains the possibilities. The engine recovers its
-/// concrete type through [`Operand::downcast_ref`] /
-/// [`Operand::downcast_mut`].
+/// concrete type through [`Operand::expect_state_mut`].
 pub trait OperandState: Any + fmt::Debug + Send {
     /// Clones the state behind the type erasure.
     fn clone_boxed(&self) -> Box<dyn OperandState>;
@@ -130,19 +129,20 @@ impl Operand {
     }
 
     /// Borrows the state as a concrete backend type, if it matches.
-    pub fn downcast_ref<T: OperandState>(&self) -> Option<&T> {
+    #[cfg(test)]
+    pub(crate) fn downcast_ref<T: OperandState>(&self) -> Option<&T> {
         self.state.as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrows the state as a concrete backend type, if it
     /// matches.
-    pub fn downcast_mut<T: OperandState>(&mut self) -> Option<&mut T> {
+    pub(crate) fn downcast_mut<T: OperandState>(&mut self) -> Option<&mut T> {
         self.state.as_any_mut().downcast_mut::<T>()
     }
 
-    /// Like [`Operand::downcast_mut`], but failure is the standard
-    /// [`BlockAmcError::OperandMismatch`] an engine reports when handed
-    /// an operand programmed by a different backend.
+    /// Mutably borrows the state as a concrete backend type; failure is
+    /// the standard [`BlockAmcError::OperandMismatch`] an engine reports
+    /// when handed an operand programmed by a different backend.
     pub fn expect_state_mut<T: OperandState>(&mut self, engine: &'static str) -> Result<&mut T> {
         self.downcast_mut::<T>()
             .ok_or(BlockAmcError::OperandMismatch { engine })
@@ -183,29 +183,29 @@ fn saturating_count_add(lhs: usize, rhs: usize, what: &'static str) -> usize {
 
 impl EngineStats {
     /// Counts one `program` op (saturating; see struct docs).
-    pub fn count_program(&mut self) {
+    pub(crate) fn count_program(&mut self) {
         self.program_ops = saturating_count_add(self.program_ops, 1, "program_ops");
     }
 
     /// Counts one `inv` op (saturating; see struct docs).
-    pub fn count_inv(&mut self) {
+    pub(crate) fn count_inv(&mut self) {
         self.count_invs(1);
     }
 
     /// Counts `k` `inv` ops — one block call over `k` right-hand sides
     /// (saturating; see struct docs).
-    pub fn count_invs(&mut self, k: usize) {
+    pub(crate) fn count_invs(&mut self, k: usize) {
         self.inv_ops = saturating_count_add(self.inv_ops, k, "inv_ops");
     }
 
     /// Counts one `mvm` op (saturating; see struct docs).
-    pub fn count_mvm(&mut self) {
+    pub(crate) fn count_mvm(&mut self) {
         self.count_mvms(1);
     }
 
     /// Counts `k` `mvm` ops — one block call over `k` right-hand sides
     /// (saturating; see struct docs).
-    pub fn count_mvms(&mut self, k: usize) {
+    pub(crate) fn count_mvms(&mut self, k: usize) {
         self.mvm_ops = saturating_count_add(self.mvm_ops, k, "mvm_ops");
     }
 }

@@ -63,7 +63,7 @@ impl EngineSpec {
 }
 
 /// A seed-taking engine constructor, as stored in the registry.
-pub type EngineCtor = Box<dyn Fn(u64) -> Result<Box<dyn AmcEngine>> + Send + Sync>;
+pub(crate) type EngineCtor = Box<dyn Fn(u64) -> Result<Box<dyn AmcEngine>> + Send + Sync>;
 
 /// A name → constructor registry of engine backends.
 ///
@@ -145,11 +145,6 @@ impl EngineRegistry {
         self.register(name, move |seed| spec.build(seed));
     }
 
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|(n, _)| n == name)
-    }
-
     /// The registered names, in registration order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|(n, _)| n.as_str())
@@ -204,9 +199,9 @@ mod tests {
     #[test]
     fn registration_replaces_and_extends() {
         let mut registry = EngineRegistry::builtin();
-        assert!(!registry.contains("fp12"));
+        assert!(!registry.names().any(|n| n == "fp12"));
         registry.register_spec("fp12", EngineSpec::FixedPoint { bits: 12 });
-        assert!(registry.contains("fp12"));
+        assert!(registry.names().any(|n| n == "fp12"));
         // Replacing keeps a single entry per name.
         registry.register_spec("fp12", EngineSpec::FixedPoint { bits: 14 });
         assert_eq!(registry.names().filter(|n| *n == "fp12").count(), 1);

@@ -67,7 +67,7 @@ pub enum BlockAmcError {
 
 impl BlockAmcError {
     /// Shorthand constructor for [`BlockAmcError::InvalidConfig`].
-    pub fn config(message: impl Into<String>) -> Self {
+    pub(crate) fn config(message: impl Into<String>) -> Self {
         BlockAmcError::InvalidConfig {
             message: message.into(),
         }

@@ -19,7 +19,7 @@
 //! ([`solver::Stages::Multi`]).
 //!
 //! All of them are faces of **one recursive execution core**: the
-//! five-step cascade is implemented exactly once (in [`multi_stage`]),
+//! five-step cascade is implemented exactly once (in `multi_stage`),
 //! and the one-/two-stage solvers are depth-1/depth-2 partition trees
 //! with the macro and bus signal paths layered on.
 //!
@@ -93,11 +93,11 @@ pub mod engine;
 mod error;
 pub mod macro_model;
 pub mod montecarlo;
-pub mod multi_stage;
+pub(crate) mod multi_stage;
 pub mod partition;
 pub mod refine;
 pub mod solver;
-pub mod split_search;
+pub(crate) mod split_search;
 
 // Facade tests of `Stages::One` and `Stages::Two`, kept at the module
 // paths the one-stage and two-stage solvers used to live at, so the

@@ -26,28 +26,6 @@ pub enum ClockPhase {
     S4,
 }
 
-impl ClockPhase {
-    /// All phases in execution order.
-    pub const ALL: [ClockPhase; 5] = [
-        ClockPhase::S0,
-        ClockPhase::S1,
-        ClockPhase::S2,
-        ClockPhase::S3,
-        ClockPhase::S4,
-    ];
-
-    /// Phase index (0–4).
-    pub fn index(&self) -> usize {
-        match self {
-            ClockPhase::S0 => 0,
-            ClockPhase::S1 => 1,
-            ClockPhase::S2 => 2,
-            ClockPhase::S3 => 3,
-            ClockPhase::S4 => 4,
-        }
-    }
-}
-
 /// Which crossbar array a phase connects to the shared op-amps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayId {
@@ -232,9 +210,9 @@ mod tests {
         assert_eq!(s[2].output, SignalSink::AdcAndSampleHold);
         assert_eq!(s[4].output, SignalSink::Adc);
         // Phases are in order.
-        for (i, op) in s.iter().enumerate() {
-            assert_eq!(op.phase.index(), i);
-        }
+        let phases: Vec<ClockPhase> = s.iter().map(|o| o.phase).collect();
+        use ClockPhase::*;
+        assert_eq!(phases, vec![S0, S1, S2, S3, S4]);
     }
 
     #[test]
@@ -272,11 +250,5 @@ mod tests {
     fn invalid_times_rejected() {
         assert!(MacroTiming::from_phase_times([1e-6, -1.0, 0.0, 0.0, 0.0], 0.0).is_err());
         assert!(MacroTiming::from_phase_times([f64::NAN; 5], 0.0).is_err());
-    }
-
-    #[test]
-    fn all_phases_listed() {
-        assert_eq!(ClockPhase::ALL.len(), 5);
-        assert_eq!(ClockPhase::ALL[3], ClockPhase::S3);
     }
 }

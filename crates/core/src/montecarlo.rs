@@ -8,14 +8,14 @@
 //! signal plan, and split rule included.
 //!
 //! Every trial runs through the [`crate::solver`] facade and therefore
-//! the one recursive cascade core ([`crate::multi_stage`]), so yield
+//! the one recursive cascade core (`crate::multi_stage`), so yield
 //! differences measured here isolate array count, size, and signal
 //! path — not implementation drift.
 
 use amc_linalg::{lu, metrics, Matrix};
 
 use crate::engine::EngineSpec;
-use crate::solver::{BlockAmcSolver, SolverConfig, Stages};
+use crate::solver::{BlockAmcSolver, SolverConfig};
 use crate::{BlockAmcError, Result};
 
 /// Result of a yield run.
@@ -159,32 +159,11 @@ pub fn yield_analysis_parallel(
     })
 }
 
-/// Convenience: yields of all three architectures on one workload with
-/// default configurations, in the paper's comparison order (original,
-/// one-stage, two-stage).
-///
-/// # Errors
-///
-/// Same conditions as [`yield_analysis`].
-pub fn compare_yields(
-    a: &Matrix,
-    b: &[f64],
-    engine: &EngineSpec,
-    spec: f64,
-    trials: usize,
-    engine_seed: u64,
-) -> Result<[YieldReport; 3]> {
-    let run = |stages: Stages| -> Result<YieldReport> {
-        let solver = SolverConfig::builder().stages(stages).finish()?;
-        yield_analysis(a, b, &solver, engine, spec, trials, engine_seed)
-    };
-    Ok([run(Stages::Original)?, run(Stages::One)?, run(Stages::Two)?])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::CircuitEngineConfig;
+    use crate::solver::Stages;
     use amc_linalg::generate;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -274,24 +253,6 @@ mod tests {
         let mid = run(0.08);
         let tight = run(0.001);
         assert!(loose >= mid && mid >= tight, "{loose} >= {mid} >= {tight}");
-    }
-
-    #[test]
-    fn compare_yields_orders_architectures() {
-        let (a, b) = workload(16);
-        let reports = compare_yields(
-            &a,
-            &b,
-            &EngineSpec::Circuit(CircuitEngineConfig::paper_variation()),
-            0.1,
-            6,
-            1,
-        )
-        .unwrap();
-        assert_eq!(reports.len(), 3);
-        for r in &reports {
-            assert_eq!(r.trials, 6);
-        }
     }
 
     #[test]

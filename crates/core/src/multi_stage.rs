@@ -39,7 +39,7 @@ use amc_obs::Recorder;
 use crate::converter::IoConfig;
 use crate::engine::{AmcEngine, Operand};
 use crate::partition::BlockPartition;
-use crate::split_search::{self, SplitSearchOptions};
+use crate::split_search::{self, SchurSplit, SplitSearchOptions};
 use crate::{BlockAmcError, Result};
 
 // ---------------------------------------------------------------------
@@ -85,7 +85,7 @@ pub enum LevelIo {
 impl LevelIo {
     /// The converter configuration of this level (`None` for
     /// [`LevelIo::Pure`]).
-    pub fn io(&self) -> Option<&IoConfig> {
+    pub(crate) fn io(&self) -> Option<&IoConfig> {
         match self {
             LevelIo::Pure => None,
             LevelIo::Macro(io) | LevelIo::Bus(io) => Some(io),
@@ -107,7 +107,7 @@ impl LevelIo {
     /// # Errors
     ///
     /// Propagates [`IoConfig::validate`] failures.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match self.io() {
             Some(io) => io.validate(),
             None => Ok(()),
@@ -177,7 +177,7 @@ impl SignalPlan {
     }
 
     /// The entry applied at cascade level `k`.
-    pub fn level(&self, k: usize) -> LevelIo {
+    pub(crate) fn level(&self, k: usize) -> LevelIo {
         self.levels.get(k).copied().unwrap_or(LevelIo::Pure)
     }
 
@@ -186,7 +186,7 @@ impl SignalPlan {
     /// # Errors
     ///
     /// Propagates [`IoConfig::validate`] failures.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for level in &self.levels {
             level.validate()?;
         }
@@ -653,6 +653,7 @@ impl QuadMvm {
         Ok(())
     }
 
+    #[cfg(test)]
     fn max_tile_dim(&self) -> usize {
         self.tiles
             .iter()
@@ -679,6 +680,7 @@ impl<E: AmcEngine + ?Sized> MvmExec<E> for MvmBlock {
 }
 
 impl MvmBlock {
+    #[cfg(test)]
     fn max_array_dim(&self) -> usize {
         match self {
             MvmBlock::Whole(op) => op.shape().0.max(op.shape().1),
@@ -762,7 +764,7 @@ pub struct PartitionPlan {
 pub enum SplitRule {
     /// The paper's default `⌈n/2⌉` everywhere.
     Halves,
-    /// Conditioning-driven per-node search (see [`crate::split_search`];
+    /// Conditioning-driven per-node search (see `crate::split_search`;
     /// nodes smaller than 4 fall back to halves).
     Searched(SplitSearchOptions),
 }
@@ -770,7 +772,7 @@ pub enum SplitRule {
 impl PartitionPlan {
     /// Natural-size MVM blocks and midpoint splits at the given depth —
     /// the layout of `Stages::One` and `Stages::Multi`.
-    pub fn depth(depth: usize) -> Self {
+    pub(crate) fn depth(depth: usize) -> Self {
         PartitionPlan {
             depth,
             tile_mvm: false,
@@ -781,7 +783,7 @@ impl PartitionPlan {
     /// The paper's macro layout at the given depth: MVM blocks tiled
     /// into quadrants. `PartitionPlan::paper(2)` is the two-stage
     /// solver's exact array inventory.
-    pub fn paper(depth: usize) -> Self {
+    pub(crate) fn paper(depth: usize) -> Self {
         PartitionPlan {
             depth,
             tile_mvm: true,
@@ -790,7 +792,7 @@ impl PartitionPlan {
     }
 
     /// Replaces the split rule.
-    pub fn with_split_rule(mut self, split: SplitRule) -> Self {
+    pub(crate) fn with_split_rule(mut self, split: SplitRule) -> Self {
         self.split = split;
         self
     }
@@ -915,6 +917,7 @@ impl PreparedMultiStage {
     }
 
     /// Largest array (leaf or MVM-tile) size in the tree.
+    #[cfg(test)]
     pub(crate) fn max_leaf_size(&self) -> usize {
         fn walk(node: &Node) -> usize {
             match node {
@@ -979,6 +982,27 @@ fn program_leaf<E: AmcEngine + ?Sized>(
     Ok(Node::Leaf(op))
 }
 
+/// Splits one block per the plan's rule and computes its Schur
+/// complement, returning the partition, `A4s` and the `A1` factor. Under
+/// `Searched` all three come from the split search, which already built
+/// them while scoring the winner.
+fn split_block(a: &Matrix, plan: &PartitionPlan, rec: &mut Recorder) -> Result<SchurSplit> {
+    let span = rec.enter("prepare.partition");
+    let p = match plan.split {
+        SplitRule::Searched(opts) if a.rows() >= 4 => {
+            let split = split_search::best_partition(a, &opts);
+            rec.exit(span);
+            return split;
+        }
+        SplitRule::Halves | SplitRule::Searched(_) => BlockPartition::halves(a)?,
+    };
+    rec.exit(span);
+    let span = rec.enter("prepare.schur");
+    let (a4s, a1_lu) = p.schur_complement_with_factor()?;
+    rec.exit_with(span, &[("n", a4s.rows() as f64)]);
+    Ok((p, a4s, a1_lu))
+}
+
 fn prepare_node<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
@@ -991,16 +1015,7 @@ fn prepare_node<E: AmcEngine + ?Sized>(
         return program_leaf(engine, a, lu, rec);
     }
     let node_span = rec.enter("prepare.node");
-    let span = rec.enter("prepare.partition");
-    let p = match plan.split {
-        SplitRule::Halves => BlockPartition::halves(a)?,
-        SplitRule::Searched(opts) if a.rows() >= 4 => split_search::best_partition(a, &opts)?,
-        SplitRule::Searched(_) => BlockPartition::halves(a)?,
-    };
-    rec.exit(span);
-    let span = rec.enter("prepare.schur");
-    let (a4s, a1_lu) = p.schur_complement_with_factor()?;
-    rec.exit_with(span, &[("n", a4s.rows() as f64)]);
+    let (p, a4s, a1_lu) = split_block(a, plan, rec)?;
     // Canonical programming order (A1, A2, A3, A4s): the order in which
     // the engine's variation stream is consumed, which
     // tests/cascade_golden.rs pins for the one- and two-stage layouts.
@@ -1116,12 +1131,7 @@ fn plan_step(
     if is_leaf(&a, depth) {
         return Ok((PlannedNode::Leaf(a, lu), Vec::new()));
     }
-    let p = match plan.split {
-        SplitRule::Halves => BlockPartition::halves(&a)?,
-        SplitRule::Searched(opts) if a.rows() >= 4 => split_search::best_partition(&a, &opts)?,
-        SplitRule::Searched(_) => BlockPartition::halves(&a)?,
-    };
-    let (a4s, a1_lu) = p.schur_complement_with_factor()?;
+    let (p, a4s, a1_lu) = split_block(&a, plan, &mut Recorder::disabled())?;
     let a1_lu = a1_lu.filter(|_| is_leaf(&p.a1, depth - 1));
     let tile_levels = if plan.tile_mvm { depth - 1 } else { 0 };
     Ok((

@@ -16,9 +16,9 @@
 //! pre-processing is free — [`BlockPartition::schur_complement`]
 //! implements that shortcut.
 //!
-//! Partitioning is applied recursively by [`crate::multi_stage`]; the
+//! Partitioning is applied recursively by `crate::multi_stage`; the
 //! split index per node is either the midpoint or chosen by
-//! [`crate::split_search`] (see `SplitRule`).
+//! `crate::split_search` (see `SplitRule`).
 
 use amc_linalg::{lu::LuFactor, sparse::CsrMatrix, LinalgError, Matrix};
 
@@ -54,7 +54,7 @@ impl BlockPartition {
     /// * [`BlockAmcError::ShapeMismatch`] if `a` is not square.
     /// * [`BlockAmcError::InvalidConfig`] if `split` is 0 or ≥ n (both
     ///   halves must be non-empty).
-    pub fn new(a: &Matrix, split: usize) -> Result<Self> {
+    pub(crate) fn new(a: &Matrix, split: usize) -> Result<Self> {
         if !a.is_square() {
             return Err(BlockAmcError::ShapeMismatch {
                 op: "partition (square matrix required)",
@@ -82,7 +82,7 @@ impl BlockPartition {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BlockPartition::new`]; requires `n >= 2`.
+    /// Same conditions as `BlockPartition::new`; requires `n >= 2`.
     pub fn halves(a: &Matrix) -> Result<Self> {
         let n = a.rows();
         if n < 2 {
@@ -94,7 +94,7 @@ impl BlockPartition {
     }
 
     /// Total size `n` of the original matrix.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.split + self.a4.rows()
     }
 
@@ -104,7 +104,7 @@ impl BlockPartition {
     ///
     /// The update kernel is chosen by the coupling blocks' measured
     /// density: sparse couplings (grounded Laplacians, PDN grids — see
-    /// [`BlockPartition::coupling_density`]) stream through the CSR
+    /// `BlockPartition::coupling_density`) stream through the CSR
     /// kernel, which skips zero columns outright; everything else runs
     /// the dense fused kernel. Both agree to within signed zeros.
     ///
@@ -127,7 +127,7 @@ impl BlockPartition {
     /// # Errors
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
-    pub fn schur_complement_with_factor(&self) -> Result<(Matrix, Option<LuFactor>)> {
+    pub(crate) fn schur_complement_with_factor(&self) -> Result<(Matrix, Option<LuFactor>)> {
         if self.a2.is_zero() || self.a3.is_zero() {
             return Ok((self.a4.clone(), None));
         }
@@ -142,7 +142,7 @@ impl BlockPartition {
     /// Fraction of structurally nonzero entries across the coupling
     /// blocks `A2` and `A3` — the routing signal of
     /// [`BlockPartition::schur_complement`].
-    pub fn coupling_density(&self) -> f64 {
+    pub(crate) fn coupling_density(&self) -> f64 {
         let nnz = |m: &Matrix| m.as_slice().iter().filter(|&&v| v != 0.0).count();
         let stored = nnz(&self.a2) + nnz(&self.a3);
         let total = self.a2.as_slice().len() + self.a3.as_slice().len();
@@ -215,7 +215,7 @@ impl BlockPartition {
     }
 
     /// Reassembles the original matrix from the four blocks (inverse of
-    /// [`BlockPartition::new`]).
+    /// `BlockPartition::new`).
     pub fn recompose(&self) -> Matrix {
         Matrix::from_blocks(&self.a1, &self.a2, &self.a3, &self.a4)
             .expect("blocks tile by construction")

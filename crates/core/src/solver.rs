@@ -11,7 +11,7 @@
 //! programmed into nonvolatile arrays once, then reused.
 //!
 //! Every architecture executes on the same recursive cascade core
-//! (`run_cascade` in [`crate::multi_stage`]); they differ only in tree
+//! (`run_cascade` in `crate::multi_stage`); they differ only in tree
 //! depth and signal path. The paper's three compared solvers map to:
 //!
 //! * `Stages::Original` — the baseline: one INV circuit with a single
@@ -48,7 +48,7 @@ pub enum Stages {
     Two,
     /// Multi-stage BlockAMC at the given depth (`Multi(1)` is the
     /// one-stage tree with natural-size MVM blocks; see
-    /// [`crate::multi_stage`]). `Multi(0)` is rejected by validation —
+    /// `crate::multi_stage`). `Multi(0)` is rejected by validation —
     /// use [`Stages::Original`] for a single full-size array.
     Multi(usize),
 }
@@ -87,7 +87,7 @@ impl SolverConfig {
     /// The architecture's default signal plan: the paper layout
     /// ([`SignalPlan::paper`]) at the architecture's depth, carrying
     /// `io` at every level.
-    pub fn default_signal_plan(stages: Stages, io: IoConfig) -> SignalPlan {
+    pub(crate) fn default_signal_plan(stages: Stages, io: IoConfig) -> SignalPlan {
         SignalPlan::paper(stages.depth(), io)
     }
 
@@ -119,7 +119,7 @@ impl SolverConfig {
     /// invalid converter configuration in the signal plan, or a plan
     /// with non-`Pure` entries deeper than the architecture's cascade
     /// (which would otherwise be silently ignored).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.stages == Stages::Multi(0) {
             return Err(BlockAmcError::config(
                 "Stages::Multi(0) has no cascade; use Stages::Original \
@@ -179,7 +179,7 @@ impl SolverConfig {
     /// The partition layout this configuration programs: natural-size
     /// MVM blocks for `Original`/`One`/`Multi`, the paper's quadrant
     /// tiling for `Two`, with the configured split rule.
-    pub fn partition_plan(&self) -> PartitionPlan {
+    pub(crate) fn partition_plan(&self) -> PartitionPlan {
         let base = match self.stages {
             Stages::Original => PartitionPlan::depth(0),
             Stages::One => PartitionPlan::depth(1),
@@ -288,7 +288,7 @@ impl SolverConfigBuilder {
     }
 
     /// Overrides the per-level signal plan (otherwise
-    /// [`SolverConfig::default_signal_plan`] of the selected
+    /// `SolverConfig::default_signal_plan` of the selected
     /// architecture is used).
     pub fn signal_plan(mut self, signal: SignalPlan) -> Self {
         self.signal = Some(signal);
@@ -313,7 +313,7 @@ impl SolverConfigBuilder {
     /// # Errors
     ///
     /// [`BlockAmcError::InvalidConfig`] for nonsensical configurations
-    /// (see [`SolverConfig::validate`]).
+    /// (see `SolverConfig::validate`).
     pub fn finish(self) -> Result<SolverConfig> {
         let config = SolverConfig {
             stages: self.stages,
@@ -481,7 +481,7 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     }
 
     /// Borrows the attached recorder (e.g. to flush it mid-run).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
+    pub(crate) fn recorder_mut(&mut self) -> &mut Recorder {
         &mut self.recorder
     }
 
@@ -499,21 +499,6 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     /// Borrows the engine (e.g. to read [`AmcEngine::stats`]).
     pub fn engine(&self) -> &E {
         &self.engine
-    }
-
-    /// Consumes the solver and returns the engine.
-    pub fn into_engine(self) -> E {
-        self.engine
-    }
-
-    /// The configured architecture.
-    pub fn stages(&self) -> Stages {
-        self.config.stages
-    }
-
-    /// Borrows the full configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// Partitions `a` per the configuration and programs every array of
@@ -637,29 +622,20 @@ pub struct PreparedSolver<'a, E: AmcEngine> {
 }
 
 impl<E: AmcEngine> PreparedSolver<'_, E> {
-    /// Problem size `n`.
-    pub fn size(&self) -> usize {
-        self.tree.size()
-    }
-
     /// Partition-tree depth.
     pub fn depth(&self) -> usize {
         self.tree.depth()
     }
 
     /// Largest programmed array dimension in the tree.
-    pub fn max_array_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_array_size(&self) -> usize {
         self.tree.max_leaf_size()
     }
 
     /// Borrows the engine (e.g. to read [`AmcEngine::stats`]).
     pub fn engine(&self) -> &E {
         self.engine
-    }
-
-    /// The configuration this solver was prepared under.
-    pub fn config(&self) -> &SolverConfig {
-        self.config
     }
 
     /// Solves `A·x = b` against the already-programmed arrays.
@@ -932,7 +908,7 @@ impl<E: AmcEngine> SolverReplica<E> {
     /// [`BlockAmcSolver::set_recorder`] for the bit-identity contract.
     /// The batch spares recorded on forks of the old recorder, so they
     /// are dropped; the next parallel batch forks the new one.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
         self.spares = Spares::default();
     }
@@ -1555,7 +1531,7 @@ mod tests {
             .signal_plan(plan.clone())
             .build(NumericEngine::new())
             .unwrap();
-        assert_eq!(solver.config().signal_plan(), &plan);
+        assert_eq!(solver.config.signal_plan(), &plan);
         let r = solver.solve(&a, &b).unwrap();
         let e = metrics::relative_error(&x_ref, &r.x);
         assert!(e > 1e-8, "12-bit bus hops at level 1 must quantize: {e}");

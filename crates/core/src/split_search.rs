@@ -14,14 +14,20 @@
 //! lower is better.
 
 use amc_linalg::eigen;
+use amc_linalg::lu::LuFactor;
 use amc_linalg::Matrix;
 
 use crate::partition::BlockPartition;
 use crate::{BlockAmcError, Result};
 
+/// A partition, its Schur complement `A4s`, and the `A1` factor the
+/// complement was computed with (`None` under the zero-block shortcut,
+/// which factorises nothing).
+pub(crate) type SchurSplit = (BlockPartition, Matrix, Option<LuFactor>);
+
 /// The score sheet of one candidate split.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SplitScore {
+pub(crate) struct SplitScore {
     /// The candidate split index.
     pub split: usize,
     /// Condition estimate of `A1`.
@@ -32,6 +38,11 @@ pub struct SplitScore {
     /// is singular or the Schur complement does not exist.
     pub score: f64,
 }
+
+/// A scored split with the partition, Schur complement and `A1` factor
+/// its score was computed from (`None` when the Schur complement does not
+/// exist).
+pub(crate) type Candidate = (SplitScore, Option<SchurSplit>);
 
 /// Options controlling the search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,39 +70,47 @@ impl Default for SplitSearchOptions {
 /// Returns partitioning errors for invalid `split`; a singular `A1`
 /// yields an infinite score rather than an error (it is a legitimate —
 /// just terrible — candidate).
-pub fn score_split(a: &Matrix, split: usize, opts: &SplitSearchOptions) -> Result<SplitScore> {
+pub(crate) fn score_split(
+    a: &Matrix,
+    split: usize,
+    opts: &SplitSearchOptions,
+) -> Result<Candidate> {
     let p = BlockPartition::new(a, split)?;
     let cond_a1 = eigen::symmetric_part_condition(&p.a1).unwrap_or(f64::INFINITY);
-    let (cond_a4s, score) = match p.schur_complement() {
-        Ok(a4s) => {
+    let (cond_a4s, score, parts) = match p.schur_complement_with_factor() {
+        Ok((a4s, lu)) => {
             let c = eigen::symmetric_part_condition(&a4s).unwrap_or(f64::INFINITY);
             let n = a.rows() as f64;
             let imbalance = ((2 * split) as f64 - n).abs() / n;
             let penalty = 1.0 + opts.imbalance_weight * imbalance;
-            (c, cond_a1.max(c) * penalty)
+            (c, cond_a1.max(c) * penalty, Some((p, a4s, lu)))
         }
-        Err(_) => (f64::INFINITY, f64::INFINITY),
+        Err(_) => (f64::INFINITY, f64::INFINITY, None),
     };
-    Ok(SplitScore {
-        split,
-        cond_a1,
-        cond_a4s,
-        score,
-    })
+    Ok((
+        SplitScore {
+            split,
+            cond_a1,
+            cond_a4s,
+            score,
+        },
+        parts,
+    ))
 }
 
-/// Scores every candidate and returns them sorted best-first.
+/// Scores every candidate and returns them sorted best-first (a stable
+/// sort: ties keep candidate order).
 ///
 /// # Errors
 ///
 /// * [`BlockAmcError::ShapeMismatch`] for a non-square matrix.
 /// * [`BlockAmcError::InvalidConfig`] if `candidates` is empty or contains
 ///   an out-of-range split.
-pub fn rank_splits(
+pub(crate) fn rank_splits(
     a: &Matrix,
     candidates: &[usize],
     opts: &SplitSearchOptions,
-) -> Result<Vec<SplitScore>> {
+) -> Result<Vec<Candidate>> {
     if !a.is_square() {
         return Err(BlockAmcError::ShapeMismatch {
             op: "split search",
@@ -106,7 +125,7 @@ pub fn rank_splits(
     for &s in candidates {
         scores.push(score_split(a, s, opts)?);
     }
-    scores.sort_by(|x, y| {
+    scores.sort_by(|(x, _), (y, _)| {
         x.score
             .partial_cmp(&y.score)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -114,16 +133,24 @@ pub fn rank_splits(
     Ok(scores)
 }
 
-/// Convenience for the recursive solvers: runs [`best_split`] and
-/// partitions the matrix at the winner (used by
+/// Runs [`best_split`] and hands over the winner's partition, Schur
+/// complement and `A1` factor, which scoring already computed (used by
 /// [`crate::multi_stage::SplitRule::Searched`]).
 ///
 /// # Errors
 ///
-/// Propagates [`best_split`] and partitioning failures.
-pub fn best_partition(a: &Matrix, opts: &SplitSearchOptions) -> Result<BlockPartition> {
-    let score = best_split(a, opts)?;
-    BlockPartition::new(a, score.split)
+/// Propagates [`best_split`] failures, and the winner's Schur complement
+/// error (e.g. [`BlockAmcError::SingularLeadingBlock`]) when no
+/// candidate has one.
+pub(crate) fn best_partition(a: &Matrix, opts: &SplitSearchOptions) -> Result<SchurSplit> {
+    match best_split(a, opts)? {
+        (_, Some(parts)) => Ok(parts),
+        (best, None) => {
+            let p = BlockPartition::new(a, best.split)?;
+            let (a4s, lu) = p.schur_complement_with_factor()?;
+            Ok((p, a4s, lu))
+        }
+    }
 }
 
 /// Picks the best split among a default candidate set (quartile points
@@ -132,7 +159,7 @@ pub fn best_partition(a: &Matrix, opts: &SplitSearchOptions) -> Result<BlockPart
 /// # Errors
 ///
 /// Propagates [`rank_splits`] failures; requires `n >= 4`.
-pub fn best_split(a: &Matrix, opts: &SplitSearchOptions) -> Result<SplitScore> {
+pub(crate) fn best_split(a: &Matrix, opts: &SplitSearchOptions) -> Result<Candidate> {
     let n = a.rows();
     if n < 4 {
         return Err(BlockAmcError::config(format!(
@@ -159,7 +186,7 @@ mod tests {
         // imbalance penalty should steer the choice to n/2.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let a = generate::wishart_default(16, &mut rng).unwrap();
-        let best = best_split(&a, &SplitSearchOptions::default()).unwrap();
+        let (best, _) = best_split(&a, &SplitSearchOptions::default()).unwrap();
         assert_eq!(best.split, 8);
     }
 
@@ -182,21 +209,55 @@ mod tests {
         let opts = SplitSearchOptions {
             imbalance_weight: 0.0,
         };
-        let s2 = score_split(&a, 2, &opts).unwrap();
-        let s4 = score_split(&a, 4, &opts).unwrap();
+        let (s2, _) = score_split(&a, 2, &opts).unwrap();
+        let (s4, _) = score_split(&a, 4, &opts).unwrap();
         // split=2 puts {1, 1e-6} inside A1 (κ=1e6); split=4 groups the
         // small scales {1e-6 x3, 1} -> same κ for A1 but A4s is identity.
         assert!(s2.cond_a1 > 1e5);
         assert!(s4.cond_a4s < 10.0);
         let ranked = rank_splits(&a, &[2, 4, 6], &opts).unwrap();
-        assert!(ranked[0].score <= ranked[1].score);
+        assert!(ranked[0].0.score <= ranked[1].0.score);
+    }
+
+    #[test]
+    fn best_partition_hands_over_the_scored_schur_complement() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let wishart = generate::wishart_default(16, &mut rng).unwrap();
+        // A tiny pivot at index 3 that only the Schur step repairs: every
+        // A1 holding it is ill-conditioned, so the quartile split 2 wins.
+        let mut skewed = Matrix::identity(8);
+        skewed[(3, 3)] = 1e-6;
+        skewed[(0, 3)] = 1.0;
+        skewed[(3, 0)] = -1.0;
+        let default = SplitSearchOptions::default();
+        assert_eq!(best_split(&skewed, &default).unwrap().0.split, 2);
+        let free = SplitSearchOptions {
+            imbalance_weight: 0.0,
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, opts) in [
+            (&wishart, default),
+            (&wishart, free),
+            (&skewed, default),
+            // Block diagonal: the zero-block shortcut factorises nothing.
+            (&Matrix::identity(8), default),
+        ] {
+            let split = best_split(a, &opts).unwrap().0.split;
+            let (p, a4s, lu) = best_partition(a, &opts).unwrap();
+            let fresh = BlockPartition::new(a, split).unwrap();
+            let (fresh_a4s, fresh_lu) = fresh.schur_complement_with_factor().unwrap();
+            assert_eq!(p, fresh, "split {split}");
+            assert_eq!(bits(&a4s), bits(&fresh_a4s), "split {split}");
+            // Debug prints every stored f64 in round-trip form.
+            assert_eq!(format!("{lu:?}"), format!("{fresh_lu:?}"), "split {split}");
+        }
     }
 
     #[test]
     fn singular_a1_gets_infinite_score_not_error() {
         let mut a = Matrix::identity(6);
         a[(0, 0)] = 0.0; // split=1 -> A1 = [0], singular.
-        let s = score_split(&a, 1, &SplitSearchOptions::default()).unwrap();
+        let (s, _) = score_split(&a, 1, &SplitSearchOptions::default()).unwrap();
         assert_eq!(s.score, f64::INFINITY);
     }
 
@@ -221,12 +282,12 @@ mod tests {
         let with_penalty = SplitSearchOptions {
             imbalance_weight: 10.0,
         };
-        let edge_free = score_split(&a, 2, &no_penalty).unwrap().score;
-        let edge_pen = score_split(&a, 2, &with_penalty).unwrap().score;
+        let edge_free = score_split(&a, 2, &no_penalty).unwrap().0.score;
+        let edge_pen = score_split(&a, 2, &with_penalty).unwrap().0.score;
         assert!(edge_pen > edge_free);
         // The midpoint is unaffected by the penalty.
-        let mid_free = score_split(&a, 8, &no_penalty).unwrap().score;
-        let mid_pen = score_split(&a, 8, &with_penalty).unwrap().score;
+        let mid_free = score_split(&a, 8, &no_penalty).unwrap().0.score;
+        let mid_pen = score_split(&a, 8, &with_penalty).unwrap().0.score;
         assert!((mid_free - mid_pen).abs() < 1e-12);
     }
 

@@ -56,7 +56,7 @@ mod tests {
         }
         let (_, b) = workload(8, 3);
         let opts = SplitSearchOptions::default();
-        assert_ne!(best_split(&a, &opts).unwrap().split, 4);
+        assert_ne!(best_split(&a, &opts).unwrap().0.split, 4);
         let mut solver = SolverConfig::builder()
             .split_rule(SplitRule::Searched(opts))
             .build(NumericEngine::new())

@@ -3,7 +3,6 @@
 use amc_linalg::Matrix;
 use rand::Rng;
 
-use crate::cell::RramCell;
 use crate::mapping::{MappingConfig, MatrixMapping};
 use crate::variation::VariationModel;
 use crate::{DeviceError, Result};
@@ -11,47 +10,38 @@ use crate::{DeviceError, Result};
 /// A crosspoint RRAM array holding one non-negative conductance matrix.
 ///
 /// Rows correspond to word lines (WLs) and columns to bit lines (BLs),
-/// matching Fig. 1 of the paper.
+/// matching Fig. 1 of the paper. A conductance of exactly `0.0` models an
+/// unselected cell (the 1T1R selector keeps the device out of the circuit),
+/// which is how zero matrix elements are realized in hardware.
 ///
 /// # Example
 ///
 /// ```
-/// use amc_device::array::CrossbarArray;
+/// use amc_device::array::ProgrammedMatrix;
+/// use amc_device::mapping::MappingConfig;
+/// use amc_device::variation::VariationModel;
 /// use amc_linalg::Matrix;
+/// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), amc_device::DeviceError> {
-/// let g = Matrix::from_rows(&[&[1e-4, 0.0], &[5e-5, 2e-5]])?;
-/// let array = CrossbarArray::from_conductances(&g)?;
-/// assert_eq!(array.conductances(), g);
-/// assert_eq!(array.programmed_cell_count(), 3);
+/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[-0.5, 0.25]])?;
+/// let cfg = MappingConfig::paper_default();
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+/// let p = ProgrammedMatrix::program(&a, &cfg, &VariationModel::None, &mut rng)?;
+/// // Each sign lands on its own array; zeros leave their cells unselected.
+/// let (g_pos, g_neg) = (p.pos().conductances(), p.neg().conductances());
+/// assert!((g_pos[(0, 0)] - cfg.g0).abs() < 1e-18);
+/// assert_eq!(g_pos[(1, 0)], 0.0);
+/// assert!((g_neg[(1, 0)] - 0.5 * cfg.g0).abs() < 1e-18);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarArray {
-    rows: usize,
-    cols: usize,
-    cells: Vec<RramCell>,
+    g: Matrix,
 }
 
 impl CrossbarArray {
-    /// Creates an array of deselected (zero-conductance) cells with the
-    /// default device window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidConfig`] if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(DeviceError::config("array dimensions must be positive"));
-        }
-        Ok(CrossbarArray {
-            rows,
-            cols,
-            cells: vec![RramCell::with_default_window(); rows * cols],
-        })
-    }
-
     /// Creates an array directly from a matrix of conductance values in
     /// siemens (bypassing window checks — values are stored verbatim, which
     /// is what the circuit simulator needs after variation sampling may
@@ -61,7 +51,7 @@ impl CrossbarArray {
     ///
     /// Returns [`DeviceError::InvalidConfig`] if `g` is empty or contains
     /// negative or non-finite values.
-    pub fn from_conductances(g: &Matrix) -> Result<Self> {
+    fn from_conductances(g: &Matrix) -> Result<Self> {
         if g.rows() == 0 || g.cols() == 0 {
             return Err(DeviceError::config("array dimensions must be positive"));
         }
@@ -70,64 +60,12 @@ impl CrossbarArray {
                 "conductances must be finite and non-negative",
             ));
         }
-        let mut array = CrossbarArray::new(g.rows(), g.cols())?;
-        for i in 0..g.rows() {
-            for j in 0..g.cols() {
-                array.cells[i * g.cols() + j].force(g[(i, j)]);
-            }
-        }
-        Ok(array)
-    }
-
-    /// Number of word lines (rows).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of bit lines (columns).
-    pub fn cols(&self) -> usize {
-        self.cols
+        Ok(CrossbarArray { g: g.clone() })
     }
 
     /// Reads the whole array back as a conductance matrix in siemens.
     pub fn conductances(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
-            self.cells[i * self.cols + j].read()
-        })
-    }
-
-    /// Reads a single cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn cell(&self, row: usize, col: usize) -> &RramCell {
-        assert!(row < self.rows && col < self.cols, "index out of bounds");
-        &self.cells[row * self.cols + col]
-    }
-
-    /// Number of cells holding a non-zero conductance.
-    pub fn programmed_cell_count(&self) -> usize {
-        self.cells.iter().filter(|c| !c.is_deselected()).count()
-    }
-
-    /// Sum of all conductances — proportional to the array's static power
-    /// draw under unit bias, used by the architecture model.
-    pub fn total_conductance(&self) -> f64 {
-        self.cells.iter().map(RramCell::read).sum()
-    }
-
-    /// Largest sum of conductances along any word line. The MVM circuit's
-    /// settling time is linear in this quantity (Sun & Huang, TCAS-II
-    /// 2021), so the timing model consumes it.
-    pub fn max_row_conductance_sum(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                (0..self.cols)
-                    .map(|j| self.cells[i * self.cols + j].read())
-                    .sum::<f64>()
-            })
-            .fold(0.0_f64, f64::max)
+        self.g.clone()
     }
 }
 
@@ -193,7 +131,7 @@ impl ProgrammedMatrix {
 
     /// Shape `(rows, cols)` of the represented matrix.
     pub fn shape(&self) -> (usize, usize) {
-        (self.pos.rows(), self.pos.cols())
+        self.pos.g.shape()
     }
 
     /// The *normalized* signed conductance matrix `(G⁺ − G⁻) / g0` the
@@ -233,12 +171,10 @@ mod tests {
 
     #[test]
     fn array_construction_validation() {
-        assert!(CrossbarArray::new(0, 4).is_err());
-        assert!(CrossbarArray::new(4, 0).is_err());
-        let a = CrossbarArray::new(3, 5).unwrap();
-        assert_eq!(a.rows(), 3);
-        assert_eq!(a.cols(), 5);
-        assert_eq!(a.programmed_cell_count(), 0);
+        assert!(CrossbarArray::from_conductances(&Matrix::zeros(0, 4)).is_err());
+        assert!(CrossbarArray::from_conductances(&Matrix::zeros(4, 0)).is_err());
+        let a = CrossbarArray::from_conductances(&Matrix::zeros(3, 5)).unwrap();
+        assert_eq!(a.conductances().shape(), (3, 5));
     }
 
     #[test]
@@ -254,10 +190,6 @@ mod tests {
         let g = Matrix::from_rows(&[&[1e-4, 0.0], &[5e-5, 2e-5]]).unwrap();
         let a = CrossbarArray::from_conductances(&g).unwrap();
         assert_eq!(a.conductances(), g);
-        assert_eq!(a.programmed_cell_count(), 3);
-        assert!((a.total_conductance() - 1.7e-4).abs() < 1e-18);
-        assert!((a.max_row_conductance_sum() - 1e-4).abs() < 1e-18);
-        assert_eq!(a.cell(0, 0).read(), 1e-4);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! variation with σ = 0.05·G₀. This crate implements exactly that device
 //! abstraction, plus the practical machinery around it:
 //!
-//! * [`cell::RramCell`] — a single memory cell with a bounded conductance
-//!   range and program/read operations.
 //! * [`variation::VariationModel`] — programming-noise models (none /
 //!   Gaussian / lognormal), applied at write-and-verify time.
 //! * [`quant::Quantizer`] — finite conductance-level quantization, for
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod cell;
 pub mod drift;
 mod error;
 pub mod faults;
@@ -61,4 +58,4 @@ pub mod variation;
 pub use error::DeviceError;
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, DeviceError>;
+pub(crate) type Result<T> = std::result::Result<T, DeviceError>;

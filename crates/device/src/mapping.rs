@@ -15,7 +15,20 @@ use amc_linalg::Matrix;
 use crate::faults::FaultModel;
 use crate::quant::Quantizer;
 use crate::variation::VariationModel;
-use crate::{cell, DeviceError, Result};
+use crate::{DeviceError, Result};
+
+/// Default minimum programmable conductance (high-resistance state), 1 µS.
+///
+/// Typical analog RRAM devices have an ON/OFF conductance window of about
+/// two orders of magnitude (e.g. Park et al., IEEE EDL 2016); with the
+/// paper's unit conductance G₀ = 100 µS this gives a 1 µS floor.
+const DEFAULT_G_MIN: f64 = 1e-6;
+
+/// Default maximum programmable conductance (low-resistance state), 150 µS.
+///
+/// Slightly above the paper's G₀ = 100 µS so that a matrix normalized to a
+/// maximum element of 1 maps comfortably inside the window.
+const DEFAULT_G_MAX: f64 = 1.5e-4;
 
 /// Static configuration of the matrix → conductance mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +53,8 @@ impl MappingConfig {
     pub fn paper_default() -> Self {
         MappingConfig {
             g0: 1e-4,
-            g_min: cell::DEFAULT_G_MIN,
-            g_max: cell::DEFAULT_G_MAX,
+            g_min: DEFAULT_G_MIN,
+            g_max: DEFAULT_G_MAX,
             quantizer: None,
             faults: FaultModel::none(),
         }
@@ -53,7 +66,7 @@ impl MappingConfig {
     ///
     /// Returns [`DeviceError::InvalidConfig`] if `g0` is non-positive or
     /// outside the device window, or the window itself is invalid.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.g_min > 0.0 && self.g_min < self.g_max) {
             return Err(DeviceError::config(format!(
                 "device window requires 0 < g_min < g_max, got [{}, {}]",
@@ -150,7 +163,7 @@ impl MatrixMapping {
     }
 
     /// Unit conductance in siemens.
-    pub fn g0(&self) -> f64 {
+    pub(crate) fn g0(&self) -> f64 {
         self.g0
     }
 
@@ -164,23 +177,13 @@ impl MatrixMapping {
         &self.g_neg
     }
 
-    /// Reconstructs the mathematical matrix these targets represent
-    /// (inverse of the ideal mapping): `(G⁺ − G⁻) · scale / g0`.
-    pub fn reconstruct(&self) -> Matrix {
-        let diff = self
-            .g_pos
-            .sub_matrix(&self.g_neg)
-            .expect("pos/neg targets share a shape by construction");
-        diff.scaled(self.scale / self.g0)
-    }
-
     /// Samples programmed (noisy / faulty) conductances for both arrays.
     ///
     /// Order of effects per cell: stuck-at faults first (a stuck cell
     /// ignores programming entirely), then programming variation on the
     /// quantized target. Results are clamped into `[0, ∞)` by the
     /// variation model.
-    pub fn sample_programmed<R: rand::Rng + ?Sized>(
+    pub(crate) fn sample_programmed<R: rand::Rng + ?Sized>(
         &self,
         cfg: &MappingConfig,
         variation: &VariationModel,
@@ -244,14 +247,6 @@ mod tests {
         // Zero elements deselect both arrays.
         assert_eq!(m.g_pos()[(1, 1)], 0.0);
         assert_eq!(m.g_neg()[(1, 1)], 0.0);
-    }
-
-    #[test]
-    fn reconstruct_inverts_ideal_mapping() {
-        let cfg = MappingConfig::paper_default();
-        let a = sample_matrix();
-        let m = MatrixMapping::new(&a, &cfg).unwrap();
-        assert!(m.reconstruct().approx_eq(&a, 1e-15));
     }
 
     #[test]

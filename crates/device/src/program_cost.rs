@@ -66,7 +66,7 @@ impl ProgramCostModel {
     /// # Errors
     ///
     /// Returns [`DeviceError::InvalidConfig`] unless `0 < accuracy < 1`.
-    pub fn pulses_per_cell(&self, accuracy: f64) -> Result<f64> {
+    pub(crate) fn pulses_per_cell(&self, accuracy: f64) -> Result<f64> {
         self.validate()?;
         if !(accuracy > 0.0 && accuracy < 1.0) {
             return Err(DeviceError::config(format!(

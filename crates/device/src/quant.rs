@@ -56,13 +56,8 @@ impl Quantizer {
         })
     }
 
-    /// Number of quantization states.
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
     /// Spacing between adjacent states.
-    pub fn step(&self) -> f64 {
+    pub(crate) fn step(&self) -> f64 {
         (self.g_max - self.g_min) / (self.levels - 1) as f64
     }
 
@@ -76,11 +71,6 @@ impl Quantizer {
         let step = self.step();
         let idx = ((clamped - self.g_min) / step).round();
         self.g_min + idx * step
-    }
-
-    /// Worst-case quantization error (half a step).
-    pub fn max_error(&self) -> f64 {
-        self.step() / 2.0
     }
 }
 
@@ -125,7 +115,7 @@ mod tests {
         for i in 0..1000 {
             let v = i as f64 / 999.0;
             let e = (q.quantize(v) - v).abs();
-            assert!(e <= q.max_error() + 1e-15, "v={v} e={e}");
+            assert!(e <= q.step() / 2.0 + 1e-15, "v={v} e={e}");
         }
     }
 

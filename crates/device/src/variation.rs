@@ -52,21 +52,13 @@ impl VariationModel {
         VariationModel::Gaussian { sigma: 0.05 * g0 }
     }
 
-    /// Gaussian variation expressed as a fraction of the unit conductance,
-    /// matching the paper's "s = 0.05" figure annotations.
-    pub fn gaussian_relative(sigma_over_g0: f64, g0: f64) -> Self {
-        VariationModel::Gaussian {
-            sigma: sigma_over_g0 * g0,
-        }
-    }
-
     /// Validates the model parameters.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::InvalidConfig`] if a deviation parameter is
     /// negative or not finite.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let ok = match *self {
             VariationModel::None => true,
             VariationModel::Gaussian { sigma } => sigma.is_finite() && sigma >= 0.0,
@@ -82,11 +74,6 @@ impl VariationModel {
         }
     }
 
-    /// Returns `true` for [`VariationModel::None`].
-    pub fn is_none(&self) -> bool {
-        matches!(self, VariationModel::None)
-    }
-
     /// Samples the conductance actually stored when programming `target`
     /// siemens.
     ///
@@ -94,7 +81,7 @@ impl VariationModel {
     /// unselected 1T1R cell contributes no conductance regardless of device
     /// variability. Sampled values are clamped at zero from below — a
     /// resistor cannot have negative conductance.
-    pub fn sample<R: Rng + ?Sized>(&self, target: f64, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, target: f64, rng: &mut R) -> f64 {
         if target == 0.0 {
             return 0.0;
         }
@@ -129,7 +116,6 @@ mod tests {
     fn none_is_exact() {
         let mut r = rng(1);
         assert_eq!(VariationModel::None.sample(5e-5, &mut r), 5e-5);
-        assert!(VariationModel::None.is_none());
     }
 
     #[test]
@@ -137,10 +123,6 @@ mod tests {
         let g0 = 1e-4;
         let m = VariationModel::paper_default(g0);
         assert_eq!(m, VariationModel::Gaussian { sigma: 5e-6 });
-        assert_eq!(
-            VariationModel::gaussian_relative(0.05, g0),
-            VariationModel::Gaussian { sigma: 5e-6 }
-        );
     }
 
     #[test]
@@ -209,6 +191,6 @@ mod tests {
             .validate()
             .is_ok());
         assert!(VariationModel::None.validate().is_ok());
-        assert!(VariationModel::default().is_none());
+        assert_eq!(VariationModel::default(), VariationModel::None);
     }
 }

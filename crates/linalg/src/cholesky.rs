@@ -70,13 +70,8 @@ impl CholeskyFactor {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
-    }
-
-    /// Borrows the lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
     }
 
     /// Solves `A·x = b`.
@@ -113,12 +108,6 @@ impl CholeskyFactor {
         }
         Ok(x)
     }
-
-    /// Determinant of the original matrix (always positive for SPD input).
-    pub fn det(&self) -> f64 {
-        let d: f64 = self.l.diag().iter().product();
-        d * d
-    }
 }
 
 /// Returns `true` if `a` is symmetric positive definite (checks symmetry to
@@ -141,14 +130,14 @@ mod tests {
         let chol = CholeskyFactor::new(&spd_sample()).unwrap();
         let expected =
             Matrix::from_rows(&[&[5.0, 0.0, 0.0], &[3.0, 3.0, 0.0], &[-1.0, 1.0, 3.0]]).unwrap();
-        assert!(chol.l().approx_eq(&expected, 1e-12));
+        assert!(chol.l.approx_eq(&expected, 1e-12));
     }
 
     #[test]
     fn l_lt_reconstructs_a() {
         let a = spd_sample();
         let chol = CholeskyFactor::new(&a).unwrap();
-        let back = chol.l().matmul(&chol.l().transpose()).unwrap();
+        let back = chol.l.matmul(&chol.l.transpose()).unwrap();
         assert!(back.approx_eq(&a, 1e-12));
     }
 
@@ -176,13 +165,6 @@ mod tests {
     fn rejects_non_square() {
         assert!(CholeskyFactor::new(&Matrix::zeros(2, 3)).is_err());
         assert!(CholeskyFactor::new(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn determinant_is_product_of_squares() {
-        let chol = CholeskyFactor::new(&spd_sample()).unwrap();
-        // det(L) = 5*3*3 = 45, det(A) = 45^2.
-        assert!((chol.det() - 2025.0).abs() < 1e-9);
     }
 
     #[test]

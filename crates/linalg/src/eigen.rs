@@ -120,19 +120,6 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     })
 }
 
-/// Eigenvalue extremes `(λ_min, λ_max)` of a symmetric matrix.
-///
-/// # Errors
-///
-/// Same conditions as [`symmetric_eigen`].
-pub fn eigen_extremes(a: &Matrix) -> Result<(f64, f64)> {
-    let e = symmetric_eigen(a)?;
-    Ok((
-        *e.values.first().expect("non-empty by construction"),
-        *e.values.last().expect("non-empty by construction"),
-    ))
-}
-
 /// Spectral condition number `|λ|_max / |λ|_min` of a symmetric matrix.
 ///
 /// Returns `f64::INFINITY` for a singular matrix.
@@ -140,7 +127,7 @@ pub fn eigen_extremes(a: &Matrix) -> Result<(f64, f64)> {
 /// # Errors
 ///
 /// Same conditions as [`symmetric_eigen`].
-pub fn spectral_condition(a: &Matrix) -> Result<f64> {
+fn spectral_condition(a: &Matrix) -> Result<f64> {
     let e = symmetric_eigen(a)?;
     let abs_min = e
         .values
@@ -235,7 +222,8 @@ mod tests {
     fn spd_matrices_have_positive_spectrum() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let a = generate::random_spd_toeplitz(16, 8, 0.02, &mut rng).unwrap();
-        let (lo, hi) = eigen_extremes(&a).unwrap();
+        let e = symmetric_eigen(&a).unwrap();
+        let (lo, hi) = (e.values[0], e.values[e.values.len() - 1]);
         assert!(lo > 0.0);
         assert!(hi >= lo);
     }

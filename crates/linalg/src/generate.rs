@@ -11,7 +11,6 @@
 //! repro harness seeds a `rand_chacha::ChaCha8Rng` per (figure, size, trial).
 
 use crate::{LinalgError, Matrix, Result};
-use rand::distributions::Distribution;
 use rand::Rng;
 
 /// Samples a standard normal value using the Box-Muller transform.
@@ -22,16 +21,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// A distribution adapter producing standard normal samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StandardNormal;
-
-impl Distribution<f64> for StandardNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        standard_normal(rng)
-    }
 }
 
 /// Generates an `rows x cols` matrix with i.i.d. standard normal entries.
@@ -58,7 +47,7 @@ pub fn gaussian<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matri
 /// # Errors
 ///
 /// Returns [`LinalgError::InvalidArgument`] if `n == 0` or `m < n`.
-pub fn wishart<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Result<Matrix> {
+pub(crate) fn wishart<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Result<Matrix> {
     if n == 0 {
         return Err(LinalgError::invalid("wishart size must be positive"));
     }
@@ -75,7 +64,7 @@ pub fn wishart<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Result<Matri
 }
 
 /// Generates an `n x n` Wishart matrix with the reproduction's default
-/// degrees-of-freedom choice `m = 4n` (see [`wishart`] for why).
+/// degrees-of-freedom choice `m = 4n` (see `wishart` for why).
 ///
 /// # Errors
 ///
@@ -93,7 +82,7 @@ pub fn wishart_default<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Result<Matrix>
 /// Returns [`LinalgError::InvalidArgument`] if the inputs are empty, have
 /// different lengths, or disagree on the shared diagonal element
 /// `first_col[0] != first_row[0]`.
-pub fn toeplitz(first_col: &[f64], first_row: &[f64]) -> Result<Matrix> {
+pub(crate) fn toeplitz(first_col: &[f64], first_row: &[f64]) -> Result<Matrix> {
     if first_col.is_empty() {
         return Err(LinalgError::invalid("toeplitz inputs must be non-empty"));
     }
@@ -239,7 +228,7 @@ pub fn random_toeplitz_conditioned<R: Rng + ?Sized>(
 /// guard of [`DEFAULT_TOEPLITZ_MAX_COND`] a draw passes with high
 /// probability, so the budget is almost never exhausted; it exists to
 /// bound the worst case.
-pub const MAX_TOEPLITZ_RESAMPLES: usize = 16;
+pub(crate) const MAX_TOEPLITZ_RESAMPLES: usize = 16;
 
 /// The workspace-wide default condition ceiling for guarded raw
 /// Toeplitz draws: generous enough to keep the family genuinely
@@ -585,22 +574,6 @@ pub fn random_vector<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
-/// Generates a random unit-norm vector.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn random_unit_vector<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<f64> {
-    assert!(n > 0, "vector length must be positive");
-    loop {
-        let v: Vec<f64> = (0..n).map(|_| standard_normal(rng)).collect();
-        let norm = crate::vector::norm2(&v);
-        if norm > 1e-12 {
-            return v.into_iter().map(|x| x / norm).collect();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,14 +846,12 @@ mod tests {
         let v = random_vector(10, &mut r);
         assert_eq!(v.len(), 10);
         assert!(v.iter().all(|&x| (-1.0..1.0).contains(&x)));
-        let u = random_unit_vector(10, &mut r);
-        assert!((crate::vector::norm2(&u) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn standard_normal_distribution_adapter() {
         let mut r = rng(8);
-        let samples: Vec<f64> = (0..1000).map(|_| StandardNormal.sample(&mut r)).collect();
+        let samples: Vec<f64> = (0..1000).map(|_| standard_normal(&mut r)).collect();
         let mean = samples.iter().sum::<f64>() / 1000.0;
         assert!(mean.abs() < 0.15);
     }

@@ -1,14 +1,13 @@
 //! Iterative solvers and preconditioners.
 //!
-//! Two distinct consumers exist in this workspace:
+//! Two consumers exist in this workspace:
 //!
 //! 1. The exact interconnect grid model in `amc-circuit` solves large sparse
-//!    SPD systems (resistive-network Laplacians) with [`conjugate_gradient`]
-//!    and nonsymmetric MNA systems with [`bicgstab`].
+//!    SPD systems (resistive-network Laplacians) with [`conjugate_gradient`].
 //! 2. The "AMC as seed/preconditioner" experiments (paper §IV: AMC
 //!    "provide\[s\] a seed solution … to speed up the convergence of iterative
-//!    algorithms") use [`richardson_refine`] and the CG iteration counter to
-//!    quantify how many digital iterations an analog seed saves.
+//!    algorithms") warm-start [`conjugate_gradient`] from an analog solution
+//!    and count how many digital iterations the seed saves.
 
 use crate::sparse::CsrMatrix;
 use crate::vector::{axpy, dot, norm2};
@@ -73,116 +72,6 @@ impl Preconditioner for JacobiPrecond {
             .zip(&self.inv_diag)
             .map(|(&ri, &di)| ri * di)
             .collect()
-    }
-}
-
-/// Incomplete LU factorization with zero fill-in, ILU(0).
-///
-/// Robust general-purpose preconditioner for the nonsymmetric MNA systems
-/// produced by the exact interconnect model.
-#[derive(Debug, Clone)]
-pub struct Ilu0Precond {
-    /// The factorized matrix in CSR layout (same sparsity as the input).
-    factors: CsrMatrix,
-}
-
-impl Ilu0Precond {
-    /// Computes the ILU(0) factorization of a square CSR matrix.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::NonSquare`] if the matrix is not square.
-    /// * [`LinalgError::Singular`] if a pivot vanishes.
-    pub fn new(a: &CsrMatrix) -> Result<Self> {
-        if a.nrows() != a.ncols() {
-            return Err(LinalgError::NonSquare {
-                rows: a.nrows(),
-                cols: a.ncols(),
-            });
-        }
-        let n = a.nrows();
-        // Work on a dense-row representation of each sparse row for clarity;
-        // rows stay sparse (we only touch stored positions).
-        let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
-            .map(|r| {
-                let (cols, vals) = a.row_entries(r);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        // This is O(n * nnz_row^2); fine for grid matrices.
-        for i in 0..n {
-            let row_i = rows[i].clone();
-            let mut new_row = row_i.clone();
-            for (pos, &(k, _)) in row_i.iter().enumerate() {
-                if k >= i {
-                    break;
-                }
-                // a_ik = a_ik / a_kk
-                let akk = rows[k]
-                    .iter()
-                    .find(|&&(c, _)| c == k)
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0.0);
-                if akk == 0.0 {
-                    return Err(LinalgError::Singular { pivot: k });
-                }
-                let aik = new_row[pos].1 / akk;
-                new_row[pos].1 = aik;
-                // a_ij -= a_ik * a_kj for j > k present in row i's pattern.
-                for entry in new_row.iter_mut() {
-                    let (j, ref mut v) = *entry;
-                    if j > k {
-                        if let Some(&(_, akj)) = rows[k].iter().find(|&&(c, _)| c == j) {
-                            *v -= aik * akj;
-                        }
-                    }
-                }
-            }
-            rows[i] = new_row;
-        }
-        let triplets: Vec<(usize, usize, f64)> = rows
-            .into_iter()
-            .enumerate()
-            .flat_map(|(r, row)| row.into_iter().map(move |(c, v)| (r, c, v)))
-            .collect();
-        Ok(Ilu0Precond {
-            factors: CsrMatrix::from_triplets(n, n, &triplets)?,
-        })
-    }
-}
-
-impl Preconditioner for Ilu0Precond {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let n = self.factors.nrows();
-        // Forward solve L·y = r (unit diagonal L below the diagonal).
-        let mut y = r.to_vec();
-        for i in 0..n {
-            let (cols, vals) = self.factors.row_entries(i);
-            let mut sum = y[i];
-            for (&col, &v) in cols.iter().zip(vals) {
-                if col >= i {
-                    break;
-                }
-                sum -= v * y[col];
-            }
-            y[i] = sum;
-        }
-        // Backward solve U·x = y.
-        let mut x = y;
-        for i in (0..n).rev() {
-            let (cols, vals) = self.factors.row_entries(i);
-            let mut sum = x[i];
-            let mut diag = 1.0;
-            for (&col, &v) in cols.iter().zip(vals) {
-                if col > i {
-                    sum -= v * x[col];
-                } else if col == i {
-                    diag = v;
-                }
-            }
-            x[i] = sum / diag;
-        }
-        x
     }
 }
 
@@ -310,163 +199,6 @@ pub fn conjugate_gradient<P: Preconditioner>(
     })
 }
 
-/// Preconditioned BiCGSTAB for general (nonsymmetric) systems.
-///
-/// # Errors
-///
-/// * Shape errors for mismatched inputs.
-/// * [`LinalgError::ConvergenceFailure`] on stagnation/breakdown or if
-///   `opts.max_iterations` is reached.
-pub fn bicgstab<P: Preconditioner>(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    precond: &P,
-    opts: IterOptions,
-) -> Result<IterationReport> {
-    check_system(a, b, x0)?;
-    let n = b.len();
-    let mut x = x0.map(<[f64]>::to_vec).unwrap_or_else(|| vec![0.0; n]);
-    let ax = a.matvec(&x)?;
-    let mut r = crate::vector::sub(b, &ax);
-    let norm_b = norm2(b).max(f64::MIN_POSITIVE);
-    if norm2(&r) / norm_b <= opts.tolerance {
-        let residual = norm2(&r);
-        return Ok(IterationReport {
-            x,
-            iterations: 0,
-            residual,
-        });
-    }
-    let r_hat = r.clone();
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    let mut v = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    for it in 1..=opts.max_iterations {
-        let rho_new = dot(&r_hat, &r);
-        if rho_new.abs() < f64::MIN_POSITIVE {
-            return Err(LinalgError::ConvergenceFailure {
-                iterations: it,
-                residual: norm2(&r),
-                tolerance: opts.tolerance,
-            });
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        let p_hat = precond.apply(&p);
-        v = a.matvec(&p_hat)?;
-        let denom = dot(&r_hat, &v);
-        if denom.abs() < f64::MIN_POSITIVE {
-            return Err(LinalgError::ConvergenceFailure {
-                iterations: it,
-                residual: norm2(&r),
-                tolerance: opts.tolerance,
-            });
-        }
-        alpha = rho / denom;
-        let mut s = r.clone();
-        axpy(-alpha, &v, &mut s);
-        if norm2(&s) / norm_b <= opts.tolerance {
-            axpy(alpha, &p_hat, &mut x);
-            let residual = norm2(&s);
-            return Ok(IterationReport {
-                x,
-                iterations: it,
-                residual,
-            });
-        }
-        let s_hat = precond.apply(&s);
-        let t = a.matvec(&s_hat)?;
-        let tt = dot(&t, &t);
-        if tt == 0.0 {
-            return Err(LinalgError::ConvergenceFailure {
-                iterations: it,
-                residual: norm2(&s),
-                tolerance: opts.tolerance,
-            });
-        }
-        omega = dot(&t, &s) / tt;
-        axpy(alpha, &p_hat, &mut x);
-        axpy(omega, &s_hat, &mut x);
-        r = s;
-        axpy(-omega, &t, &mut r);
-        let res = norm2(&r);
-        if res / norm_b <= opts.tolerance {
-            return Ok(IterationReport {
-                x,
-                iterations: it,
-                residual: res,
-            });
-        }
-        if omega == 0.0 {
-            return Err(LinalgError::ConvergenceFailure {
-                iterations: it,
-                residual: res,
-                tolerance: opts.tolerance,
-            });
-        }
-    }
-    Err(LinalgError::ConvergenceFailure {
-        iterations: opts.max_iterations,
-        residual: norm2(&r),
-        tolerance: opts.tolerance,
-    })
-}
-
-/// Richardson iterative refinement: repeatedly solves the residual equation
-/// with the supplied *approximate* solve operator and updates the iterate.
-///
-/// `approx_solve` plays the role of the analog AMC engine: it receives a
-/// residual and returns an approximate correction. This mirrors the paper's
-/// positioning of AMC as a preconditioner for digital refinement.
-///
-/// Returns the refined solution and the number of refinement steps used.
-///
-/// # Errors
-///
-/// * Shape errors for mismatched inputs.
-/// * [`LinalgError::ConvergenceFailure`] if `max_steps` is reached without
-///   meeting `tolerance` (relative residual).
-pub fn richardson_refine(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    mut approx_solve: impl FnMut(&[f64]) -> Vec<f64>,
-    tolerance: f64,
-    max_steps: usize,
-) -> Result<IterationReport> {
-    check_system(a, b, Some(x0))?;
-    let mut x = x0.to_vec();
-    let norm_b = norm2(b).max(f64::MIN_POSITIVE);
-    for step in 0..=max_steps {
-        let ax = a.matvec(&x)?;
-        let r = crate::vector::sub(b, &ax);
-        let res = norm2(&r);
-        if res / norm_b <= tolerance {
-            return Ok(IterationReport {
-                x,
-                iterations: step,
-                residual: res,
-            });
-        }
-        if step == max_steps {
-            return Err(LinalgError::ConvergenceFailure {
-                iterations: max_steps,
-                residual: res,
-                tolerance,
-            });
-        }
-        let dx = approx_solve(&r);
-        axpy(1.0, &dx, &mut x);
-    }
-    unreachable!("loop returns before exhausting range");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,61 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_solves_nonsymmetric() {
-        let n = 30;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 4.0));
-            if i > 0 {
-                t.push((i, i - 1, -1.0));
-            }
-            if i + 1 < n {
-                t.push((i, i + 1, -2.0)); // asymmetry
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let rep = bicgstab(&a, &b, None, &IdentityPrecond, IterOptions::default()).unwrap();
-        assert!(vector::approx_eq(&rep.x, &x_true, 1e-6));
-    }
-
-    #[test]
-    fn ilu0_precond_accelerates_bicgstab() {
-        let n = 60;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 4.0));
-            if i > 0 {
-                t.push((i, i - 1, -1.0));
-            }
-            if i + 1 < n {
-                t.push((i, i + 1, -2.0));
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &t).unwrap();
-        let b = vec![1.0; n];
-        let plain = bicgstab(&a, &b, None, &IdentityPrecond, IterOptions::default()).unwrap();
-        let ilu = Ilu0Precond::new(&a).unwrap();
-        let pre = bicgstab(&a, &b, None, &ilu, IterOptions::default()).unwrap();
-        assert!(pre.iterations <= plain.iterations);
-        // Both converge to the same solution.
-        assert!(vector::approx_eq(&pre.x, &plain.x, 1e-6));
-    }
-
-    #[test]
-    fn ilu0_exact_for_tridiagonal() {
-        // ILU(0) of a tridiagonal matrix is the exact LU: the preconditioner
-        // solves the system in a single application.
-        let a = poisson(10);
-        let ilu = Ilu0Precond::new(&a).unwrap();
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let x = ilu.apply(&b);
-        assert!(vector::approx_eq(&x, &x_true, 1e-10));
-    }
-
-    #[test]
     fn warm_start_reduces_cg_iterations() {
         // Well-conditioned system (diag 4, off-diag -1): CG converges at its
         // asymptotic rate well before the exact-termination bound of n
@@ -628,43 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn richardson_refines_with_approximate_solver() {
-        let n = 20;
-        let a = poisson(n);
-        let dense = a.to_dense();
-        let lu = crate::lu::LuFactor::new(&dense).unwrap();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let b = a.matvec(&x_true).unwrap();
-        // Approximate solver: exact solve + 5% multiplicative error.
-        let rep = richardson_refine(
-            &a,
-            &b,
-            &vec![0.0; n],
-            |r| lu.solve(r).unwrap().iter().map(|v| v * 0.95).collect(),
-            1e-10,
-            100,
-        )
-        .unwrap();
-        assert!(vector::approx_eq(&rep.x, &x_true, 1e-8));
-        assert!(rep.iterations > 1); // needed refinement
-    }
-
-    #[test]
-    fn richardson_fails_cleanly_when_not_converging() {
-        let a = poisson(5);
-        let b = vec![1.0; 5];
-        let err = richardson_refine(&a, &b, &[0.0; 5], |_| vec![0.0; 5], 1e-12, 3);
-        assert!(matches!(err, Err(LinalgError::ConvergenceFailure { .. })));
-    }
-
-    #[test]
     fn solvers_validate_shapes() {
         let a = poisson(4);
         let badb = vec![1.0; 3];
         assert!(
             conjugate_gradient(&a, &badb, None, &IdentityPrecond, IterOptions::default()).is_err()
         );
-        assert!(bicgstab(&a, &badb, None, &IdentityPrecond, IterOptions::default()).is_err());
         let b = vec![1.0; 4];
         assert!(conjugate_gradient(
             &a,

@@ -17,9 +17,9 @@
 //!   (Wishart matrices are SPD).
 //! * [`sparse::CsrMatrix`] — compressed sparse row storage for the circuit
 //!   crate's modified-nodal-analysis grids.
-//! * [`iterative`] — conjugate gradient, BiCGSTAB, Jacobi/ILU(0)
-//!   preconditioners and Richardson refinement (used both by the circuit
-//!   grid solver and by the "AMC as a seed/preconditioner" experiments).
+//! * [`iterative`] — conjugate gradient with identity and Jacobi
+//!   preconditioners (used both by the circuit grid solver and by the "AMC
+//!   as a seed/preconditioner" experiments).
 //! * [`generate`] — seeded generators for the paper's workloads (Wishart and
 //!   Toeplitz matrices) plus auxiliary families used by examples and tests.
 //! * [`metrics`] — the paper's relative-error definition (eq. 6) and the
@@ -60,4 +60,4 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

@@ -166,7 +166,7 @@ impl LuFactor {
     /// rows permuted into a contiguous `n×W` panel (a block of exactly 8
     /// or 4 columns is its own panel), solved there with one register
     /// accumulator per column that sums over the row in index order from
-    /// [`crate::vector::SUM_NEUTRAL`], and copied back. `k = 1` runs
+    /// `crate::vector::SUM_NEUTRAL`, and copied back. `k = 1` runs
     /// [`LuFactor::solve_into`] itself.
     ///
     /// # Errors
@@ -256,7 +256,7 @@ impl LuFactor {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `B` has the wrong row count.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -408,7 +408,7 @@ impl LuFactor {
     ///
     /// Propagates solve errors (cannot occur for a successfully constructed
     /// factorization of correct shape).
-    pub fn inverse(&self) -> Result<Matrix> {
+    pub(crate) fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
 

@@ -159,13 +159,8 @@ impl Matrix {
     }
 
     /// Mutably borrow the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Element access with bounds checking.
@@ -195,16 +190,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copies column `j` into a new vector.
@@ -255,7 +240,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub(crate) fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -349,7 +334,7 @@ impl Matrix {
     /// each copied into a contiguous `cols×W` panel (a block of exactly
     /// 8 or 4 columns is its own panel) and multiplied two rows at a
     /// time, with one register accumulator per row and column that sums
-    /// over the row in index order from [`vector::SUM_NEUTRAL`]. `k = 1`
+    /// over the row in index order from `vector::SUM_NEUTRAL`. `k = 1`
     /// runs [`Matrix::matvec_into`] itself.
     ///
     /// # Errors
@@ -428,32 +413,6 @@ impl Matrix {
                 vector::dot_panel::<1, W>([self.row(paired)], panel)[0],
             );
         }
-    }
-
-    /// Transposed matrix-vector product `selfᵀ * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec_transposed",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate().take(self.rows) {
-            if xi == 0.0 {
-                continue;
-            }
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += xi * a;
-            }
-        }
-        Ok(out)
     }
 
     /// Element-wise sum.
@@ -623,44 +582,6 @@ impl Matrix {
         out.set_block(0, a.cols, b)?;
         out.set_block(a.rows, 0, c)?;
         out.set_block(a.rows, a.cols, d)?;
-        Ok(out)
-    }
-
-    /// Horizontal concatenation `[self | rhs]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hstack(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        out.set_block(0, 0, self)?;
-        out.set_block(0, self.cols, rhs)?;
-        Ok(out)
-    }
-
-    /// Vertical concatenation `[self; rhs]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vstack(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows + rhs.rows, self.cols);
-        out.set_block(0, 0, self)?;
-        out.set_block(self.rows, 0, rhs)?;
         Ok(out)
     }
 
@@ -968,10 +889,6 @@ mod tests {
         m.matvec_into(&[1.0, 0.0, -1.0], &mut buf).unwrap();
         assert_eq!(buf, [-2.0, -2.0]);
         assert!(m.matvec_into(&[1.0, 0.0, -1.0], &mut [0.0; 3]).is_err());
-        assert_eq!(
-            m.matvec_transposed(&[1.0, 1.0]).unwrap(),
-            vec![5.0, 7.0, 9.0]
-        );
         assert!(m.matvec(&[1.0]).is_err());
     }
 
@@ -996,17 +913,6 @@ mod tests {
         assert_eq!(m[(1, 1)], 1.0);
         assert_eq!(m[(2, 2)], 1.0);
         assert!(m.set_block(2, 2, &b).is_err());
-    }
-
-    #[test]
-    fn stacking() {
-        let a = Matrix::identity(2);
-        let h = a.hstack(&a).unwrap();
-        assert_eq!(h.shape(), (2, 4));
-        let v = a.vstack(&a).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        assert!(a.hstack(&Matrix::zeros(3, 2)).is_err());
-        assert!(a.vstack(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]

@@ -83,24 +83,6 @@ pub fn relative_error_l2(x_ideal: &[f64], x_actual: &[f64]) -> f64 {
     }
 }
 
-/// Largest absolute element-wise error, `max_i |x_i − x̂_i|`.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn max_abs_error(x_ideal: &[f64], x_actual: &[f64]) -> f64 {
-    assert_eq!(
-        x_ideal.len(),
-        x_actual.len(),
-        "max_abs_error: length mismatch"
-    );
-    x_ideal
-        .iter()
-        .zip(x_actual)
-        .map(|(&a, &b)| (a - b).abs())
-        .fold(0.0_f64, f64::max)
-}
-
 /// Summary statistics over a set of trial errors (used by the Monte-Carlo
 /// sweeps: the paper plots the mean of 40 random trials per size).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,7 +169,6 @@ mod tests {
         let v = [1.0, 2.0, -3.0];
         assert_eq!(relative_error(&v, &v), 0.0);
         assert_eq!(relative_error_l2(&v, &v), 0.0);
-        assert_eq!(max_abs_error(&v, &v), 0.0);
     }
 
     #[test]
@@ -195,11 +176,6 @@ mod tests {
         let ideal = [3.0, 4.0]; // norm 5
         let actual = [3.0, 3.0]; // diff norm 1
         assert!((relative_error_l2(&ideal, &actual) - 0.2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn max_abs_error_picks_largest() {
-        assert_eq!(max_abs_error(&[1.0, 5.0], &[1.1, 4.0]), 1.0);
     }
 
     #[test]

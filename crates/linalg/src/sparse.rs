@@ -108,22 +108,17 @@ impl CsrMatrix {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
     /// Number of columns.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Returns the stored entry at `(row, col)`, or `0.0` if absent.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn get(&self, row: usize, col: usize) -> f64 {
         if row >= self.nrows {
             return 0.0;
         }
@@ -140,7 +135,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `i >= self.nrows()`.
-    pub fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
+    pub(crate) fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
         assert!(i < self.nrows, "row index out of bounds");
         let start = self.indptr[i];
         let end = self.indptr[i + 1];
@@ -148,7 +143,7 @@ impl CsrMatrix {
     }
 
     /// Iterates over `(row, col, value)` of all stored entries.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.nrows).flat_map(move |r| {
             let start = self.indptr[r];
             let end = self.indptr[r + 1];
@@ -186,7 +181,7 @@ impl CsrMatrix {
     }
 
     /// Extracts the main diagonal (missing entries are `0.0`).
-    pub fn diag(&self) -> Vec<f64> {
+    pub(crate) fn diag(&self) -> Vec<f64> {
         (0..self.nrows.min(self.ncols))
             .map(|i| self.get(i, i))
             .collect()
@@ -202,7 +197,7 @@ impl CsrMatrix {
     }
 
     /// Returns the transposed matrix.
-    pub fn transpose(&self) -> CsrMatrix {
+    pub(crate) fn transpose(&self) -> CsrMatrix {
         let triplets: Vec<(usize, usize, f64)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
         CsrMatrix::from_triplets(self.ncols, self.nrows, &triplets)
             .expect("transpose produced invalid triplets")
@@ -231,7 +226,7 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let m = sample();
-        assert_eq!(m.nnz(), 5);
+        assert_eq!(m.values.len(), 5);
         assert_eq!(m.get(0, 0), 4.0);
         assert_eq!(m.get(0, 1), 0.0);
         assert_eq!(m.get(2, 2), 3.0);
@@ -242,7 +237,7 @@ mod tests {
     fn duplicates_are_summed() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0)]).unwrap();
         assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.nnz(), 1);
+        assert_eq!(m.values.len(), 1);
     }
 
     #[test]
@@ -264,7 +259,7 @@ mod tests {
     fn dense_roundtrip() {
         let d = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -2.0]]).unwrap();
         let s = CsrMatrix::from_dense(&d);
-        assert_eq!(s.nnz(), 2);
+        assert_eq!(s.values.len(), 2);
         assert_eq!(s.to_dense(), d);
     }
 

@@ -17,10 +17,10 @@
 /// [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 /// [`Matrix::matvec_block_into`]: crate::Matrix::matvec_block_into
 /// [`LuFactor::solve_block_into`]: crate::lu::LuFactor::solve_block_into
-pub const SUM_NEUTRAL: f64 = -0.0;
+pub(crate) const SUM_NEUTRAL: f64 = -0.0;
 
 /// Dot product of two equally sized slices, summed in index order from
-/// [`SUM_NEUTRAL`].
+/// `SUM_NEUTRAL`.
 ///
 /// # Panics
 ///
@@ -175,7 +175,7 @@ pub fn norm_inf(v: &[f64]) -> f64 {
 }
 
 /// Sum of absolute values.
-pub fn norm1(v: &[f64]) -> f64 {
+pub(crate) fn norm1(v: &[f64]) -> f64 {
     v.iter().map(|x| x.abs()).sum()
 }
 
@@ -258,16 +258,6 @@ pub fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
     out.extend_from_slice(a);
     out.extend_from_slice(b);
     out
-}
-
-/// Splits a slice at `mid`, returning owned halves.
-///
-/// # Panics
-///
-/// Panics if `mid > v.len()`.
-pub fn split_at(v: &[f64], mid: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(mid <= v.len(), "split index out of bounds");
-    (v[..mid].to_vec(), v[mid..].to_vec())
 }
 
 /// Returns `true` if every pair of elements differs by at most `tol`.
@@ -368,18 +358,6 @@ mod tests {
     fn concat_and_split_roundtrip() {
         let v = concat(&[1.0, 2.0], &[3.0]);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
-        let (l, r) = split_at(&v, 2);
-        assert_eq!(l, vec![1.0, 2.0]);
-        assert_eq!(r, vec![3.0]);
-        let (l, r) = split_at(&v, 0);
-        assert!(l.is_empty());
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "split index out of bounds")]
-    fn split_out_of_bounds_panics() {
-        let _ = split_at(&[1.0], 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct Counter(Arc<AtomicU64>);
 impl Counter {
     /// New free-standing counter at zero (usually obtained from
     /// [`Registry::counter`] instead).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -70,7 +70,7 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// New free-standing gauge at 0.0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -80,7 +80,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -110,7 +110,7 @@ pub struct Histogram(Arc<HistogramInner>);
 impl Histogram {
     /// New free-standing histogram (usually obtained from
     /// [`Registry::histogram`] instead).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram(Arc::new(HistogramInner {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -131,13 +131,13 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// Nearest-rank percentile (`p` in 0..=100); `None` when empty. The
     /// returned value is the lower bound of the bucket holding the rank.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
+    pub(crate) fn percentile(&self, p: f64) -> Option<u64> {
         let count = self.count();
         if count == 0 {
             return None;
@@ -155,7 +155,7 @@ impl Histogram {
     }
 
     /// Summarize count/min/max/mean and p50/p95/p99.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         let count = self.count();
         let sum = self.0.sum.load(Ordering::Relaxed);
         HistogramSummary {
@@ -260,11 +260,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Entries sorted by name.
-    pub fn entries(&self) -> &[SnapshotEntry] {
-        &self.entries
-    }
-
     /// Look up one entry by name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.entries
@@ -506,7 +501,7 @@ mod tests {
         reg.gauge("a_first").set(1.0);
         reg.histogram("m_mid").record(10);
         let snap = reg.snapshot();
-        let names: Vec<_> = snap.entries().iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<_> = snap.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["a_first", "m_mid", "z_last"]);
         assert_eq!(snap.counter("z_last"), 3);
         assert_eq!(snap.counter("absent"), 0);

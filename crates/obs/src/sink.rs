@@ -3,33 +3,6 @@
 
 use crate::span::{SpanEvent, Trace};
 
-/// Export surface over a drained [`Trace`].
-///
-/// Thin by design: it borrows the trace and renders it. Both formats are
-/// deterministic functions of the event list, which is what the golden
-/// schema pin in the test suite relies on.
-#[derive(Debug)]
-pub struct TraceSink<'a> {
-    trace: &'a Trace,
-}
-
-impl<'a> TraceSink<'a> {
-    /// Wrap a drained trace for export.
-    pub fn new(trace: &'a Trace) -> Self {
-        TraceSink { trace }
-    }
-
-    /// Render Chrome trace-event JSON; see [`Trace::chrome_trace_json`].
-    pub fn chrome_trace_json(&self) -> String {
-        self.trace.chrome_trace_json()
-    }
-
-    /// Render the text flame tree; see [`Trace::flame_tree`].
-    pub fn flame_tree(&self) -> String {
-        self.trace.flame_tree()
-    }
-}
-
 impl Trace {
     /// Export as Chrome trace-event JSON (the "JSON Array Format" with
     /// `"X"` complete events), loadable in Perfetto or `chrome://tracing`.
@@ -194,7 +167,6 @@ fn escape_json_into(s: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use crate::span::{SpanEvent, Trace};
-    use crate::TraceSink;
 
     fn ev(
         name: &'static str,
@@ -229,8 +201,6 @@ mod tests {
         assert!(json.contains("\"args\":{\"inv_ops\":3}"));
         assert!(json.contains("\"tid\":0"));
         assert!(json.trim_end().ends_with("]}"));
-        // Sink facade renders identically.
-        assert_eq!(TraceSink::new(&trace).chrome_trace_json(), json);
     }
 
     #[test]
@@ -259,7 +229,6 @@ mod tests {
             .unwrap();
         let inv_indent = inv_line.len() - inv_line.trim_start().len();
         assert!(inv_indent > solve_indent);
-        assert_eq!(TraceSink::new(&trace).flame_tree(), tree);
     }
 
     #[test]
@@ -276,17 +245,5 @@ mod tests {
         assert!(json.contains("weird\\\"name\\\\"));
         assert!(json.contains("\"nan\":null"));
         assert!(json.contains("\"frac\":1.5"));
-    }
-
-    #[test]
-    fn total_ns_aggregates_by_name() {
-        let trace = Trace::from_events(vec![
-            ev("inv", 0, 0, 10, 0, vec![]),
-            ev("inv", 1, 5, 25, 0, vec![]),
-            ev("mvm", 0, 10, 11, 0, vec![]),
-        ]);
-        assert_eq!(trace.total_ns("inv"), 30);
-        assert_eq!(trace.total_ns("mvm"), 1);
-        assert_eq!(trace.total_ns("absent"), 0);
     }
 }

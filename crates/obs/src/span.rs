@@ -33,7 +33,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -75,7 +75,7 @@ impl TraceSession {
 
     /// New session bounding each worker lane to `capacity` events; spans
     /// recorded past the bound are dropped and counted.
-    pub fn with_lane_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_lane_capacity(capacity: usize) -> Self {
         TraceSession {
             inner: Arc::new(SessionInner {
                 t0: Instant::now(),
@@ -174,12 +174,6 @@ impl Recorder {
     #[inline]
     pub fn disabled() -> Self {
         Recorder(None)
-    }
-
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Open a span. Pair with [`Recorder::exit`].
@@ -322,16 +316,6 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Total duration attributed to `name` across all workers, in
-    /// nanoseconds. Nested self-calls both count, so prefer leaf span
-    /// names for timing attribution.
-    pub fn total_ns(&self, name: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.name == name)
-            .fold(0u64, |acc, e| acc.saturating_add(e.duration_ns()))
-    }
 }
 
 #[cfg(test)]
@@ -341,13 +325,13 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
+        assert!(rec.0.is_none());
         let t = rec.enter("x");
         rec.exit_with(t, &[("n", 1.0)]);
         let fork = rec.clone();
-        assert!(!fork.is_enabled());
+        assert!(fork.0.is_none());
         // Default is the disabled recorder.
-        assert!(!Recorder::default().is_enabled());
+        assert!(Recorder::default().0.is_none());
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub enum EngineSel {
 
 impl EngineSel {
     /// The backend name this selection runs (registry key / spec name).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EngineSel::Spec(spec) => spec.name(),
             EngineSel::Registered(name) => name,
@@ -85,7 +85,7 @@ impl EngineSel {
     /// The analog stack configuration, for inline circuit specs.
     /// Registered backends expose no circuit model (the analog
     /// cost/latency models simply don't apply to them).
-    pub fn circuit(&self) -> Option<&CircuitEngineConfig> {
+    pub(crate) fn circuit(&self) -> Option<&CircuitEngineConfig> {
         match self {
             EngineSel::Spec(spec) => spec.circuit(),
             EngineSel::Registered(_) => None,
@@ -97,7 +97,7 @@ impl EngineSel {
     /// # Errors
     ///
     /// Spec build failures; unknown registered names.
-    pub fn build(
+    pub(crate) fn build(
         &self,
         registry: &EngineRegistry,
         seed: u64,
@@ -127,7 +127,7 @@ pub struct Nonideality {
 
 impl Nonideality {
     /// A rung building the given inline spec.
-    pub fn spec(label: &'static str, spec: EngineSpec) -> Nonideality {
+    pub(crate) fn spec(label: &'static str, spec: EngineSpec) -> Nonideality {
         Nonideality {
             label,
             engine: EngineSel::Spec(spec),
@@ -145,17 +145,6 @@ impl Nonideality {
     /// A rung running the analog stack with the given configuration.
     pub fn circuit(label: &'static str, config: CircuitEngineConfig) -> Nonideality {
         Nonideality::spec(label, EngineSpec::Circuit(config))
-    }
-
-    /// The standard three-rung ladder of the paper's figures: ideal
-    /// mapping (Fig. 6), 5 % variation (Fig. 7), variation + wire
-    /// resistance (Fig. 9).
-    pub fn paper_ladder() -> Vec<Nonideality> {
-        vec![
-            Nonideality::circuit("ideal-mapping", CircuitEngineConfig::ideal_mapping()),
-            Nonideality::circuit("variation", CircuitEngineConfig::paper_variation()),
-            Nonideality::circuit("variation+wire", CircuitEngineConfig::paper_full()),
-        ]
     }
 }
 
@@ -216,28 +205,23 @@ impl Campaign {
         }
     }
 
-    /// The backend registry registered-name rungs resolve against.
-    pub fn registry(&self) -> &EngineRegistry {
-        &self.registry
-    }
-
     /// Campaign name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
     /// The workload axis.
-    pub fn workloads(&self) -> &[WorkloadSpec] {
+    pub(crate) fn workloads(&self) -> &[WorkloadSpec] {
         &self.workloads
     }
 
     /// The solver-grid axis.
-    pub fn solvers(&self) -> &[SolverCell] {
+    pub(crate) fn solvers(&self) -> &[SolverCell] {
         &self.solvers
     }
 
     /// The nonideality axis.
-    pub fn ladder(&self) -> &[Nonideality] {
+    pub(crate) fn ladder(&self) -> &[Nonideality] {
         &self.ladder
     }
 
@@ -247,7 +231,7 @@ impl Campaign {
     }
 
     /// Right-hand sides drawn per trial.
-    pub fn rhs_per_trial(&self) -> usize {
+    pub(crate) fn rhs_per_trial(&self) -> usize {
         self.rhs_per_trial
     }
 
@@ -257,7 +241,7 @@ impl Campaign {
     }
 
     /// The campaign's base seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -558,7 +542,7 @@ impl LatencyKey {
     }
 
     /// Arch-model latency of one solve: the depth-generalized sequential
-    /// op count ([`amc_arch::latency::cascade_op_counts`]) priced with
+    /// op count ([`amc_arch::latency::cascade_latency`]) priced with
     /// settle times of the leaf-sized leading block of `a` under the
     /// key's op-amp. `None` when the settle model has no answer (e.g. a
     /// leaf block whose minimum eigenvalue estimate fails).
@@ -714,7 +698,7 @@ impl CampaignBuilder {
     }
 
     /// Adds many workload specs.
-    pub fn workloads(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> Self {
+    pub(crate) fn workloads(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> Self {
         self.campaign.workloads.extend(specs);
         self
     }
@@ -800,6 +784,17 @@ mod tests {
     use crate::workload::WorkloadFamily;
     use blockamc::solver::Stages;
 
+    /// The three-rung ladder of the paper's figures: ideal mapping
+    /// (Fig. 6), 5 % variation (Fig. 7), variation + wire resistance
+    /// (Fig. 9).
+    fn paper_ladder() -> Vec<Nonideality> {
+        vec![
+            Nonideality::circuit("ideal-mapping", CircuitEngineConfig::ideal_mapping()),
+            Nonideality::circuit("variation", CircuitEngineConfig::paper_variation()),
+            Nonideality::circuit("variation+wire", CircuitEngineConfig::paper_full()),
+        ]
+    }
+
     fn tiny_campaign() -> Campaign {
         Campaign::builder("test")
             .workload(WorkloadSpec::new("w", WorkloadFamily::Wishart, 8, 1))
@@ -880,7 +875,7 @@ mod tests {
             ))
             .solver("original", solver(Stages::Original))
             .solver("two-stage", solver(Stages::Two))
-            .ladder(Nonideality::paper_ladder())
+            .ladder(paper_ladder())
             .ladder(extra.iter().copied())
             .trials(2)
             .rhs_per_trial(2)
@@ -954,7 +949,7 @@ mod tests {
                     .finish()
                     .unwrap(),
             )
-            .ladder(Nonideality::paper_ladder())
+            .ladder(paper_ladder())
             .trials(3)
             .finish()
             .unwrap();

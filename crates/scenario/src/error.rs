@@ -22,7 +22,7 @@ pub enum ScenarioError {
 
 impl ScenarioError {
     /// Shorthand constructor for [`ScenarioError::InvalidSpec`].
-    pub fn spec(message: impl Into<String>) -> Self {
+    pub(crate) fn spec(message: impl Into<String>) -> Self {
         ScenarioError::InvalidSpec {
             message: message.into(),
         }

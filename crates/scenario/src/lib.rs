@@ -75,10 +75,6 @@ pub mod workload;
 
 pub use campaign::{Campaign, CampaignReport, CellRecord, EngineSel, Nonideality, SolverCell};
 pub use error::ScenarioError;
-pub use lifetime::{
-    run_lifetime_worker_sweep, LifetimeCampaign, LifetimeCellRecord, LifetimeReport,
-    LifetimeSummary, PolicyCell, RepairPolicy,
-};
 pub use spec::{CampaignFile, CampaignSpec, EngineSelSpec, RungSpec, SolverSpec};
 pub use workload::{WorkloadFamily, WorkloadInstance, WorkloadMeta, WorkloadSpec};
 

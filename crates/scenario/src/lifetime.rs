@@ -52,7 +52,6 @@ pub struct LifetimeCampaign {
     model: AgingModel,
     ticks: usize,
     rhs_per_tick: usize,
-    workers: usize,
     seed: u64,
     registry: Arc<EngineRegistry>,
 }
@@ -67,7 +66,7 @@ pub struct LifetimeCampaignBuilder {
 impl LifetimeCampaign {
     /// Starts a builder. Defaults: the facade's default solver config,
     /// the exact `numeric` backend, [`AgingModel::typical_rram`],
-    /// 50 ticks, 2 RHS per tick, 1 worker, seed 0.
+    /// 50 ticks, 2 RHS per tick, seed 0.
     pub fn builder(name: impl Into<String>) -> LifetimeCampaignBuilder {
         LifetimeCampaignBuilder {
             campaign: LifetimeCampaign {
@@ -81,7 +80,6 @@ impl LifetimeCampaign {
                 model: AgingModel::typical_rram(),
                 ticks: 50,
                 rhs_per_tick: 2,
-                workers: 1,
                 seed: 0,
                 registry: Arc::new(EngineRegistry::builtin()),
             },
@@ -103,23 +101,9 @@ impl LifetimeCampaign {
         &self.policies
     }
 
-    /// The lifetime model every cell ages under.
-    pub fn model(&self) -> &AgingModel {
-        &self.model
-    }
-
     /// Ticks per trace.
     pub fn ticks(&self) -> usize {
         self.ticks
-    }
-
-    /// Runs the campaign with its configured worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LifetimeCampaign::run_with_workers`].
-    pub fn run(&self) -> Result<LifetimeReport> {
-        self.run_with_workers(self.workers)
     }
 
     /// Runs the campaign, sharding cells over `workers` threads.
@@ -246,7 +230,7 @@ pub struct LifetimeSummary {
 
 impl LifetimeSummary {
     /// Summarizes a trace in tick order (deterministic aggregation).
-    pub fn from_ticks(ticks: &[TickRecord]) -> Self {
+    pub(crate) fn from_ticks(ticks: &[TickRecord]) -> Self {
         let count = ticks.len().max(1) as f64;
         let mut s = LifetimeSummary {
             mean_accuracy: 0.0,
@@ -387,18 +371,6 @@ impl LifetimeCampaignBuilder {
         self
     }
 
-    /// Sets the solver configuration every cell prepares with.
-    pub fn solver(mut self, config: SolverConfig) -> Self {
-        self.campaign.config = config;
-        self
-    }
-
-    /// Selects the engine backend.
-    pub fn engine(mut self, engine: EngineSel) -> Self {
-        self.campaign.engine = engine;
-        self
-    }
-
     /// Sets the lifetime model.
     pub fn model(mut self, model: AgingModel) -> Self {
         self.campaign.model = model;
@@ -414,12 +386,6 @@ impl LifetimeCampaignBuilder {
     /// Sets the right-hand sides served per tick.
     pub fn rhs_per_tick(mut self, rhs: usize) -> Self {
         self.campaign.rhs_per_tick = rhs;
-        self
-    }
-
-    /// Sets the default worker count [`LifetimeCampaign::run`] uses.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.campaign.workers = workers;
         self
     }
 
@@ -458,11 +424,6 @@ impl LifetimeCampaignBuilder {
         if c.rhs_per_tick == 0 {
             return Err(ScenarioError::spec(
                 "lifetime campaign needs at least one RHS per tick",
-            ));
-        }
-        if c.workers == 0 {
-            return Err(ScenarioError::spec(
-                "lifetime campaign needs at least one worker",
             ));
         }
         c.model.validate().map_err(ScenarioError::from)?;
@@ -522,7 +483,7 @@ mod tests {
 
     #[test]
     fn never_policy_degrades_and_threshold_holds_the_slo() {
-        let report = tiny_campaign().run().unwrap();
+        let report = tiny_campaign().run_with_workers(1).unwrap();
         let never = &report.cells[0];
         let threshold = &report.cells[1];
         assert_eq!(never.policy, "never");

@@ -78,7 +78,7 @@ pub enum WorkloadFamily {
 
 impl WorkloadFamily {
     /// Short registry key for reports (`wishart`, `poisson2d`, …).
-    pub fn key(&self) -> &'static str {
+    pub(crate) fn key(&self) -> &'static str {
         match self {
             WorkloadFamily::Wishart => "wishart",
             WorkloadFamily::ToeplitzSpd { .. } => "toeplitz-spd",
@@ -237,59 +237,58 @@ pub fn near_square_factors(n: usize) -> (usize, usize) {
     (rows.max(1), n / rows.max(1))
 }
 
-/// The default registry: one representative spec per family at size
-/// `n`, seeds derived from `base_seed` — the diversity sweep `repro
-/// scenarios` reports on.
-pub fn default_registry(n: usize, base_seed: u64) -> Vec<WorkloadSpec> {
-    let families: [(&str, WorkloadFamily); 9] = [
-        ("wishart", WorkloadFamily::Wishart),
-        (
-            "toeplitz-spd",
-            WorkloadFamily::ToeplitzSpd {
-                kernel_len: 8,
-                ridge: 0.02,
-            },
-        ),
-        (
-            "toeplitz-raw",
-            WorkloadFamily::ToeplitzRaw {
-                max_cond: generate::DEFAULT_TOEPLITZ_MAX_COND,
-            },
-        ),
-        ("poisson2d", WorkloadFamily::Poisson2d),
-        (
-            "path-laplacian",
-            WorkloadFamily::PathLaplacian { ground: 0.05 },
-        ),
-        (
-            "ring-laplacian",
-            WorkloadFamily::RingLaplacian { ground: 0.05 },
-        ),
-        (
-            "random-regular",
-            WorkloadFamily::RandomRegular {
-                degree: 4,
-                ground: 0.2,
-            },
-        ),
-        ("pdn", WorkloadFamily::Pdn),
-        (
-            "spd-cond-1e4",
-            WorkloadFamily::SpdWithCondition { cond: 1e4 },
-        ),
-    ];
-    families
-        .into_iter()
-        .enumerate()
-        .map(|(k, (name, family))| {
-            WorkloadSpec::new(name, family, n, base_seed.wrapping_add(101 * k as u64))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One representative spec per family at size `n`, seeds derived
+    /// from `base_seed`.
+    fn default_registry(n: usize, base_seed: u64) -> Vec<WorkloadSpec> {
+        let families: [(&str, WorkloadFamily); 9] = [
+            ("wishart", WorkloadFamily::Wishart),
+            (
+                "toeplitz-spd",
+                WorkloadFamily::ToeplitzSpd {
+                    kernel_len: 8,
+                    ridge: 0.02,
+                },
+            ),
+            (
+                "toeplitz-raw",
+                WorkloadFamily::ToeplitzRaw {
+                    max_cond: generate::DEFAULT_TOEPLITZ_MAX_COND,
+                },
+            ),
+            ("poisson2d", WorkloadFamily::Poisson2d),
+            (
+                "path-laplacian",
+                WorkloadFamily::PathLaplacian { ground: 0.05 },
+            ),
+            (
+                "ring-laplacian",
+                WorkloadFamily::RingLaplacian { ground: 0.05 },
+            ),
+            (
+                "random-regular",
+                WorkloadFamily::RandomRegular {
+                    degree: 4,
+                    ground: 0.2,
+                },
+            ),
+            ("pdn", WorkloadFamily::Pdn),
+            (
+                "spd-cond-1e4",
+                WorkloadFamily::SpdWithCondition { cond: 1e4 },
+            ),
+        ];
+        families
+            .into_iter()
+            .enumerate()
+            .map(|(k, (name, family))| {
+                WorkloadSpec::new(name, family, n, base_seed.wrapping_add(101 * k as u64))
+            })
+            .collect()
+    }
 
     #[test]
     fn near_square_factorization() {
@@ -308,16 +307,6 @@ mod tests {
             assert_eq!(a, b, "{}", spec.name);
             assert_eq!(a.matrix.shape(), (16, 16));
             assert_eq!(a.rhs.len(), 2);
-        }
-    }
-
-    #[test]
-    fn registry_names_are_unique() {
-        let specs = default_registry(8, 0);
-        for i in 0..specs.len() {
-            for j in (i + 1)..specs.len() {
-                assert_ne!(specs[i].name, specs[j].name);
-            }
         }
     }
 

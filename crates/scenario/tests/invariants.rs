@@ -13,8 +13,8 @@ fn cond_estimate(a: &amc_linalg::Matrix) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
-/// The SPD families of the registry, parameterized exactly as
-/// `default_registry` ships them.
+/// The SPD families of the registry, one representative
+/// parameterization each.
 fn spd_families() -> Vec<(&'static str, WorkloadFamily)> {
     vec![
         ("wishart", WorkloadFamily::Wishart),

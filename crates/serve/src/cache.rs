@@ -31,7 +31,7 @@ use blockamc::solver::SolverConfig;
 /// bit-identical solvers, which is what makes cache hits and request
 /// coalescing invisible in the results.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// [`Matrix::fingerprint`](amc_linalg::Matrix::fingerprint) of the
     /// coefficient matrix.
     pub fingerprint: u64,
@@ -43,7 +43,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Builds the key for (`fingerprint`, `config`, `engine`).
-    pub fn new(fingerprint: u64, config: &SolverConfig, engine: &EngineRef) -> Self {
+    pub(crate) fn new(fingerprint: u64, config: &SolverConfig, engine: &EngineRef) -> Self {
         CacheKey {
             fingerprint,
             config: config_bytes(config),
@@ -54,7 +54,7 @@ impl CacheKey {
 
 /// Monotonic counters describing the cache's life so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
+pub(crate) struct CacheCounters {
     /// Fetches that found an entry.
     pub hits: u64,
     /// Fetches that found nothing.
@@ -98,7 +98,7 @@ struct Bucket {
 /// [`SolverReplica`](blockamc::solver::SolverReplica)s of type-erased
 /// engines; the unit tests store integers.
 #[derive(Debug)]
-pub struct LfuCache<V> {
+pub(crate) struct LfuCache<V> {
     capacity: usize,
     slab: Vec<Option<Node<V>>>,
     free: Vec<usize>,
@@ -113,7 +113,7 @@ impl<V> LfuCache<V> {
     /// Creates a cache holding at most `capacity` entries (clamped to at
     /// least 1 — a zero-capacity cache could satisfy nothing and would
     /// turn every `insert` into a silent drop).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         LfuCache {
             capacity: capacity.max(1),
             slab: Vec::new(),
@@ -126,43 +126,32 @@ impl<V> LfuCache<V> {
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// The capacity bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Counter snapshot.
-    pub fn counters(&self) -> CacheCounters {
+    pub(crate) fn counters(&self) -> CacheCounters {
         self.counters
-    }
-
-    /// Whether `key` is cached. Does **not** count as a fetch: no
-    /// counters move, no frequency is bumped.
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.index.contains_key(key)
     }
 
     /// Mutably borrows the entry under `key` without counting a fetch or
     /// bumping the frequency — the dispatcher's access to a key that a
     /// request already fetched (and heated) at resolve time: it lends
     /// the solver out of the slot and puts it back.
-    pub fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut V> {
+    pub(crate) fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut V> {
         let idx = *self.index.get(key)?;
         Some(&mut self.slab[idx].as_mut().unwrap().value)
     }
 
     /// Fetches the entry under `key`, bumping its frequency and the
     /// hit/miss counters.
-    pub fn get(&mut self, key: &CacheKey) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<&V> {
         match self.index.get(key).copied() {
             None => {
                 saturating_bump(&mut self.counters.misses, "misses");
@@ -180,7 +169,7 @@ impl<V> LfuCache<V> {
     /// evicting the coldest entry first when at capacity. Returns the
     /// evicted `(key, value)`, if any. Inserting over an existing key
     /// replaces the value in place, keeping the frequency.
-    pub fn insert(&mut self, key: CacheKey, value: V) -> Option<(CacheKey, V)> {
+    pub(crate) fn insert(&mut self, key: CacheKey, value: V) -> Option<(CacheKey, V)> {
         if let Some(&idx) = self.index.get(&key) {
             self.slab[idx].as_mut().unwrap().value = value;
             return None;
@@ -216,7 +205,7 @@ impl<V> LfuCache<V> {
 
     /// Removes and returns the entry under `key`, if present. Not a
     /// fetch and not an eviction: no counters move.
-    pub fn remove(&mut self, key: &CacheKey) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &CacheKey) -> Option<V> {
         let idx = self.index.remove(key)?;
         let freq = self.slab[idx].as_ref().unwrap().freq;
         self.unlink(freq, idx);
@@ -361,8 +350,8 @@ mod tests {
         assert!(c.get(&key(1)).is_none());
         assert!(c.insert(key(1), 10).is_none());
         assert_eq!(c.get(&key(1)), Some(&10));
-        assert!(c.contains(&key(1)));
-        assert!(!c.contains(&key(2)));
+        assert!(c.index.contains_key(&key(1)));
+        assert!(!c.index.contains_key(&key(2)));
         let n = c.counters();
         assert_eq!((n.hits, n.misses, n.insertions, n.evictions), (1, 1, 1, 0));
         // contains() moved no counters.
@@ -392,8 +381,8 @@ mod tests {
         // Inserting key 3 must displace key 2 (freq 1), not key 1 (freq 3).
         let (evicted, _) = c.insert(key(3), 30).unwrap();
         assert_eq!(evicted, key(2));
-        assert!(c.contains(&key(1)));
-        assert!(c.contains(&key(3)));
+        assert!(c.index.contains_key(&key(1)));
+        assert!(c.index.contains_key(&key(3)));
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().evictions, 1);
     }
@@ -450,7 +439,10 @@ mod tests {
         c.insert(key(3), 30);
         c.insert(key(4), 40); // evicts 2 or 3 (both freq 1; 2 older)
         assert_eq!(c.len(), 2);
-        assert!(!c.contains(&key(2)), "older freq-1 entry evicted first");
+        assert!(
+            !c.index.contains_key(&key(2)),
+            "older freq-1 entry evicted first"
+        );
         // Removals are not evictions.
         assert_eq!(c.counters().evictions, 1);
     }

@@ -140,32 +140,14 @@ impl<T: Transport> Client<T> {
         engine: &EngineRef,
         batch: Vec<Vec<f64>>,
     ) -> Result<Vec<Vec<f64>>> {
-        self.solve_batch_accepting(matrix, config, engine, batch, false)
-            .map(|(xs, _)| xs)
-    }
-
-    /// [`Client::solve_batch`] with the stale-but-fast opt-in of
-    /// [`Client::solve_accepting`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Client::solve`].
-    pub fn solve_batch_accepting(
-        &mut self,
-        matrix: MatrixRef,
-        config: &SolverConfig,
-        engine: &EngineRef,
-        batch: Vec<Vec<f64>>,
-        accept_degraded: bool,
-    ) -> Result<(Vec<Vec<f64>>, bool)> {
         match self.request(&Request::SolveBatch {
             matrix,
             config: config.clone(),
             engine: engine.clone(),
             batch,
-            accept_degraded,
+            accept_degraded: false,
         })? {
-            Response::SolvedBatch { xs, degraded } => Ok((xs, degraded)),
+            Response::SolvedBatch { xs, .. } => Ok(xs),
             other => Err(unexpected(other)),
         }
     }

@@ -66,7 +66,7 @@ impl From<io::Error> for ServeError {
 
 impl ServeError {
     /// Shorthand for a [`ServeError::Protocol`] from anything printable.
-    pub fn protocol(msg: impl Into<String>) -> Self {
+    pub(crate) fn protocol(msg: impl Into<String>) -> Self {
         ServeError::Protocol(msg.into())
     }
 }

@@ -15,7 +15,7 @@
 //! * [`wire`] — the versioned binary protocol (requests, responses,
 //!   canonical [`SolverConfig`](blockamc::solver::SolverConfig)
 //!   encoding).
-//! * [`cache`] — the O(1) frequency-bucket LFU keyed by
+//! * `cache` — the O(1) frequency-bucket LFU keyed by
 //!   `(matrix fingerprint, config bytes, engine name + seed)`.
 //! * [`server`] — the [`Transport`](server::Transport) abstraction
 //!   (TCP + in-process loopback), the coalescing dispatcher, and
@@ -165,9 +165,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod client;
-pub mod error;
+pub(crate) mod error;
 pub mod loadgen;
 pub mod server;
 pub mod wire;

@@ -3,7 +3,7 @@
 //!
 //! ## Threading model
 //!
-//! * One **connection loop** per transport ([`Server::serve_transport`]),
+//! * One **connection loop** per transport (`Server::serve_transport`),
 //!   decoding requests and blocking on their replies — a connection is a
 //!   serial request/response stream, exactly like the client sees it.
 //! * A fixed pool of **solver workers** (spawned at [`Server::new`])
@@ -75,7 +75,7 @@ const CACHE_POISONED: &str = "cache lock poisoned by a panicked thread";
 /// A cached prepared solver: an owned replica over a type-erased engine,
 /// lent to one worker thread at a time (`Send` is compile-time asserted
 /// in `blockamc::solver`).
-pub type CachedSolver = SolverReplica<Box<dyn AmcEngine>>;
+pub(crate) type CachedSolver = SolverReplica<Box<dyn AmcEngine>>;
 
 /// One cache slot: the bare replica on an ageless server, the aging
 /// wrapper (replica + virtual clock + pristine snapshots) when
@@ -142,7 +142,7 @@ pub enum Received {
 
 /// A bidirectional frame pipe. Implementations own the framing (length
 /// prefix on TCP, message-per-send on the in-process loopback); the
-/// payloads they carry are [`Request::encode`]/[`Response::encode`]
+/// payloads they carry are [`Request::encode`]/`Response::encode`
 /// bytes.
 pub trait Transport: Send {
     /// Sends one frame.
@@ -178,7 +178,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Socket-option failures.
-    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
+    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
             stream,
@@ -260,7 +260,7 @@ pub struct LoopbackTransport {
 
 /// Creates a connected loopback pair: frames sent on one end arrive on
 /// the other.
-pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
+pub(crate) fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     let (a_tx, b_rx) = mpsc::channel();
     let (b_tx, a_rx) = mpsc::channel();
     (
@@ -522,7 +522,7 @@ impl Server {
     ///
     /// Transport failures ([`ServeError::Io`]); a clean peer disconnect
     /// returns `Ok(())`.
-    pub fn serve_transport(&self, mut transport: impl Transport) -> Result<()> {
+    pub(crate) fn serve_transport(&self, mut transport: impl Transport) -> Result<()> {
         // One recorder (= one trace lane) per connection loop, flushed
         // when the connection ends.
         let mut rec = self.inner.recorder();
@@ -558,7 +558,7 @@ impl Server {
     }
 
     /// Opens an in-process connection: spawns a thread serving the
-    /// server end of a [`loopback_pair`] and returns the client end
+    /// server end of a `loopback_pair` and returns the client end
     /// (wrap it in a [`Client`](crate::client::Client)).
     pub fn loopback(&self) -> LoopbackTransport {
         let (client_end, server_end) = loopback_pair();
@@ -700,11 +700,6 @@ impl Server {
         for job in drained {
             let _ = job.reply.send(Err(ServeError::Closed));
         }
-    }
-
-    /// Whether [`shutdown`](Server::shutdown) has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.closing.load(Ordering::Acquire)
     }
 
     /// Joins every connection thread this handle spawned (loopback

@@ -2,7 +2,7 @@
 //!
 //! Every message travels as one **frame**: a little-endian `u32` length
 //! prefix followed by exactly that many payload bytes. Every payload
-//! begins with the protocol version byte ([`PROTOCOL_VERSION`]) and a
+//! begins with the protocol version byte (`PROTOCOL_VERSION`) and a
 //! message tag; the remaining bytes are the tag's fields, encoded with
 //! the primitives below. See the crate-level documentation for the full
 //! byte-by-byte layout of every message.
@@ -42,12 +42,12 @@ use crate::error::{Result, ServeError};
 /// `accept_degraded` flag, `Solved`/`SolvedBatch` carry a `degraded`
 /// flag, and the stats block grew `staleness_evictions` and
 /// `degraded_served`.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub(crate) const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix
 /// beyond this is rejected before any allocation, so a corrupt or
 /// hostile peer cannot make the receiver reserve unbounded memory.
-pub const MAX_FRAME_LEN: usize = 64 << 20;
+pub(crate) const MAX_FRAME_LEN: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
 // Primitive writers: all little-endian, appending to a Vec<u8>.
@@ -743,7 +743,7 @@ const RESP_ERROR: u8 = 8;
 impl Response {
     /// Encodes this response into a frame payload (without the length
     /// prefix, which the transport adds).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = vec![PROTOCOL_VERSION];
         match self {
             Response::Prepared { fingerprint, hit } => {
@@ -792,7 +792,7 @@ impl Response {
     ///
     /// [`ServeError::Protocol`] under the same conditions as
     /// [`Request::decode`].
-    pub fn decode(payload: &[u8]) -> Result<Response> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Response> {
         let mut r = Reader::new(payload);
         check_version(&mut r)?;
         let resp = match r.u8()? {

@@ -11,7 +11,7 @@ use amc_linalg::Matrix;
 use amc_serve::client::Client;
 use amc_serve::loadgen::{workload_matrix, workload_rhs};
 use amc_serve::server::{ServeAging, Server, ServerConfig};
-use amc_serve::wire::{EngineRef, MatrixRef};
+use amc_serve::wire::{EngineRef, MatrixRef, Request, Response};
 use amc_serve::ServeError;
 use blockamc::aging::{AgingModel, DriftModel};
 use blockamc::engine::{
@@ -569,6 +569,30 @@ fn degraded_optin_serves_stale_without_evicting() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.degraded_served, 1, "{stats:?}");
+    assert_eq!(stats.staleness_evictions, 0, "{stats:?}");
+    assert_eq!(stats.entries, 1);
+
+    // A batch carries the same wire flag: a two-RHS opt-in batch is
+    // served from the stale solver too, flagged, and still not evicted.
+    let batch = vec![rhs.clone(), workload_rhs(8, 22, 1)];
+    let response = client
+        .request(&Request::SolveBatch {
+            matrix: MatrixRef::Cached(fp),
+            config: config.clone(),
+            engine: engine.clone(),
+            batch,
+            accept_degraded: true,
+        })
+        .unwrap();
+    match response {
+        Response::SolvedBatch { xs, degraded } => {
+            assert!(degraded, "batch opt-in must surface the degraded flag");
+            assert_eq!(xs.len(), 2);
+        }
+        other => panic!("expected SolvedBatch, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.degraded_served, 3, "{stats:?}");
     assert_eq!(stats.staleness_evictions, 0, "{stats:?}");
     assert_eq!(stats.entries, 1);
     server.shutdown();
