@@ -10,9 +10,10 @@
 //!
 //! Batches run through [`crate::solver::PreparedSolver::solve_batch`],
 //! so any architecture and per-level signal plan the facade supports can
-//! be batched. [`solve_batch_parallel`] shards a batch over bitwise
-//! replicas with the routine behind
-//! [`crate::solver::SolverReplica::solve_batch_parallel`].
+//! be batched. To shard a batch over bitwise replicas, prepare once and
+//! call [`crate::solver::SolverReplica::solve_batch_parallel`] on a
+//! replica; its solutions are bit-identical to [`solve_batch`]'s, and
+//! [`BatchSolution::batch_time_parallel_s`] models the sharded timing.
 
 use amc_circuit::opamp::OpAmpSpec;
 use amc_circuit::timing;
@@ -35,10 +36,8 @@ pub struct BatchSolution {
     pub batch_time_pipelined_s: f64,
     /// Total batch latency without pipelining (solves strictly serialize).
     pub batch_time_unpipelined_s: f64,
-    /// Engine cost of the whole batch call — the one preparation plus
-    /// every solve, summed over *all* workers for the parallel path
-    /// (each replica's counters are folded in, so nothing executed on a
-    /// stolen shard goes missing). Identical at every worker count.
+    /// Engine cost of the whole batch call: the one preparation plus
+    /// every solve.
     pub stats: EngineStats,
 }
 
@@ -127,24 +126,11 @@ pub fn solve_batch<E: AmcEngine>(
     let before = solver.engine().stats();
     let span = solver.recorder_mut().enter("batch");
     let solutions = solver.prepare(a)?.solve_batch(batch)?;
-    let rhs = batch.len() as f64;
-    solver.recorder_mut().exit_with(span, &[("rhs", rhs)]);
+    let k = batch.len() as f64;
+    solver.recorder_mut().exit_with(span, &[("rhs", k)]);
     let stats = solver.engine().stats() - before;
-    assemble_solution(solutions, stats, a, batch.len(), opamp, conversion_s)
-}
-
-/// Derives the pipeline timing and packs a [`BatchSolution`].
-fn assemble_solution(
-    solutions: Vec<Vec<f64>>,
-    stats: EngineStats,
-    a: &Matrix,
-    k: usize,
-    opamp: &OpAmpSpec,
-    conversion_s: f64,
-) -> Result<BatchSolution> {
     let phases = phase_settle_times(a, opamp)?;
     let timing = MacroTiming::from_phase_times(phases, conversion_s)?;
-    let k = k as f64;
     // Pipelined: fill the 5-stage pipe once, then one result per cycle.
     let batch_time_pipelined_s = timing.latency_s + (k - 1.0) * timing.cycle_s;
     let batch_time_unpipelined_s = k * timing.latency_s;
@@ -155,51 +141,6 @@ fn assemble_solution(
         batch_time_unpipelined_s,
         stats,
     })
-}
-
-/// Parallel [`solve_batch`]: prepares `a` once, then shards the
-/// right-hand sides over `workers` bitwise replicas of the prepared
-/// solver on a work-stealing pool (`amc_par`) — the same routine
-/// [`crate::solver::SolverReplica::solve_batch_parallel`] runs.
-///
-/// **Bit-identical to the serial path at every worker count.** Each
-/// replica carries a bitwise copy of the arrays programmed by the one
-/// `prepare` call — the same effective conductances, hence the same
-/// variation draw — so a right-hand side produces the same solution no
-/// matter which worker solves it, and the merged output (always in
-/// input order) equals `solve_batch`'s exactly.
-///
-/// The solves run on replicas, so `solver`'s own engine counters show
-/// the preparation only. Every worker's solves are summed into
-/// [`BatchSolution::stats`], which therefore reports the full batch
-/// cost (one preparation + all solves) at every worker count.
-///
-/// # Errors
-///
-/// * The batch errors of [`solve_batch`], and
-///   [`crate::BlockAmcError::InvalidConfig`] for `workers == 0`.
-/// * Preparation and engine failures.
-pub fn solve_batch_parallel<E: AmcEngine + Clone + Send>(
-    solver: &mut BlockAmcSolver<E>,
-    a: &Matrix,
-    batch: &[Vec<f64>],
-    opamp: &OpAmpSpec,
-    conversion_s: f64,
-    workers: usize,
-) -> Result<BatchSolution> {
-    // Reject before programming, as the serial path does.
-    validate_batch(batch, a.rows())?;
-    if workers == 0 {
-        return Err(crate::BlockAmcError::config(
-            "parallel batch needs at least one worker",
-        ));
-    }
-    let before = solver.engine().stats();
-    let mut replica = solver.prepare(a)?.replicate(1).remove(0);
-    let prepare_stats = solver.engine().stats() - before;
-    let (solutions, solve_stats) = replica.shard_batch(batch, workers)?;
-    let stats = prepare_stats + solve_stats;
-    assemble_solution(solutions, stats, a, batch.len(), opamp, conversion_s)
 }
 
 #[cfg(test)]
@@ -289,73 +230,6 @@ mod tests {
         assert!(solve_batch(&mut solver, &a, &[], &OpAmpSpec::ideal(), 0.0).is_err());
         // Validation precedes side effects: no arrays were programmed.
         assert_eq!(solver.engine().stats().program_ops, 0);
-    }
-
-    #[test]
-    fn parallel_batch_is_bit_identical_to_serial() {
-        use crate::engine::{CircuitEngine, CircuitEngineConfig};
-        let (a, _) = setup(16);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let batch: Vec<Vec<f64>> = (0..13)
-            .map(|_| generate::random_vector(16, &mut rng))
-            .collect();
-        // Variation makes solutions draw-dependent: identity across
-        // worker counts then proves the replicas share the draw.
-        let serial = {
-            let engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 7);
-            let mut solver = BlockAmcSolver::new(engine, Stages::One);
-            solve_batch(&mut solver, &a, &batch, &OpAmpSpec::ideal(), 0.0).unwrap()
-        };
-        for workers in [1usize, 2, 4] {
-            let engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 7);
-            let mut solver = BlockAmcSolver::new(engine, Stages::One);
-            let out =
-                solve_batch_parallel(&mut solver, &a, &batch, &OpAmpSpec::ideal(), 0.0, workers)
-                    .unwrap();
-            assert_eq!(out.solutions, serial.solutions, "workers={workers}");
-            assert_eq!(out.timing, serial.timing);
-        }
-    }
-
-    #[test]
-    fn parallel_batch_aggregates_stats_across_workers() {
-        // Replica counters must be folded in, not dropped: the batch
-        // stats report one preparation plus every solve, identically at
-        // 1, 2, and 4 workers.
-        let (a, _) = setup(16);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let batch: Vec<Vec<f64>> = (0..13)
-            .map(|_| generate::random_vector(16, &mut rng))
-            .collect();
-        let mut expected = None;
-        for workers in [1usize, 2, 4] {
-            let mut solver = one_stage_solver();
-            let out =
-                solve_batch_parallel(&mut solver, &a, &batch, &OpAmpSpec::ideal(), 0.0, workers)
-                    .unwrap();
-            // One-stage tree: 4 arrays once, 3 INV + 2 MVM per solve.
-            assert_eq!(out.stats.program_ops, 4, "workers={workers}");
-            assert_eq!(out.stats.inv_ops, 3 * 13, "workers={workers}");
-            assert_eq!(out.stats.mvm_ops, 2 * 13, "workers={workers}");
-            match &expected {
-                None => expected = Some(out.stats),
-                Some(first) => assert_eq!(&out.stats, first, "workers={workers}"),
-            }
-        }
-        // The serial convenience path reports the same totals.
-        let mut solver = one_stage_solver();
-        let serial = solve_batch(&mut solver, &a, &batch, &OpAmpSpec::ideal(), 0.0).unwrap();
-        assert_eq!(Some(serial.stats), expected);
-    }
-
-    #[test]
-    fn parallel_batch_validates_inputs() {
-        let (a, batch) = setup(8);
-        let mut solver = one_stage_solver();
-        assert!(
-            solve_batch_parallel(&mut solver, &a, &batch, &OpAmpSpec::ideal(), 0.0, 0).is_err()
-        );
-        assert!(solve_batch_parallel(&mut solver, &a, &[], &OpAmpSpec::ideal(), 0.0, 2).is_err());
     }
 
     #[test]

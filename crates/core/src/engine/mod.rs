@@ -152,11 +152,10 @@ impl Operand {
 /// Cumulative cost counters of an engine.
 ///
 /// Counters are additive: [`Add`]/[`AddAssign`] sum the counters of
-/// independent engines (e.g. the per-replica engines of a sharded batch
-/// solve), and [`Sub`] recovers the delta across an operation. All op
-/// counts use saturating arithmetic (asserting in debug builds), so a
-/// long-lived serving process can never wrap a counter back to a small
-/// value or panic in release on overflow.
+/// independent engines, and [`Sub`] recovers the delta across an
+/// operation. All op counts use saturating arithmetic (asserting in
+/// debug builds), so a long-lived serving process can never wrap a
+/// counter back to a small value or panic in release on overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineStats {
     /// Number of matrices programmed.

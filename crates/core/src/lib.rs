@@ -45,16 +45,12 @@
 //! phases S0–S4, transmission-gate topologies, S&H pipelining) and its
 //! timing.
 //!
-//! Multi-RHS and Monte-Carlo workloads parallelize across worker
-//! threads: [`solver::SolverReplica::solve_batch_parallel`] (and
-//! [`batch::solve_batch_parallel`], which prepares first and then runs
-//! it) shards a batch over replicated macro instances
-//! ([`solver::PreparedSolver::replicate`]), and
-//! [`montecarlo::yield_analysis_parallel`] farms out variation trials,
-//! both over the `amc_par` work-stealing pool and both
-//! **bit-identical to their serial counterparts at every worker
-//! count** (replicas inherit the prepare-time variation draw; trials
-//! own per-trial RNG streams).
+//! Multi-RHS batches parallelize across worker threads:
+//! [`solver::SolverReplica::solve_batch_parallel`] shards a batch over
+//! replicated macro instances ([`solver::PreparedSolver::replicate`]) on
+//! the `amc_par` work-stealing pool, **bit-identical to
+//! [`solver::SolverReplica::solve_batch`] at every worker count**
+//! (replicas inherit the prepare-time variation draw).
 //!
 //! # Quickstart
 //!

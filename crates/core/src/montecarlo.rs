@@ -51,11 +51,10 @@ impl YieldReport {
 /// The backend is selected as data: each trial builds a fresh engine —
 /// a new "manufactured part" — from `engine` ([`EngineSpec::build`])
 /// with the seed `engine_seed + trial`, and the whole cascade runs
-/// through the resulting `Box<dyn AmcEngine>`. Results are reproducible
-/// and independent of *where* a trial runs, which is what
-/// [`yield_analysis_parallel`] exploits. (Digital backends draw
-/// nothing, so their "yield" is simply whether the deterministic error
-/// meets the spec.)
+/// through the resulting `Box<dyn AmcEngine>`. Trials run in trial
+/// order, so results are reproducible. (Digital backends draw nothing,
+/// so their "yield" is simply whether the deterministic error meets the
+/// spec.)
 ///
 /// Configuration validation and the reference solution are hoisted out
 /// of the trial loop: each trial pays for what a new manufactured part
@@ -79,41 +78,9 @@ pub fn yield_analysis(
     trials: usize,
     engine_seed: u64,
 ) -> Result<YieldReport> {
-    yield_analysis_parallel(a, b, solver, engine, spec, trials, engine_seed, 1)
-}
-
-/// [`yield_analysis`] with the trials farmed out across `workers`
-/// work-stealing threads (`amc_par`).
-///
-/// **The report is bit-identical at every worker count**: trial `t`
-/// draws its part from the dedicated ChaCha8 stream `engine_seed + t`
-/// regardless of which worker executes it, and the per-trial errors are
-/// merged back in trial order before any statistic is computed.
-/// `workers == 1` runs inline on the calling thread.
-///
-/// # Errors
-///
-/// Same conditions as [`yield_analysis`], plus
-/// [`BlockAmcError::InvalidConfig`] for `workers == 0`.
-#[allow(clippy::too_many_arguments)] // mirrors yield_analysis + workers
-pub fn yield_analysis_parallel(
-    a: &Matrix,
-    b: &[f64],
-    solver: &SolverConfig,
-    engine: &EngineSpec,
-    spec: f64,
-    trials: usize,
-    engine_seed: u64,
-    workers: usize,
-) -> Result<YieldReport> {
     if trials == 0 {
         return Err(BlockAmcError::config(
             "yield analysis needs at least 1 trial",
-        ));
-    }
-    if workers == 0 {
-        return Err(BlockAmcError::config(
-            "yield analysis needs at least 1 worker",
         ));
     }
     if !(spec > 0.0 && spec.is_finite()) {
@@ -146,9 +113,7 @@ pub fn yield_analysis_parallel(
         let err = metrics::relative_error(&x_ref, &x);
         err.is_finite().then_some(err)
     };
-    let per_trial: Vec<Option<f64>> =
-        amc_par::map_indexed(workers, (0..trials).collect(), |_, t| run_trial(t));
-    let errors: Vec<f64> = per_trial.into_iter().flatten().collect();
+    let errors: Vec<f64> = (0..trials).filter_map(run_trial).collect();
     let passing = errors.iter().filter(|&&e| e <= spec).count();
     Ok(YieldReport {
         trials,
@@ -307,39 +272,6 @@ mod tests {
             .is_err(),
             "depth 5 must be rejected on an 8x8 workload"
         );
-    }
-
-    #[test]
-    fn parallel_report_is_identical_at_any_worker_count() {
-        let (a, b) = workload(12);
-        let run = |workers: usize| {
-            yield_analysis_parallel(
-                &a,
-                &b,
-                &one_stage(),
-                &EngineSpec::Circuit(CircuitEngineConfig::paper_variation()),
-                0.1,
-                6,
-                17,
-                workers,
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        for workers in [2usize, 3, 4] {
-            assert_eq!(run(workers), serial, "workers={workers}");
-        }
-        assert!(yield_analysis_parallel(
-            &a,
-            &b,
-            &one_stage(),
-            &EngineSpec::Circuit(CircuitEngineConfig::ideal()),
-            0.1,
-            3,
-            0,
-            0
-        )
-        .is_err());
     }
 
     #[test]

@@ -820,7 +820,7 @@ impl PreparedMultiStage {
     }
 
     /// Visits every programmed operand in **canonical program order** —
-    /// the exact order [`prepare_node`]/[`program_tree`] issued the
+    /// the exact order [`prepare_node`] issued the
     /// `program` calls (a1 subtree, a2 tile, a3 tile, a4s subtree;
     /// quadrant tiles in row-major `[TL, TR, BL, BR]` order) — so
     /// callers can snapshot per-array state under a stable index.
@@ -965,23 +965,6 @@ fn is_leaf(a: &Matrix, depth: usize) -> bool {
     depth == 0 || a.rows() < 2
 }
 
-/// Programs a leaf array, handing the engine `lu` — the factor of `a`
-/// that a Schur step already computed — when there is one.
-fn program_leaf<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    lu: Option<LuFactor>,
-    rec: &mut Recorder,
-) -> Result<Node> {
-    let span = rec.enter("prepare.program");
-    let op = match lu {
-        Some(lu) => engine.program_factored(a, lu)?,
-        None => engine.program(a)?,
-    };
-    rec.exit_with(span, &[("n", a.rows() as f64)]);
-    Ok(Node::Leaf(op))
-}
-
 /// Splits one block per the plan's rule and computes its Schur
 /// complement, returning the partition, `A4s` and the `A1` factor. Under
 /// `Searched` all three come from the split search, which already built
@@ -1012,7 +995,15 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     rec: &mut Recorder,
 ) -> Result<Node> {
     if is_leaf(a, depth) {
-        return program_leaf(engine, a, lu, rec);
+        // A leaf takes over `lu`, the factor of `a` its parent's Schur
+        // step already computed, when there is one.
+        let span = rec.enter("prepare.program");
+        let op = match lu {
+            Some(lu) => engine.program_factored(a, lu)?,
+            None => engine.program(a)?,
+        };
+        rec.exit_with(span, &[("n", a.rows() as f64)]);
+        return Ok(Node::Leaf(op));
     }
     let node_span = rec.enter("prepare.node");
     let (p, a4s, a1_lu) = split_block(a, plan, rec)?;
@@ -1051,229 +1042,17 @@ fn prepare_node<E: AmcEngine + ?Sized>(
 /// # Errors
 ///
 /// Partitioning, Schur, and programming failures. `plan.depth` may
-/// exceed `log2(n)`; recursion stops early at 1×1 blocks.
+/// exceed `log2(n)`; recursion stops early at 1×1 blocks. The caller
+/// ([`crate::solver::BlockAmcSolver::prepare`]) has already checked that
+/// `a` is square and finite.
 pub(crate) fn prepare_plan<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
     plan: &PartitionPlan,
     rec: &mut Recorder,
 ) -> Result<PreparedMultiStage> {
-    if !a.is_square() {
-        return Err(BlockAmcError::ShapeMismatch {
-            op: "multi_stage prepare",
-            expected: a.rows(),
-            got: a.cols(),
-        });
-    }
     let span = rec.enter("prepare");
     let root = prepare_node(engine, a, None, plan.depth, plan, rec)?;
-    rec.exit_with(
-        span,
-        &[("n", a.rows() as f64), ("depth", plan.depth as f64)],
-    );
-    Ok(PreparedMultiStage {
-        n: a.rows(),
-        root,
-        depth: plan.depth,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Parallel prepare: two-phase (parallel plan, serial program).
-// ---------------------------------------------------------------------
-
-/// One node of the engine-free plan tree built by the parallel prepare.
-///
-/// Phase 1 (parallel) computes all partitions and Schur complements —
-/// the numeric work of `prepare` — without touching the engine. Phase 2
-/// (serial) walks the assembled tree programming arrays in exactly the
-/// order [`prepare_node`] would, so the engine's variation stream is
-/// consumed identically and the result is bit-identical to a serial
-/// prepare at any worker count.
-#[derive(Debug)]
-enum MatrixTree {
-    /// A leaf block, with the factor its parent's Schur step handed over.
-    Leaf(Matrix, Option<LuFactor>),
-    Split {
-        split: usize,
-        a1: Box<MatrixTree>,
-        a4s: Box<MatrixTree>,
-        a2: Matrix,
-        a3: Matrix,
-        tile_levels: usize,
-    },
-}
-
-/// A planned node before its subtrees are attached: the per-node output
-/// of one parallel `plan_step`, with children returned separately.
-#[derive(Debug)]
-enum PlannedNode {
-    Leaf(Matrix, Option<LuFactor>),
-    Split {
-        split: usize,
-        a2: Matrix,
-        a3: Matrix,
-        tile_levels: usize,
-    },
-}
-
-/// A block waiting to be planned: its matrix, the factor its parent
-/// handed over (leaf `A1` blocks only), and its remaining depth.
-type PlanInput = (Matrix, Option<LuFactor>, usize);
-
-/// Partitions one block (split selection + Schur complement) without
-/// programming anything. Returns the planned node plus the child blocks
-/// (`a1` then `a4s`, each one level shallower) to expand next.
-fn plan_step(
-    (a, lu, depth): PlanInput,
-    plan: &PartitionPlan,
-) -> Result<(PlannedNode, Vec<PlanInput>)> {
-    if is_leaf(&a, depth) {
-        return Ok((PlannedNode::Leaf(a, lu), Vec::new()));
-    }
-    let (p, a4s, a1_lu) = split_block(&a, plan, &mut Recorder::disabled())?;
-    let a1_lu = a1_lu.filter(|_| is_leaf(&p.a1, depth - 1));
-    let tile_levels = if plan.tile_mvm { depth - 1 } else { 0 };
-    Ok((
-        PlannedNode::Split {
-            split: p.split,
-            a2: p.a2,
-            a3: p.a3,
-            tile_levels,
-        },
-        vec![(p.a1, a1_lu, depth - 1), (a4s, None, depth - 1)],
-    ))
-}
-
-/// Phase 1: builds the engine-free [`MatrixTree`] level by level, with
-/// every level's partition/Schur work sharded over `workers` threads
-/// through [`amc_par::map_indexed`]. The index-preserving merge keeps
-/// each level's node order deterministic, so the assembled tree does not
-/// depend on the worker count.
-fn plan_tree(a: &Matrix, plan: &PartitionPlan, workers: usize) -> Result<MatrixTree> {
-    let mut levels: Vec<Vec<PlannedNode>> = Vec::new();
-    let mut frontier: Vec<PlanInput> = vec![(a.clone(), None, plan.depth)];
-    while !frontier.is_empty() {
-        let results = amc_par::map_indexed(workers, frontier, |_, input| plan_step(input, plan));
-        let mut nodes = Vec::with_capacity(results.len());
-        let mut next = Vec::new();
-        for r in results {
-            let (node, children) = r?;
-            nodes.push(node);
-            next.extend(children);
-        }
-        levels.push(nodes);
-        frontier = next;
-    }
-    // Bottom-up assembly: each Split at level L consumes its two
-    // children (a1 then a4s, matching the order plan_step emitted them)
-    // from the assembled trees of level L+1.
-    let mut below: Vec<MatrixTree> = Vec::new();
-    for level in levels.into_iter().rev() {
-        let mut children = below.into_iter();
-        let mut current = Vec::with_capacity(level.len());
-        for node in level {
-            current.push(match node {
-                PlannedNode::Leaf(m, lu) => MatrixTree::Leaf(m, lu),
-                PlannedNode::Split {
-                    split,
-                    a2,
-                    a3,
-                    tile_levels,
-                } => {
-                    let a1 = children.next().expect("plan tree child (a1) missing");
-                    let a4s = children.next().expect("plan tree child (a4s) missing");
-                    MatrixTree::Split {
-                        split,
-                        a1: Box::new(a1),
-                        a4s: Box::new(a4s),
-                        a2,
-                        a3,
-                        tile_levels,
-                    }
-                }
-            });
-        }
-        debug_assert!(children.next().is_none(), "plan tree child surplus");
-        below = current;
-    }
-    let mut roots = below.into_iter();
-    let root = roots.next().expect("plan tree root missing");
-    debug_assert!(roots.next().is_none());
-    Ok(root)
-}
-
-/// Phase 2: programs the planned tree serially, in the exact program-call
-/// order of [`prepare_node`] (a1 subtree, a2 tile, a3 tile, a4s subtree),
-/// handing leaves the factors phase 1 carried down.
-fn program_tree<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    tree: MatrixTree,
-    rec: &mut Recorder,
-) -> Result<Node> {
-    match tree {
-        MatrixTree::Leaf(m, lu) => program_leaf(engine, &m, lu, rec),
-        MatrixTree::Split {
-            split,
-            a1,
-            a4s,
-            a2,
-            a3,
-            tile_levels,
-        } => {
-            let a1_node = program_tree(engine, *a1, rec)?;
-            let span = rec.enter("prepare.program_mvm");
-            let a2_block = prepare_mvm_tile(engine, &a2, tile_levels)?;
-            let a3_block = prepare_mvm_tile(engine, &a3, tile_levels)?;
-            rec.exit(span);
-            let a4s_node = program_tree(engine, *a4s, rec)?;
-            Ok(Node::Split {
-                split,
-                a1: Box::new(a1_node),
-                a4s: Box::new(a4s_node),
-                a2: a2_block,
-                a3: a3_block,
-            })
-        }
-    }
-}
-
-/// [`prepare_plan`] with the partition/Schur work sharded over `workers`
-/// threads (`amc-par` work-stealing pool; `workers == 1` runs inline).
-///
-/// Array programming itself stays serial and in canonical order, so the
-/// result is **bit-identical** to [`prepare_plan`] at any worker count —
-/// including engines whose variation stream depends on program-call
-/// order. The parallel win comes from the O(n³) Schur complements at
-/// each level, which dominate prepare for depth ≥ 3 trees.
-///
-/// Spans: one coarse `prepare.plan` span over the sharded
-/// partition/Schur phase (the recorder is single-threaded, so per-node
-/// spans are not recorded inside the worker pool) and per-node
-/// `prepare.program` spans over the serial programming phase.
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub(crate) fn prepare_plan_workers<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-    workers: usize,
-    rec: &mut Recorder,
-) -> Result<PreparedMultiStage> {
-    if !a.is_square() {
-        return Err(BlockAmcError::ShapeMismatch {
-            op: "multi_stage prepare",
-            expected: a.rows(),
-            got: a.cols(),
-        });
-    }
-    let span = rec.enter("prepare");
-    let plan_span = rec.enter("prepare.plan");
-    let tree = plan_tree(a, plan, workers)?;
-    rec.exit_with(plan_span, &[("workers", workers as f64)]);
-    let root = program_tree(engine, tree, rec)?;
     rec.exit_with(
         span,
         &[("n", a.rows() as f64), ("depth", plan.depth as f64)],
@@ -1365,15 +1144,6 @@ mod tests {
         depth: usize,
     ) -> Result<PreparedMultiStage> {
         prepare_plan(engine, a, &PartitionPlan::depth(depth))
-    }
-
-    fn prepare_plan_workers<E: AmcEngine>(
-        engine: &mut E,
-        a: &Matrix,
-        plan: &PartitionPlan,
-        workers: usize,
-    ) -> Result<PreparedMultiStage> {
-        super::prepare_plan_workers(engine, a, plan, workers, &mut Recorder::disabled())
     }
 
     /// A fully analog solve (every level `Pure`).
@@ -1502,33 +1272,6 @@ mod tests {
         assert!(metrics::relative_error(&x_ref, &x) < 1e-8);
     }
 
-    #[test]
-    fn parallel_prepare_is_bit_identical_to_serial() {
-        let (a, b) = workload(32, 9);
-        let plan = PartitionPlan::depth(3);
-        // Numeric engine: deterministic kernels, order-insensitive.
-        let mut serial_engine = NumericEngine::new();
-        let mut serial = prepare_plan(&mut serial_engine, &a, &plan).unwrap();
-        let x_serial = solve(&mut serial_engine, &mut serial, &b).unwrap();
-        for workers in [1, 2, 4] {
-            let mut engine = NumericEngine::new();
-            let mut prep = prepare_plan_workers(&mut engine, &a, &plan, workers).unwrap();
-            let x = solve(&mut engine, &mut prep, &b).unwrap();
-            assert_eq!(x, x_serial, "numeric diverged at {workers} workers");
-        }
-        // Circuit engine: the variation stream is consumed in program-call
-        // order, so bit-identity here pins that phase 2 preserves it.
-        let mut serial_engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 77);
-        let mut serial = prepare_plan(&mut serial_engine, &a, &plan).unwrap();
-        let x_serial = solve(&mut serial_engine, &mut serial, &b).unwrap();
-        for workers in [1, 2, 4] {
-            let mut engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 77);
-            let mut prep = prepare_plan_workers(&mut engine, &a, &plan, workers).unwrap();
-            let x = solve(&mut engine, &mut prep, &b).unwrap();
-            assert_eq!(x, x_serial, "circuit diverged at {workers} workers");
-        }
-    }
-
     /// Whether each leaf `A1` of the tree holds an LU factor, in tree
     /// order.
     fn a1_leaf_factors(prep: &PreparedMultiStage) -> Vec<bool> {
@@ -1563,42 +1306,29 @@ mod tests {
         for depth in [1, 2] {
             for rule in rules {
                 let plan = PartitionPlan::depth(depth).with_split_rule(rule);
-                for workers in [None, Some(1), Some(2)] {
-                    let case = format!("depth {depth}, {rule:?}, workers {workers:?}");
-                    let mut engine = NumericEngine::new();
-                    let mut prep = match workers {
-                        None => prepare_plan(&mut engine, &a, &plan),
-                        Some(w) => prepare_plan_workers(&mut engine, &a, &plan, w),
-                    }
-                    .unwrap();
-                    let factors = a1_leaf_factors(&prep);
-                    assert_eq!(factors.len(), 1 << (depth - 1), "{case}");
-                    assert!(factors.iter().all(|&f| f), "{case}: {factors:?}");
-                    // One program op per array, handed a factor or not.
-                    let mut arrays = 0;
-                    prep.for_each_operand(&mut |_, _| arrays += 1);
-                    assert_eq!(engine.stats().program_ops, arrays, "{case}");
-                    // The reference tree factorises every leaf lazily, at
-                    // its first INV.
-                    let mut lazy = prep.clone();
-                    lazy.for_each_operand_mut(&mut |_, op| {
-                        op.downcast_mut::<NumericOperand>().unwrap().lu = None;
-                        Ok(())
-                    })
-                    .unwrap();
-                    let x_lazy = solve(&mut engine, &mut lazy, &b).unwrap();
-                    let x = solve(&mut engine, &mut prep, &b).unwrap();
-                    assert_eq!(bits(&x), bits(&x_lazy), "{case}");
-                }
+                let case = format!("depth {depth}, {rule:?}");
+                let mut engine = NumericEngine::new();
+                let mut prep = prepare_plan(&mut engine, &a, &plan).unwrap();
+                let factors = a1_leaf_factors(&prep);
+                assert_eq!(factors.len(), 1 << (depth - 1), "{case}");
+                assert!(factors.iter().all(|&f| f), "{case}: {factors:?}");
+                // One program op per array, handed a factor or not.
+                let mut arrays = 0;
+                prep.for_each_operand(&mut |_, _| arrays += 1);
+                assert_eq!(engine.stats().program_ops, arrays, "{case}");
+                // The reference tree factorises every leaf lazily, at
+                // its first INV.
+                let mut lazy = prep.clone();
+                lazy.for_each_operand_mut(&mut |_, op| {
+                    op.downcast_mut::<NumericOperand>().unwrap().lu = None;
+                    Ok(())
+                })
+                .unwrap();
+                let x_lazy = solve(&mut engine, &mut lazy, &b).unwrap();
+                let x = solve(&mut engine, &mut prep, &b).unwrap();
+                assert_eq!(bits(&x), bits(&x_lazy), "{case}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_prepare_rejects_non_square() {
-        let mut engine = NumericEngine::new();
-        let a = Matrix::zeros(3, 4);
-        assert!(prepare_plan_workers(&mut engine, &a, &PartitionPlan::depth(1), 2).is_err());
     }
 
     #[test]

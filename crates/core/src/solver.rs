@@ -485,17 +485,6 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
         &mut self.recorder
     }
 
-    /// Sets the DAC/ADC/S&H configuration, rebuilding the architecture's
-    /// default signal plan around it.
-    ///
-    /// Migration shim for the pre-builder API: prefer
-    /// `SolverConfig::builder().io(..)` (or an explicit
-    /// [`SignalPlan`]) in new code.
-    pub fn with_io(mut self, io: IoConfig) -> Self {
-        self.config.signal = SolverConfig::default_signal_plan(self.config.stages, io);
-        self
-    }
-
     /// Borrows the engine (e.g. to read [`AmcEngine::stats`]).
     pub fn engine(&self) -> &E {
         &self.engine
@@ -512,20 +501,7 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     /// configuration validation ([`SolverConfig::validate_for_size`]),
     /// shape, partitioning/Schur, and programming failures.
     pub fn prepare(&mut self, a: &Matrix) -> Result<PreparedSolver<'_, E>> {
-        self.validate_matrix(a)?;
-        let plan = self.config.partition_plan();
-        let tree = multi_stage::prepare_plan(&mut self.engine, a, &plan, &mut self.recorder)?;
-        Ok(PreparedSolver {
-            engine: &mut self.engine,
-            config: &self.config,
-            tree,
-            recorder: &mut self.recorder,
-        })
-    }
-
-    /// The checks both prepare entry points run before any engine call:
-    /// a square, finite matrix the configuration can partition.
-    fn validate_matrix(&self, a: &Matrix) -> Result<()> {
+        // Checked before any engine call.
         if !a.is_square() {
             return Err(BlockAmcError::ShapeMismatch {
                 op: "prepare (square matrix required)",
@@ -534,32 +510,9 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
             });
         }
         BlockAmcError::check_finite("A", a.as_slice())?;
-        self.config.validate_for_size(a.rows())
-    }
-
-    /// [`prepare`](Self::prepare) with the partition/Schur work sharded
-    /// over `workers` threads (`amc-par` work-stealing pool; `workers ==
-    /// 1` runs inline). Bit-identical to [`prepare`](Self::prepare) at any
-    /// worker count; array programming stays serial and in canonical
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`prepare`](Self::prepare).
-    pub fn prepare_with_workers(
-        &mut self,
-        a: &Matrix,
-        workers: usize,
-    ) -> Result<PreparedSolver<'_, E>> {
-        self.validate_matrix(a)?;
+        self.config.validate_for_size(a.rows())?;
         let plan = self.config.partition_plan();
-        let tree = multi_stage::prepare_plan_workers(
-            &mut self.engine,
-            a,
-            &plan,
-            workers,
-            &mut self.recorder,
-        )?;
+        let tree = multi_stage::prepare_plan(&mut self.engine, a, &plan, &mut self.recorder)?;
         Ok(PreparedSolver {
             engine: &mut self.engine,
             config: &self.config,
@@ -957,10 +910,13 @@ impl<E: AmcEngine> SolverReplica<E> {
     }
 
     /// Shards `batch` over `workers` solving instances — this replica
-    /// plus `workers − 1` bitwise clones of it — on an `amc_par`
-    /// work-stealing pool, returning the solutions in input order. The
-    /// clones are made on the first call that needs them and kept for
-    /// later ones; the calling thread works this replica. Shards are
+    /// plus `workers − 1` bitwise clones of it, or one instance per
+    /// right-hand side if the batch is narrower — on an `amc_par`
+    /// work-stealing pool inside a `batch` span, returning the solutions
+    /// in input order. The clones are made on the first call that needs
+    /// them and kept for later ones; the calling thread works this
+    /// replica, and every clone's recorder is flushed before returning.
+    /// Each shard runs through the cascade as one block, and shards are
     /// whole multiples of the kernels' panel width
     /// ([`amc_linalg::vector::WIDE`]) where the batch allows it.
     ///
@@ -983,25 +939,6 @@ impl<E: AmcEngine> SolverReplica<E> {
     where
         E: Clone,
     {
-        self.shard_batch(batch, workers)
-            .map(|(solutions, _)| solutions)
-    }
-
-    /// The one parallel-batch routine behind
-    /// [`solve_batch_parallel`](Self::solve_batch_parallel) and
-    /// [`crate::batch::solve_batch_parallel`]. Runs inside a `batch`
-    /// span and also returns the engine cost of every solve in this
-    /// call, summed over all workers (each state's counters are read
-    /// before and after). Each shard runs through the cascade as one
-    /// block, and every spare's recorder is flushed before returning.
-    pub(crate) fn shard_batch(
-        &mut self,
-        batch: &[Vec<f64>],
-        workers: usize,
-    ) -> Result<(Vec<Vec<f64>>, EngineStats)>
-    where
-        E: Clone,
-    {
         validate_batch(batch, self.tree.size())?;
         if workers == 0 {
             return Err(BlockAmcError::config(
@@ -1010,7 +947,9 @@ impl<E: AmcEngine> SolverReplica<E> {
         }
         let span = self.recorder.enter("batch");
         let len = batch.len();
-        let helpers = if len == 1 { 0 } else { workers - 1 };
+        // The pool runs at most one state per shard, and there are never
+        // more shards than right-hand sides.
+        let helpers = workers.min(len) - 1;
         // Taken out for the call: a panicking shard unwinds past the
         // put-back below and drops them with it.
         let mut spares = std::mem::take(&mut self.spares.0);
@@ -1020,17 +959,12 @@ impl<E: AmcEngine> SolverReplica<E> {
         let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(helpers + 1);
         states.push(&mut *self);
         states.extend(spares.iter_mut().take(helpers));
-        let before: Vec<EngineStats> = states.iter().map(|s| s.engine.stats()).collect();
         // Contiguous shards; input order is restored by the
         // index-preserving pool merge.
         let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len(len, states.len())).collect();
         let sharded = amc_par::map_with_states(&mut states, shards, |replica, _, shard| {
             replica.solve_shard(shard)
         });
-        let mut stats = EngineStats::default();
-        for (state, before) in states.iter().zip(&before) {
-            stats += state.engine.stats() - *before;
-        }
         for spare in &mut spares {
             spare.recorder.flush();
         }
@@ -1041,7 +975,7 @@ impl<E: AmcEngine> SolverReplica<E> {
         }
         self.recorder
             .exit_with(span, &[("rhs", len as f64), ("workers", workers as f64)]);
-        Ok((solutions, stats))
+        Ok(solutions)
     }
 }
 
@@ -1240,58 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_parallel_batches_report_per_call_stats() {
-        // The kept spares carry their counters from call to call; the
-        // reported cost must still be this call's alone, as the serial
-        // solve of the same batch counts it.
-        let (a, _) = workload(12, 36);
-        let mut rng = ChaCha8Rng::seed_from_u64(37);
-        let circuit = CircuitEngine::new(CircuitEngineConfig::paper_variation(), 38);
-        let engines: [(Box<dyn AmcEngine>, Stages); 2] = [
-            (Box::new(NumericEngine::new()), Stages::Two),
-            (Box::new(circuit), Stages::One),
-        ];
-        for (engine, stages) in engines {
-            let reference = BlockAmcSolver::new(engine, stages)
-                .prepare(&a)
-                .unwrap()
-                .replicate(1)
-                .remove(0);
-            for k in [1usize, 7, 8, 9, 32, 33] {
-                let batch: Vec<Vec<f64>> = (0..k)
-                    .map(|_| generate::random_vector(12, &mut rng))
-                    .collect();
-                let mut serial = reference.clone();
-                let before = serial.engine().stats();
-                let expected_x = serial.solve_batch(&batch).unwrap();
-                let expected = serial.engine().stats() - before;
-                for workers in [1usize, 2, 3, 5] {
-                    let mut replica = reference.clone();
-                    for call in 0..10 {
-                        let (x, stats) = replica.shard_batch(&batch, workers).unwrap();
-                        let at = format!(
-                            "{} k={k} workers={workers} call {call}",
-                            reference.engine().name()
-                        );
-                        assert_eq!(x, expected_x, "{at}");
-                        assert_eq!(stats.program_ops, expected.program_ops, "{at}");
-                        assert_eq!(stats.inv_ops, expected.inv_ops, "{at}");
-                        assert_eq!(stats.mvm_ops, expected.mvm_ops, "{at}");
-                        // Analog time and energy are sums of f64 terms,
-                        // which sharding regroups.
-                        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
-                        assert!(close(stats.analog_time_s, expected.analog_time_s), "{at}");
-                        assert!(
-                            close(stats.analog_energy_j, expected.analog_energy_j),
-                            "{at}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn replicas_and_boxed_engines_move_across_threads() {
         // Runtime companion to the compile-time Send assertions: a
         // type-erased replica is solved on another thread and must
@@ -1466,11 +1348,15 @@ mod tests {
         let (a, b) = workload(8, 6);
         let x_ref = lu::solve(&a, &b).unwrap();
         let mut ideal = BlockAmcSolver::new(NumericEngine::new(), Stages::One);
-        let mut coarse = BlockAmcSolver::new(NumericEngine::new(), Stages::One).with_io(IoConfig {
-            dac: Some(Converter::new(4, 1.0).unwrap()),
-            adc: Some(Converter::new(4, 1.0).unwrap()),
-            sh_droop: 0.0,
-        });
+        let mut coarse = SolverConfig::builder()
+            .stages(Stages::One)
+            .io(IoConfig {
+                dac: Some(Converter::new(4, 1.0).unwrap()),
+                adc: Some(Converter::new(4, 1.0).unwrap()),
+                sh_droop: 0.0,
+            })
+            .build(NumericEngine::new())
+            .unwrap();
         let e_ideal = metrics::relative_error(&x_ref, &ideal.solve(&a, &b).unwrap().x);
         let e_coarse = metrics::relative_error(&x_ref, &coarse.solve(&a, &b).unwrap().x);
         assert!(e_ideal < 1e-9);

@@ -15,16 +15,13 @@
 //! **bit-identical at any worker count** —
 //! [`run_lifetime_worker_sweep`] checks it.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use blockamc::aging::{AgedSolver, AgingModel, RepairScheduler, TickRecord};
-use blockamc::engine::EngineRegistry;
+use blockamc::engine::NumericEngine;
 use blockamc::solver::{BlockAmcSolver, SolverConfig};
 
-use crate::campaign::EngineSel;
 use crate::error::ScenarioError;
 use crate::workload::WorkloadSpec;
 use crate::Result;
@@ -47,13 +44,10 @@ pub struct LifetimeCampaign {
     name: String,
     workloads: Vec<WorkloadSpec>,
     policies: Vec<PolicyCell>,
-    config: SolverConfig,
-    engine: EngineSel,
     model: AgingModel,
     ticks: usize,
     rhs_per_tick: usize,
     seed: u64,
-    registry: Arc<EngineRegistry>,
 }
 
 /// Builder for [`LifetimeCampaign`] — validated by
@@ -64,24 +58,19 @@ pub struct LifetimeCampaignBuilder {
 }
 
 impl LifetimeCampaign {
-    /// Starts a builder. Defaults: the facade's default solver config,
-    /// the exact `numeric` backend, [`AgingModel::typical_rram`],
-    /// 50 ticks, 2 RHS per tick, seed 0.
+    /// Starts a builder. Every cell prepares the facade's default solver
+    /// config on the exact `numeric` backend. Defaults:
+    /// [`AgingModel::typical_rram`], 50 ticks, 2 RHS per tick, seed 0.
     pub fn builder(name: impl Into<String>) -> LifetimeCampaignBuilder {
         LifetimeCampaignBuilder {
             campaign: LifetimeCampaign {
                 name: name.into(),
                 workloads: Vec::new(),
                 policies: Vec::new(),
-                config: SolverConfig::builder()
-                    .finish()
-                    .expect("default solver config is valid"),
-                engine: EngineSel::Registered("numeric"),
                 model: AgingModel::typical_rram(),
                 ticks: 50,
                 rhs_per_tick: 2,
                 seed: 0,
-                registry: Arc::new(EngineRegistry::builtin()),
             },
         }
     }
@@ -124,13 +113,13 @@ impl LifetimeCampaign {
             ));
         }
         // Fail fast before any trace runs: every policy and the model
-        // were validated at build time; the config × workload grid and
-        // the engine selection are checked here, naming the offender.
-        self.engine
-            .build(&self.registry, self.seed)
-            .map_err(ScenarioError::from)?;
+        // were validated at build time; the config × workload grid is
+        // checked here, naming the offender.
+        let config = SolverConfig::builder()
+            .finish()
+            .expect("default solver config is valid");
         for w in &self.workloads {
-            self.config.validate_for_size(w.n).map_err(|e| {
+            config.validate_for_size(w.n).map_err(|e| {
                 ScenarioError::spec(format!("workload '{}' (n={}): {e}", w.name, w.n))
             })?;
         }
@@ -138,7 +127,7 @@ impl LifetimeCampaign {
         let jobs: Vec<(usize, usize)> = (0..self.workloads.len())
             .flat_map(|w| (0..self.policies.len()).map(move |p| (w, p)))
             .collect();
-        let results = amc_par::map_indexed(workers, jobs, |_, (w, p)| self.run_cell(w, p));
+        let results = amc_par::map_indexed(workers, jobs, |_, (w, p)| self.run_cell(w, p, &config));
         let mut cells = Vec::with_capacity(results.len());
         for r in results {
             cells.push(r?);
@@ -153,7 +142,7 @@ impl LifetimeCampaign {
 
     /// Runs one `(workload, policy)` cell: prepare once, then stream
     /// `ticks` scheduler ticks with fresh per-tick right-hand sides.
-    fn run_cell(&self, w: usize, p: usize) -> Result<LifetimeCellRecord> {
+    fn run_cell(&self, w: usize, p: usize, config: &SolverConfig) -> Result<LifetimeCellRecord> {
         let spec = &self.workloads[w];
         let cell = &self.policies[p];
         let cell_seed = cell_seed(self.seed, w, p);
@@ -161,8 +150,7 @@ impl LifetimeCampaign {
         // The campaign streams its own per-tick RHS trace; the
         // instance's single RHS is unused.
         let instance = spec.instantiate(1)?;
-        let engine = self.engine.build(&self.registry, cell_seed)?;
-        let mut solver = BlockAmcSolver::from_config(engine, self.config.clone());
+        let mut solver = BlockAmcSolver::from_config(NumericEngine::new(), config.clone());
         let replica = solver.prepare(&instance.matrix)?.replicate(1).remove(0);
         let mut aged = AgedSolver::new(replica, instance.matrix, self.model, cell_seed)?;
         let mut scheduler = RepairScheduler::new(cell.policy)?;

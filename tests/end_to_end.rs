@@ -5,7 +5,7 @@
 use amc_linalg::{generate, lu, metrics, vector};
 use blockamc::converter::IoConfig;
 use blockamc::engine::{CircuitEngine, CircuitEngineConfig, NumericEngine};
-use blockamc::solver::{BlockAmcSolver, Stages};
+use blockamc::solver::{BlockAmcSolver, SolverConfig, Stages};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -91,7 +91,11 @@ fn full_nonideal_stack_runs_end_to_end_with_converters() {
     let (a, b) = wishart_workload(16, 4);
     let x_ref = lu::solve(&a, &b).unwrap();
     let engine = CircuitEngine::new(CircuitEngineConfig::paper_full(), 11);
-    let mut solver = BlockAmcSolver::new(engine, Stages::One).with_io(IoConfig::default_8bit());
+    let mut solver = SolverConfig::builder()
+        .stages(Stages::One)
+        .io(IoConfig::default_8bit())
+        .build(engine)
+        .unwrap();
     let r = solver.solve(&a, &b).unwrap();
     let err = metrics::relative_error(&x_ref, &r.x);
     assert!(err.is_finite());

@@ -125,24 +125,14 @@ proptest! {
         for workers in [1usize, 3] {
             let boxed: Box<dyn AmcEngine> = Box::new(CircuitEngine::new(cfg, seed));
             let mut solver = BlockAmcSolver::new(boxed, Stages::One);
-            let erased = batch::solve_batch_parallel(
-                &mut solver,
-                &a,
-                &batch_rhs,
-                &OpAmpSpec::ideal(),
-                0.0,
-                workers,
-            )
-            .unwrap();
-            prop_assert_eq!(&erased.solutions, &concrete.solutions, "workers={}", workers);
-            // Integer counters aggregate exactly; the analog sums are
-            // reassociated across workers, so compare those to float
-            // tolerance.
-            prop_assert_eq!(erased.stats.program_ops, concrete.stats.program_ops);
-            prop_assert_eq!(erased.stats.inv_ops, concrete.stats.inv_ops);
-            prop_assert_eq!(erased.stats.mvm_ops, concrete.stats.mvm_ops);
-            let dt = (erased.stats.analog_time_s - concrete.stats.analog_time_s).abs();
-            prop_assert!(dt <= 1e-9 * concrete.stats.analog_time_s.max(1e-30));
+            let erased = solver
+                .prepare(&a)
+                .unwrap()
+                .replicate(1)
+                .remove(0)
+                .solve_batch_parallel(&batch_rhs, workers)
+                .unwrap();
+            prop_assert_eq!(&erased, &concrete.solutions, "workers={}", workers);
         }
     }
 }

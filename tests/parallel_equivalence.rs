@@ -1,17 +1,15 @@
 //! Parallel ≡ serial bit-identity properties for the execution layer.
 //!
-//! The parallel batch and Monte-Carlo paths promise that the worker
-//! count is *invisible* in the output: sharding only decides where work
-//! runs, never what it computes. These properties pin that contract —
+//! The parallel batch path promises that the worker count is
+//! *invisible* in the output: sharding only decides where work runs,
+//! never what it computes. These properties pin that contract —
 //!
-//! * `batch::solve_batch_parallel` at 1, 2, and 4 workers produces
-//!   solutions bit-identical to the serial `batch::solve_batch`, under
-//!   both the exact `NumericEngine` and the analog `CircuitEngine`
-//!   (where identity additionally proves every replica carries the
-//!   same programmed variation draw as the serial solver's arrays);
-//! * `montecarlo::yield_analysis_parallel` at 1, 2, and 4 workers
-//!   reproduces the serial `yield_analysis` report exactly (each trial
-//!   owns the ChaCha8 stream `engine_seed + t` wherever it executes);
+//! * `SolverReplica::solve_batch_parallel` at 1, 2, and 4 workers, on a
+//!   replica of a prepared solver, produces solutions bit-identical to
+//!   the serial `batch::solve_batch`, under both the exact
+//!   `NumericEngine` and the analog `CircuitEngine` (where identity
+//!   additionally proves every replica carries the same programmed
+//!   variation draw as the serial solver's arrays);
 //! * ten successive `SolverReplica::solve_batch_parallel` calls on one
 //!   replica — which keeps its worker clones across calls — each equal
 //!   `solve_batch` bit for bit, and the clones are made once, not per
@@ -25,10 +23,9 @@ use amc_linalg::lu::LuFactor;
 use amc_linalg::{generate, Matrix};
 use blockamc::batch;
 use blockamc::engine::{
-    AmcEngine, CircuitEngine, CircuitEngineConfig, EngineSpec, EngineStats, NumericEngine, Operand,
+    AmcEngine, CircuitEngine, CircuitEngineConfig, EngineStats, NumericEngine, Operand,
 };
-use blockamc::montecarlo;
-use blockamc::solver::{BlockAmcSolver, SolverConfig, SolverReplica, Stages};
+use blockamc::solver::{BlockAmcSolver, SolverReplica, Stages};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -66,10 +63,9 @@ fn parallel_solutions<E>(
 where
     E: blockamc::engine::AmcEngine + Clone + Send,
 {
-    let mut solver = BlockAmcSolver::new(engine, stages);
-    batch::solve_batch_parallel(&mut solver, a, batch, &OpAmpSpec::ideal(), 0.0, workers)
+    replica_of(engine, stages, a)
+        .solve_batch_parallel(batch, workers)
         .unwrap()
-        .solutions
 }
 
 proptest! {
@@ -103,25 +99,6 @@ proptest! {
             prop_assert_eq!(&par, &serial, "workers={}", workers);
         }
     }
-
-    #[test]
-    fn parallel_yield_matches_serial(
-        (a, batch, seed) in batch_workload(),
-        trials in 1usize..=5,
-    ) {
-        let b = &batch[0];
-        let solver = SolverConfig::builder().stages(Stages::One).finish().unwrap();
-        let spec = EngineSpec::Circuit(CircuitEngineConfig::paper_variation());
-        let serial = montecarlo::yield_analysis(
-            &a, b, &solver, &spec, 0.1, trials, seed,
-        ).unwrap();
-        for workers in [2usize, 4] {
-            let par = montecarlo::yield_analysis_parallel(
-                &a, b, &solver, &spec, 0.1, trials, seed, workers,
-            ).unwrap();
-            prop_assert_eq!(&par, &serial, "workers={}", workers);
-        }
-    }
 }
 
 /// Worker counts and batch widths of the repeated-call checks: widths
@@ -147,8 +124,7 @@ fn replica_of<E: AmcEngine + Clone>(engine: E, stages: Stages, a: &Matrix) -> So
 
 /// Runs [`CALLS`] successive parallel batches of every width on one
 /// replica per worker count, checking each call against `solve_batch` on
-/// a fresh clone of the replica. (The per-call `EngineStats` delta is
-/// pinned by the `blockamc` unit suite, which can read it.)
+/// a fresh clone of the replica.
 fn repeated_calls_match_serial<E: AmcEngine + Clone>(engine: E, stages: Stages, seed: u64) {
     let n = 12;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -298,4 +274,17 @@ fn parallel_batches_clone_the_replica_once() {
         copy.solve_batch_parallel(&batch, workers).unwrap();
         assert_eq!(clones.load(Ordering::SeqCst) - before, workers - 1);
     }
+    // A batch narrower than the worker count clones only the spares
+    // that get a shard: 3 right-hand sides at 5 workers make 2 clones.
+    let clones = Arc::new(AtomicUsize::new(0));
+    let engine = CloneCounting {
+        inner: NumericEngine::new(),
+        clones: Arc::clone(&clones),
+    };
+    let mut replica = replica_of(engine, Stages::Two, &a);
+    let serial = bits(&replica.clone().solve_batch(&batch[..3]).unwrap());
+    let before = clones.load(Ordering::SeqCst);
+    let xs = replica.solve_batch_parallel(&batch[..3], 5).unwrap();
+    assert_eq!(bits(&xs), serial);
+    assert_eq!(clones.load(Ordering::SeqCst) - before, 2);
 }

@@ -248,8 +248,6 @@ fn non_finite_inputs_get_typed_errors_before_any_engine_call() {
     let mut facade = solver();
     let serial = batch::solve_batch(&mut facade, &a, &rhs, &opamp, 0.0);
     assert_eq!(serial.map(|s| s.solutions), non_finite("b", 25));
-    let parallel = batch::solve_batch_parallel(&mut facade, &a, &rhs, &opamp, 0.0, 2);
-    assert_eq!(parallel.map(|s| s.solutions), non_finite("b", 25));
     assert_eq!(facade.engine().stats().program_ops, 0);
 }
 
