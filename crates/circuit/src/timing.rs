@@ -15,7 +15,7 @@
 //! Settling to a relative accuracy `ε` multiplies either constant by
 //! `ln(1/ε)`.
 
-use amc_linalg::{lu::LuFactor, Matrix};
+use amc_linalg::{eigen, Matrix};
 
 use crate::opamp::OpAmpSpec;
 use crate::{CircuitError, Result};
@@ -50,11 +50,11 @@ pub fn mvm_settle_time(
 }
 
 /// Settling-time estimate for an INV operation on the normalized matrix
-/// `g_hat = G/G₀`.
+/// `g_hat = G/G₀`: `ln(1/ε) / (ω_gbw·|λ_min|)`.
 ///
-/// Uses the magnitude of the smallest eigenvalue of the symmetric part of
-/// `g_hat` (exact for the symmetric matrices the paper benchmarks;
-/// a conservative proxy otherwise), estimated by inverse power iteration.
+/// `|λ_min|` is the smallest eigenvalue magnitude of the symmetric part
+/// of `g_hat` (exact for the symmetric matrices the paper benchmarks; a
+/// conservative proxy otherwise), from [`min_eigenvalue_magnitude`].
 ///
 /// # Errors
 ///
@@ -72,13 +72,16 @@ pub fn inv_settle_time(g_hat: &Matrix, opamp: &OpAmpSpec, epsilon: f64) -> Resul
     Ok((1.0 / epsilon).ln() / (omega * lambda))
 }
 
-/// Estimates `|λ_min|` of the symmetric part of a square matrix by inverse
-/// power iteration (at most 100 solves against one LU factorisation).
+/// `|λ_min|` of the symmetric part `(A + Aᵀ)/2` of a square matrix, from
+/// [`amc_linalg::eigen::min_abs_eigenvalue`]: Lanczos on the inverse
+/// through one LU factorisation, stopped once its a-posteriori error
+/// bound falls to `1e-11` relative. Only the `λ_min` end is computed.
 ///
 /// # Errors
 ///
 /// * [`CircuitError::InvalidConfig`] if the matrix is not square or empty.
-/// * [`CircuitError::NoOperatingPoint`] if the matrix is singular.
+/// * [`CircuitError::NoOperatingPoint`] if the matrix is singular or not
+///   finite.
 pub fn min_eigenvalue_magnitude(a: &Matrix) -> Result<f64> {
     if !a.is_square() || a.rows() == 0 {
         return Err(CircuitError::config(
@@ -86,42 +89,12 @@ pub fn min_eigenvalue_magnitude(a: &Matrix) -> Result<f64> {
         ));
     }
     let n = a.rows();
-    // Symmetric part: (A + Aᵀ)/2.
-    let sym = a.add_matrix(&a.transpose())?.scaled(0.5);
-    let lu = LuFactor::new(&sym)
-        .map_err(|e| CircuitError::no_op_point(format!("singular matrix: {e}")))?;
-    // Inverse power iteration converges to the eigenvector of the smallest
-    // |eigenvalue|; it stops once the Rayleigh quotient settles to a
-    // relative 1e-12, or after 100 steps, plenty for a timing estimate
-    // (a Wishart leaf usually runs into that cap). This
-    // runs for every INV settle-time estimate, so the iteration reuses
-    // two scratch buffers through the borrowed linalg kernels instead of
-    // allocating three vectors per pass.
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
-    let mut w = vec![0.0; n];
-    let mut av = vec![0.0; n];
-    let mut lambda = f64::NAN;
-    for _ in 0..100 {
-        lu.solve_into(&v, &mut w)?;
-        let norm = amc_linalg::vector::norm2(&w);
-        if norm == 0.0 {
-            return Err(CircuitError::no_op_point("inverse iteration broke down"));
-        }
-        for (vi, &wi) in v.iter_mut().zip(&w) {
-            *vi = wi / norm;
-        }
-        // Rayleigh quotient on the symmetric part.
-        sym.matvec_into(&v, &mut av)?;
-        let next = amc_linalg::vector::dot(&v, &av).abs();
-        if !lambda.is_nan() && (next - lambda).abs() <= 1e-12 * next.max(1e-300) {
-            lambda = next;
-            break;
-        }
-        lambda = next;
-    }
+    let sym = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+    let lambda = eigen::min_abs_eigenvalue(&sym)
+        .map_err(|e| CircuitError::no_op_point(format!("λ_min estimate failed: {e}")))?;
     if !lambda.is_finite() || lambda <= 0.0 {
         return Err(CircuitError::no_op_point(
-            "eigenvalue estimate did not converge to a positive value",
+            "eigenvalue estimate did not give a positive value",
         ));
     }
     Ok(lambda)

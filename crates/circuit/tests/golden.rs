@@ -3,7 +3,9 @@
 //! Every `f64` that `AnalogSimulator::inv` / `mvm` returns — `values`,
 //! `volts`, `power_w`, `settle_time_s` — is pinned to the bit pattern
 //! recorded from the one-shot simulator before INV/MVM state was cached
-//! per programmed array. The vectors are pinned through an FNV-1a digest
+//! per programmed array; the INV `settle_time_s` words were re-recorded
+//! when the settle model's λ_min estimate moved from inverse iteration
+//! to Lanczos. The vectors are pinned through an FNV-1a digest
 //! of their bit patterns; on a mismatch the assertion prints the bits
 //! that were computed.
 //!
@@ -87,25 +89,25 @@ fn cases_16() -> Vec<Case> {
         (
             "ideal",
             SimConfig::ideal(),
-            [0x4c92b9036664ff78, 0x3f5c110f619345db, 0x3e8958eb4271d671],
+            [0x4c92b9036664ff78, 0x3f5c110f619345db, 0x3e8958eb422bec03],
             [0x6c278c6ee6011084, 0x3f54c0c05d2a65b9, 0x3e958ae4b8087d46],
         ),
         (
             "finite_gain_only",
             SimConfig::finite_gain_only(),
-            [0xc5d0a79f56fd53b7, 0x3f5c10352bf0291f, 0x3e8958eb4271d671],
+            [0xc5d0a79f56fd53b7, 0x3f5c10352bf0291f, 0x3e8958eb422bec03],
             [0x32b6fb719954b512, 0x3f54c0017a1f5d71, 0x3e958ae4b8087d46],
         ),
         (
             "paper_full",
             paper_full,
-            [0x16b57c373c5dc616, 0x3f5c19067565174f, 0x3e896178b3ff1836],
+            [0x16b57c373c5dc616, 0x3f5c19067565174f, 0x3e896178b3b7710a],
             [0x2071268464b36471, 0x3f54bacfd9a3413d, 0x3e958783c60664f5],
         ),
         (
             "paper_nonideal",
             SimConfig::paper_nonideal(),
-            [0x27763df9d9f9942b, 0x3f5c182ba7019147, 0x3e896178b3ff1836],
+            [0x27763df9d9f9942b, 0x3f5c182ba7019147, 0x3e896178b3b7710a],
             [0x43e6f94a476bf690, 0x3f54ba1188dcc049, 0x3e958783c60664f5],
         ),
     ]
@@ -134,7 +136,7 @@ fn exact_grid_outputs_match_golden_bits_4x4() {
     assert_pinned(
         "exact_grid inv",
         &inv,
-        [0x8721f2bbf43f6522, 0x3f3f720d1dc204ea, 0x3e8c1c593e56ba91],
+        [0x8721f2bbf43f6522, 0x3f3f720d1dc204ea, 0x3e8c1c593e3dcb76],
     );
     assert_pinned(
         "exact_grid mvm",

@@ -46,7 +46,7 @@
 
 use std::any::Any;
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::Sub;
 
 use amc_linalg::lu::LuFactor;
 use amc_linalg::Matrix;
@@ -151,8 +151,7 @@ impl Operand {
 
 /// Cumulative cost counters of an engine.
 ///
-/// Counters are additive: [`Add`]/[`AddAssign`] sum the counters of
-/// independent engines, and [`Sub`] recovers the delta across an
+/// Counters only grow, and [`Sub`] recovers the delta across an
 /// operation. All op counts use saturating arithmetic (asserting in
 /// debug builds), so a long-lived serving process can never wrap a
 /// counter back to a small value or panic in release on overflow.
@@ -206,25 +205,6 @@ impl EngineStats {
     /// (saturating; see struct docs).
     pub(crate) fn count_mvms(&mut self, k: usize) {
         self.mvm_ops = saturating_count_add(self.mvm_ops, k, "mvm_ops");
-    }
-}
-
-impl AddAssign for EngineStats {
-    fn add_assign(&mut self, rhs: EngineStats) {
-        self.program_ops = saturating_count_add(self.program_ops, rhs.program_ops, "program_ops");
-        self.inv_ops = saturating_count_add(self.inv_ops, rhs.inv_ops, "inv_ops");
-        self.mvm_ops = saturating_count_add(self.mvm_ops, rhs.mvm_ops, "mvm_ops");
-        self.analog_time_s += rhs.analog_time_s;
-        self.analog_energy_j += rhs.analog_energy_j;
-    }
-}
-
-impl Add for EngineStats {
-    type Output = EngineStats;
-
-    fn add(mut self, rhs: EngineStats) -> EngineStats {
-        self += rhs;
-        self
     }
 }
 
@@ -588,16 +568,13 @@ mod tests {
             analog_time_s: 1.0,
             analog_energy_j: 2.0,
         };
-        let sum = a + b;
-        assert_eq!(sum.program_ops, 11);
-        assert_eq!(sum.inv_ops, 22);
-        assert_eq!(sum.mvm_ops, 33);
-        assert!((sum.analog_time_s - 1.5).abs() < 1e-15);
-        assert!((sum.analog_energy_j - 2.25).abs() < 1e-15);
-        let mut acc = EngineStats::default();
-        acc += a;
-        acc += b;
-        assert_eq!(acc, sum);
+        let sum = EngineStats {
+            program_ops: 11,
+            inv_ops: 22,
+            mvm_ops: 33,
+            analog_time_s: 1.5,
+            analog_energy_j: 2.25,
+        };
         assert_eq!(sum - b, a);
     }
 
@@ -630,8 +607,6 @@ mod tests {
         };
         s.count_inv();
         assert_eq!(s.inv_ops, usize::MAX, "saturates instead of wrapping");
-        let sum = s + s;
-        assert_eq!(sum.inv_ops, usize::MAX);
     }
 
     #[test]
